@@ -21,7 +21,27 @@ Soundness of the pruning:
   minimum, which is at most the geometric mean of the row and hence at
   most ``2**b_n``; only that far does the first coordinate need to range;
 * a frieze column extends in both directions, so true columns satisfy
-  every forward and backward divisibility constraint used as a generator.
+  every forward and backward divisibility constraint used as a generator;
+* row seeding, monotone cut-off: setting seed entry ``t_j = v`` gives
+  each forced row one new cell ``((a*b - 1)/den)**(1/m)``, where ``a``
+  and ``den`` are already fixed and ``b`` is the new cell of the row
+  above (``v`` itself for the top forced row).  Read as real numbers, every
+  new cell, every running row product and the type-E branch product are
+  therefore non-decreasing in ``v``, and an exact cell equals its real
+  value.  Candidates for ``t_j`` are generated in ascending order, so the
+  first candidate that exceeds an entry, product or branch cap ends the
+  candidate loop: every larger candidate that survives the same exact
+  divisions exceeds that cap too.  Inexact divisions, non-perfect powers,
+  a zero numerator and the vertex-1 mesh are not monotone and only skip
+  the candidate.  The top forced row's caps give the closed form
+  ``v <= (L**m + 1) // t_{j-1}`` with ``L`` the least of its entry cap
+  and its product cap over the running product;
+* row seeding, pinned chain tail: mesh relations are invertible
+  (Conway-Coxeter: a frieze is fixed by a few consecutive entries).  In a
+  chain, once the wavefront holds a row-1 cell, the vertex-1 mesh fixes
+  the next row-1 cell, and each forced mesh, read upwards, fixes its
+  source row's next cell by one exact division.  So ``t_j`` has at most
+  one value from then on, and it still passes every forward check.
 
 Counts treat each of the ``q`` distinct columns of a minimal-period-``q``
 orbit as a distinct frieze (a frieze and its translates are different
@@ -120,11 +140,6 @@ def entry_caps(
     if override is not None:
         caps = [min(c, override) for c in caps]
     return tuple(caps)
-
-
-def _row_product_caps(t: DynkinType, period_cap: int) -> tuple[int, ...]:
-    b = type_profile(t).b
-    return tuple(floor_pow2(period_cap * bi) for bi in b)
 
 
 def _effective_period_cap(cfg: SearchConfig) -> int:
@@ -568,102 +583,45 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     n = t.rank
     p = period_cap
     sources, levels = _forced_meshes(t)
-    m_top = lower[n - 1][0][1]
     seed_cap = caps[n - 1]
     seed_prodcap = prodcaps[n - 1]
     orbits: dict = {}
     notes: list[str] = []
     budget = [node_budget]
+
+    # rows[i][c] is F[i+1, c+1] for the seed row (i = n-1) and the forced
+    # rows alike; prods[i][c] is the product of rows[i][:c].  Cells beyond
+    # the current wavefront are stale and never read.
+    rows = [[0] * p for _ in range(n)]
+    prods = [[1] * (p + 1) for _ in range(n)]
+    trow, seed_prods = rows[n - 1], prods[n - 1]
+    # One tuple per forced mesh, top row first: source row, forced row, its
+    # prefix products, its level, root degree, denominator row and
+    # exponent, entry and product caps.
+    ones = [1] * p
+    plan = []
+    for s in sources:
+        (r, m), = lower[s]
+        # the seed row's mesh has no upper neighbour: its denominator is 1
+        (u, mu), = upper[s] or ((None, 1),)
+        den_row = ones if u is None else rows[u]
+        plan.append((rows[s], rows[r], prods[r], levels[r], m, den_row, mu, caps[r], prodcaps[r]))
+    back_plan = plan[::-1]
+    _, _, top_prods, _, m_top, _, _, top_cap, top_prodcap = plan[0]
+
     chain = t.family in _CHAIN_FAMILIES
-
-    trow = [0] * p
-    trow[0] = start
-    # wavefront state for prefix pruning: per forced row, the computed
-    # columns so far (index 0 = column 1) and its running product
-    wave: dict[int, list[int]] = {r: [] for r in levels if r != n - 1}
-    prods: dict[int, int] = {r: 1 for r in wave}
-    # E types: the branch-vertex mesh pins the product of rows 2 and 3 one
-    # level below row 4; its divisibility is checked on the fly (-1 marks
-    # these pseudo-cells in the undo log)
-    branch_products: list[int] = []
-    branch_cap = caps[1] * caps[2] if t.family == "E" else 0
-
-    def row_entry(r, idx):
-        return trow[idx] if r == n - 1 else wave[r][idx]
-
-    def wave_extend(j):
-        """Cells that become computable once t_j (position j, 1-based) is
-        set.  Returns an undo list, or None after undoing its own work."""
-        undo = []
-
-        def fail():
-            for r, old in undo:
-                if r < 0:
-                    branch_products.pop()
-                else:
-                    wave[r].pop()
-                    prods[r] = old
-            return None
-
-        for s in sources:
-            (r, m), = lower[s]
-            k = j - levels[r]  # 1-based column of the new cell in row r
-            if k < 1:
-                continue
-            a = row_entry(s, k - 1)
-            b = row_entry(s, k)
-            num = a * b - 1
-            if num < 1:
-                return fail()
-            den = 1
-            for u, mu in upper[s]:
-                v = row_entry(u, k)
-                den *= v if mu == 1 else v**mu
-            q, rem = divmod(num, den)
-            if rem:
-                return fail()
-            if m > 1:
-                root = integer_root(q, m)
-                if root**m != q:
-                    return fail()
-                q = root
-            if q > caps[r]:
-                return fail()
-            newprod = prods[r] * q
-            if newprod > prodcaps[r]:
-                return fail()
-            wave[r].append(q)
-            undo.append((r, prods[r]))
-            prods[r] = newprod
-            if chain and r == 0 and len(wave[0]) >= 2:
-                kk = len(wave[0]) - 1  # check the vertex-1 mesh at column kk
-                rhs = 1
-                for u, mu in upper[0]:
-                    v = row_entry(u, kk)
-                    rhs *= v if mu == 1 else v**mu
-                if wave[0][kk - 1] * wave[0][kk] != 1 + rhs:
-                    return fail()
-        if t.family == "E":
-            k = j - (n - 3) - 1  # 0-based column of the new branch product
-            if k >= 0:
-                r4 = wave[3]
-                num = r4[k] * r4[k + 1] - 1
-                if num < 1:
-                    return fail()
-                q, rem = divmod(num, wave[4][k + 1])
-                if rem or q > branch_cap:
-                    return fail()
-                branch_products.append(q)
-                undo.append((-1, 0))
-        return undo
-
-    def wave_undo(undo) -> None:
-        for r, old in undo:
-            if r < 0:
-                branch_products.pop()
-            else:
-                wave[r].pop()
-                prods[r] = old
+    if chain:
+        # the vertex-1 mesh pins row 1 once it holds a cell: t_j is pinned
+        # from j = pin_from on
+        (_, mu1), = upper[0]
+        row0, row1 = rows[0], rows[1]
+        pin_from = levels[0] + 2
+    branch = t.family == "E"
+    if branch:
+        # the branch-vertex mesh pins the product of rows 2 and 3 one level
+        # below row 4; only its divisibility and cap are checked here
+        row3, row4 = rows[3], rows[4]
+        branch_cap = caps[1] * caps[2]
 
     def leaf() -> None:
         for cols in _reconstruct_from_seed_row(t, tuple(trow), caps, tally, budget, notes):
@@ -673,60 +631,110 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
                 orbits[key] = q
                 tally.found += 1
 
-    def candidates_for(j, limit):
-        prev = trow[j - 2]
-        if n == 2 and j >= 3:
-            # Rank-2 chains are forced from the third entry on: the
-            # vertex-1 mesh pins the next row-1 value, which pins t_j.
-            m_up = upper[0][0][1]
-            x, rem = divmod(1 + prev**m_up, wave[0][j - 3])
-            if rem:
-                return ()
-            v, rem = divmod(x**m_top + 1, prev)
-            if rem or v < start or v > limit:
-                return ()
-            return (v,)
-        if m_top == 1:
-            return range(start, limit + 1)
-        if prev * limit < 2:
-            return ()
-        xmax = integer_root(prev * limit - 1, m_top)
-
-        def roots():
-            for x in range(1, xmax + 1):
-                pw = x**m_top + 1
-                if pw % prev == 0:
-                    v = pw // prev
-                    if v >= start:
-                        yield v
-
-        return roots()
-
     def descend(j) -> None:  # choose position j (1-based) of the seed row
-        running_prod = seed_running[0]
-        tail = start ** (p - j)
-        scaled = running_prod * tail
+        pinned = chain and j >= pin_from
+        if pinned:
+            # back-solve the forced meshes from the pinned row-1 cell up to t_j
+            c0 = j - pin_from
+            q, rem = divmod(1 + row1[c0 + 1] ** mu1, row0[c0])
+            if rem:
+                return
+            for s_row, _, _, level, m, den_row, mu, _, _ in back_plan:
+                c = j - level - 1
+                q, rem = divmod(q**m * den_row[c + 1] ** mu + 1, s_row[c])
+                if rem:
+                    return
+        base = seed_prods[j - 1]
+        scaled = base * start ** (p - j)
         if scaled > seed_prodcap:
             return
-        limit = min(seed_prodcap // scaled, seed_cap)
-        for v in candidates_for(j, limit):
+        prev = trow[j - 2]
+        # the top forced row's new cell (prev*v - 1)**(1/m_top) is at most xcap
+        xcap = min(top_cap, top_prodcap // top_prods[j - 2])
+        limit = min(seed_prodcap // scaled, seed_cap, (xcap**m_top + 1) // prev)
+        if pinned:
+            candidates = (q,) if start <= q <= limit else ()
+        elif m_top == 1:
+            candidates = range(start, limit + 1)
+        else:
+            if prev * limit < 2:
+                return
+            xmax = integer_root(prev * limit - 1, m_top)
+
+            def roots():
+                for x in range(1, xmax + 1):
+                    pw = x**m_top + 1
+                    if pw % prev == 0:
+                        v = pw // prev
+                        if v >= start:
+                            yield v
+
+            candidates = roots()
+        # Candidates ascend and every forced cell of this step is
+        # non-decreasing in t_j, so a cap failure ends the loop (stop = 2);
+        # any other failure skips the candidate (stop = 1).
+        for v in candidates:
             tally.add()
             trow[j - 1] = v
-            seed_running[0] = running_prod * v
-            undo = wave_extend(j)
-            if undo is not None:
-                if j == p:
-                    leaf()
+            seed_prods[j] = base * v
+            stop = 0
+            for s_row, r_row, r_prods, level, m, den_row, mu, cap, prodcap in plan:
+                c = j - level - 1
+                if c < 0:
+                    break
+                num = s_row[c] * s_row[c + 1] - 1
+                if num < 1:
+                    stop = 1
+                    break
+                den = den_row[c + 1]
+                q, rem = divmod(num, den if mu == 1 else den**mu)
+                if rem:
+                    stop = 1
+                    break
+                if m > 1:
+                    root = integer_root(q, m)
+                    if root**m != q:
+                        stop = 1
+                        break
+                    q = root
+                if q > cap:
+                    stop = 2
+                    break
+                prod = r_prods[c] * q
+                if prod > prodcap:
+                    stop = 2
+                    break
+                r_row[c] = q
+                r_prods[c + 1] = prod
+            if not stop and chain and j >= pin_from:
+                c0 = j - pin_from
+                if row0[c0] * row0[c0 + 1] != 1 + row1[c0 + 1] ** mu1:
+                    stop = 1
+            if not stop and branch and j >= n - 2:
+                k = j - n + 2
+                num = row3[k] * row3[k + 1] - 1
+                if num < 1:
+                    stop = 1
                 else:
-                    descend(j + 1)
-                wave_undo(undo)
-            trow[j - 1] = 0
-        seed_running[0] = running_prod
+                    q, rem = divmod(num, row4[k + 1])
+                    if rem:
+                        stop = 1
+                    elif q > branch_cap:
+                        stop = 2
+            if stop == 2:
+                break
+            if stop:
+                continue
+            if j == p:
+                leaf()
+            else:
+                descend(j + 1)
 
     tally.add()
     if start > seed_cap or start**p > seed_prodcap:
         return orbits, notes
-    seed_running = [start]
+    trow[0] = start
+    seed_prods[1] = start
     if p == 1:
         leaf()
     else:
@@ -749,7 +757,7 @@ def _run_partition(t, strategy, period_cap, override, node_budget, start, tally)
     caps = entry_caps(t, period_cap, override)
     if strategy == "column_dfs" or t.rank == 1:
         return _column_partition(t, caps, period_cap, start, tally)
-    prodcaps = _row_product_caps(t, period_cap)
+    prodcaps = entry_caps(t, period_cap)  # row products ignore the override
     return _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget)
 
 

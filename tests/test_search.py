@@ -93,6 +93,55 @@ def test_known_counts_both_strategies(name):
     assert orbit_keys(col) == orbit_keys(row)
 
 
+def _triangulations(vertices):
+    """Every triangulation of the convex polygon on ``vertices``, as a
+    list of triangles: the edge from the first to the last vertex lies in
+    exactly one triangle, whose apex splits the rest in two."""
+    if len(vertices) < 3:
+        return [[]]
+    out = []
+    for k in range(1, len(vertices) - 1):
+        for left in _triangulations(vertices[: k + 1]):
+            for right in _triangulations(vertices[k:]):
+                out.append(left + right + [(vertices[0], vertices[k], vertices[-1])])
+    return out
+
+
+def _continuant(seq):
+    prev, cur = 0, 1
+    for a in seq:
+        prev, cur = cur, a * cur - prev
+    return cur
+
+
+def test_a4_row_seeded_matches_conway_coxeter_triangulations():
+    # Conway-Coxeter: the A_n friezes are the triangulations of an
+    # (n+3)-gon.  With quiddity a (triangles per polygon vertex), the
+    # frieze has F[i,k] = K(a[1-k], ..., a[i-k]) for the continuant K,
+    # indices mod n+3; independent of both search strategies.
+    n, size = 4, 7
+    triangulations = _triangulations(list(range(size)))
+    assert len(triangulations) == 42
+    expected = {}
+    columns = set()
+    for tri in triangulations:
+        a = [sum(v in t for t in tri) for v in range(size)]
+        cols = [
+            tuple(_continuant(a[(x - k) % size] for x in range(1, i + 1)) for i in range(1, n + 1))
+            for k in range(size)
+        ]
+        columns.add(cols[0])
+        q = next(d for d in range(1, size + 1) if cols[d:] + cols[:d] == cols)
+        rotations = [tuple(cols[(r + x) % q] for x in range(q)) for r in range(q)]
+        expected[min(rotations)] = q
+    assert len(columns) == 42
+
+    out = outcome("A4", "row_seeded")
+    assert out.complete and out.frieze_count == 42
+    assert dict(zip(orbit_keys(out), (o.size for o in out.orbits))) == expected
+    assert {c.values for o in out.orbits for c in o.pattern.columns} == columns
+
+
 def test_a3_catalan_count():
     assert outcome("A3", "column_dfs").frieze_count == 14
 
@@ -143,11 +192,20 @@ def test_orbit_is_canonical_rotation():
     assert tuple(cols) == min(rotations)
 
 
-@pytest.mark.parametrize("name,strategy", [("A3", "column_dfs"), ("G2", "row_seeded")])
-def test_outcome_deterministic_and_parallel_invariant(name, strategy):
-    first = outcome(name, strategy)
-    second = outcome(name, strategy)
-    parallel = outcome(name, strategy, jobs=3)
+@pytest.mark.parametrize(
+    "name,strategy,cap",
+    [
+        pytest.param("A3", "column_dfs", None, id="A3-column_dfs"),
+        pytest.param("G2", "row_seeded", None, id="G2-row_seeded"),
+        pytest.param("A3", "row_seeded", None, id="A3-row_seeded"),
+        # doubled edge under override: cut-off and pinned tail at rank 3
+        pytest.param("B3", "row_seeded", 32, id="B3-row_seeded-32"),
+    ],
+)
+def test_outcome_deterministic_and_parallel_invariant(name, strategy, cap):
+    first = outcome(name, strategy, entry_cap_override=cap)
+    second = outcome(name, strategy, entry_cap_override=cap)
+    parallel = outcome(name, strategy, entry_cap_override=cap, jobs=3)
     assert first == second == parallel
     assert first.nodes_explored > 0
 
@@ -304,3 +362,13 @@ def test_default_strategy_choice():
     assert default_strategy(DynkinType("A", 1)) == "column_dfs"
     assert default_strategy(DynkinType("D", 4)) == "column_dfs"
     assert default_strategy(DynkinType("E", 6)) == "column_dfs"
+
+
+@pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15)])
+def test_row_seeded_matches_column_dfs_at_every_small_override(name, top):
+    # overrides equal to some frieze entry put a cell exactly on the cap,
+    # the boundary of the row-seeded cut-off and closed-form bound
+    for cap in range(1, top + 1):
+        col = outcome(name, "column_dfs", entry_cap_override=cap)
+        row = outcome(name, "row_seeded", entry_cap_override=cap)
+        assert orbit_keys(col) == orbit_keys(row), cap

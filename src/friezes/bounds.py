@@ -141,10 +141,6 @@ def row_products(f: FriezePattern, p: int | None = None) -> tuple[int, ...]:
     return tuple(math.prod(row) ** e for row in f.rows())
 
 
-def _log2(x: int) -> float:
-    return math.log2(x)
-
-
 def a_vector(f: FriezePattern, p: int | None = None) -> LogVector:
     """Average base-2 log of each row and its Cartan image.
 
@@ -153,7 +149,7 @@ def a_vector(f: FriezePattern, p: int | None = None) -> LogVector:
     """
     p = _resolve_period(f, p)
     prods = row_products(f, p)
-    a = tuple(_log2(x) / p for x in prods)
+    a = tuple(math.log2(x) / p for x in prods)
     entries = cartan_matrix(f.dynkin).entries
     ca = tuple(
         math.fsum(entries[i][j] * a[j] for j in range(f.dynkin.rank) if entries[i][j])
@@ -190,12 +186,12 @@ def bounds_report(t: DynkinType, p: int) -> BoundsReport:
     n = t.rank
     b = profile.b
     d = profile.d
-    log_terms = [_log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated
+    log_terms = [math.log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated
     rowwise = tuple(
         p * math.fsum(float(inv[i][j]) * log_terms[j] for j in range(n)) for i in range(n)
     )
     base = math.prod((Fraction(2**dj + 1, 2**dj) for dj in d), start=Fraction(1))
-    flat = p * (_log2(base.numerator) - _log2(base.denominator))
+    flat = p * (math.log2(base.numerator) - math.log2(base.denominator))
     return BoundsReport(
         dynkin=t,
         period=p,

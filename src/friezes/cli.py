@@ -20,7 +20,6 @@ from .formats import (
     bounds_payload,
     emit_quiver_dot,
     enumerate_payload,
-    fraction_str,
     parse_frieze,
 )
 from .mesh import (
@@ -118,17 +117,17 @@ def cmd_bounds(args) -> int:
         print(json.dumps(bounds_payload(report, args.min2), indent=2))
         return 0
     print(f"dynkin {t}  period {p}")
-    print(f"b  [exact]  {' '.join(fraction_str(x) for x in report.b)}")
+    print(f"b  [exact]  {' '.join(str(x) for x in report.b)}")
     print(f"d  [exact]  {' '.join(str(x) for x in report.d)}")
     print(
         "entry cap exponents p*b_i  [exact]  "
-        + " ".join(fraction_str(x) for x in report.entry_cap_exponents)
+        + " ".join(str(x) for x in report.entry_cap_exponents)
     )
-    print(f"count bound exponent p^2*sum(b)  [exact]  {fraction_str(report.count_bound_exponent)}")
+    print(f"count bound exponent p^2*sum(b)  [exact]  {report.count_bound_exponent}")
     if args.min2:
         print("refined bounds for friezes with all entries >= 2 (two readings, both reported):")
         print(
-            f"  flat p-th power: base [exact] {fraction_str(report.refined_base)}, "
+            f"  flat p-th power: base [exact] {report.refined_base}, "
             f"log2 of its p-th power [float 1e-9] {report.refined_flat_log2:.2f}"
         )
         print(
@@ -147,9 +146,7 @@ def cmd_enumerate(args) -> int:
     profile = type_profile(t)
     if t.family in _BRANCH_FAMILIES and args.cap is None:
         caps = entry_caps(t, profile.period_cap)
-        exps = " ".join(
-            f"2^{fraction_str(profile.period_cap * bi)}" for bi in profile.b
-        )
+        exps = " ".join(f"2^{profile.period_cap * bi}" for bi in profile.b)
         print(
             f"error: full enumeration of {t} needs entry caps {exps} "
             f"(about {max(caps).bit_length()} bit entries), far beyond desk scale; "

@@ -16,7 +16,6 @@ byte-exact on re-emission.
 
 from __future__ import annotations
 
-from fractions import Fraction
 
 from .catalog import DynkinType, repetition_arrows
 from .mesh import FriezePattern, FriezeSlice
@@ -27,7 +26,6 @@ __all__ = [
     "parse_frieze",
     "emit_frieze",
     "emit_quiver_dot",
-    "fraction_str",
     "sig9",
     "analyze_payload",
     "bounds_payload",
@@ -143,11 +141,6 @@ def emit_quiver_dot(
 # ---------------------------------------------------------------------------
 
 
-def fraction_str(x: Fraction) -> str:
-    """Canonical rational string: ``num/den``, denominator omitted when 1."""
-    return str(x)
-
-
 def sig9(x: float) -> float:
     """Round a float to 9 significant digits for reporting."""
     return float(f"{x:.9g}")
@@ -176,15 +169,15 @@ def bounds_payload(report, include_refined: bool) -> dict:
     payload = {
         "dynkin": str(report.dynkin),
         "period": report.period,
-        "b": [fraction_str(x) for x in report.b],
+        "b": [str(x) for x in report.b],
         "d": list(report.d),
-        "entry_cap_exponents": [fraction_str(x) for x in report.entry_cap_exponents],
-        "count_bound_exponent": fraction_str(report.count_bound_exponent),
+        "entry_cap_exponents": [str(x) for x in report.entry_cap_exponents],
+        "count_bound_exponent": str(report.count_bound_exponent),
     }
     if include_refined:
         payload["refined_formula_log2"] = [sig9(x) for x in report.refined_rowwise_log2]
         payload["refined_flat_log2"] = [sig9(report.refined_flat_log2)] * report.dynkin.rank
-        payload["refined_base"] = fraction_str(report.refined_base)
+        payload["refined_base"] = str(report.refined_base)
     return payload
 
 

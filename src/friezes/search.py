@@ -9,9 +9,11 @@ against each other:
   constraint imposed by the next propagated column, so the search never
   scans a full cap range where a congruence pins the value down.
 * ``row_seeded`` enumerates cyclic tuples for row ``n`` and solves the
-  remaining rows through the mesh relations, branching over divisor
-  factorizations where a branch vertex leaves a product of two unknown
-  rows (types D and E).
+  remaining rows in a plan derived from the Cartan matrix: a mesh with
+  one unsolved neighbour forces that row; when none does, a vertex whose
+  neighbours are all solved branches over the divisor factorizations of
+  its own mesh, each entry also dividing the quotient of the stuck mesh
+  that has two unsolved neighbours; unused meshes are checked last.
 
 Soundness of the pruning:
 
@@ -26,22 +28,27 @@ Soundness of the pruning:
   each forced row one new cell ``((a*b - 1)/den)**(1/m)``, where ``a``
   and ``den`` are already fixed and ``b`` is the new cell of the row
   above (``v`` itself for the top forced row).  Read as real numbers, every
-  new cell, every running row product and the type-E branch product are
-  therefore non-decreasing in ``v``, and an exact cell equals its real
-  value.  Candidates for ``t_j`` are generated in ascending order, so the
-  first candidate that exceeds an entry, product or branch cap ends the
-  candidate loop: every larger candidate that survives the same exact
-  divisions exceeds that cap too.  Inexact divisions, non-perfect powers,
-  a zero numerator and the vertex-1 mesh are not monotone and only skip
-  the candidate.  The top forced row's caps give the closed form
+  new cell and every running row product are therefore non-decreasing in
+  ``v``, and an exact cell equals its real value.  The stuck-mesh product
+  ``(x[k] * x[k+1] - 1) / y[k+1]`` of the first divide step (the product
+  of its two unsolved neighbour cells) is non-decreasing too: ``x[k+1]``
+  is the stuck row's new cell, and ``y[k+1]``, its known neighbour cell,
+  was fixed at an earlier step (an earlier seed cell in type D, a row-5
+  cell in type E).  Candidates for ``t_j`` are generated in ascending
+  order, so the first candidate that exceeds an entry, product or
+  stuck-mesh cap ends the candidate loop: every larger candidate that
+  survives the same exact divisions exceeds that cap too.  Inexact
+  divisions, non-perfect powers, a zero numerator and the vertex-1 mesh
+  are not monotone and only skip the candidate.  The top forced row's caps give the closed form
   ``v <= (L**m + 1) // t_{j-1}`` with ``L`` the least of its entry cap
   and its product cap over the running product;
-* row seeding, pinned chain tail: mesh relations are invertible
-  (Conway-Coxeter: a frieze is fixed by a few consecutive entries).  In a
-  chain, once the wavefront holds a row-1 cell, the vertex-1 mesh fixes
-  the next row-1 cell, and each forced mesh, read upwards, fixes its
-  source row's next cell by one exact division.  So ``t_j`` has at most
-  one value from then on, and it still passes every forward check.
+* row seeding, pinned tail: mesh relations are invertible (Conway-Coxeter:
+  a frieze is fixed by a few consecutive entries).  When the plan has no
+  divide step (types A, B, C, F, G), the wavefront forces every row down
+  to row 1.  Once it holds a row-1 cell, the vertex-1 mesh fixes the next
+  row-1 cell, and each forced mesh, read upwards, fixes its source row's
+  next cell by one exact division.  So ``t_j`` has at most one value from
+  then on, and it still passes every forward check.
 
 Counts treat each of the ``q`` distinct columns of a minimal-period-``q``
 orbit as a distinct frieze (a frieze and its translates are different
@@ -81,7 +88,6 @@ __all__ = [
 
 PROGRESS_STRIDE = 1_000_000
 
-_CHAIN_FAMILIES = frozenset("ABCFG")
 _RESIDUE_SCAN_LIMIT = 1 << 16
 _NO_RECURRENCE = "no_recurrence"
 
@@ -125,8 +131,10 @@ class SearchOutcome:
 
 
 def default_strategy(t: DynkinType) -> str:
-    """Row seeding for chains of rank >= 2, column search otherwise."""
-    if t.family in _CHAIN_FAMILIES and t.rank >= 2:
+    """Row seeding at rank >= 2 when the solve plan forces every row (no
+    divisor branching), column search otherwise."""
+    steps, _ = _solve_plan(t)
+    if t.rank >= 2 and all(step[0] == "force" for step in steps):
         return "row_seeded"
     return "column_dfs"
 
@@ -403,177 +411,142 @@ def _column_partition(t, caps, period_cap, start, tally):
 
 
 @lru_cache(maxsize=None)
-def _forced_meshes(t: DynkinType):
-    """Mesh relations with a single unknown lower row, in solve order.
+def _solve_plan(t: DynkinType):
+    """Row-seeded solve order, derived from the Cartan matrix.
 
-    Returns ``(sources, levels)``: the mesh at source vertex ``s``
-    (0-based) defines its unique lower neighbor row; ``levels[r]`` is the
-    number of seed entries beyond column ``k`` needed for row ``r``'s
-    entry at column ``k``.
+    Starting from the solved seed row ``n``, returns ``(steps, checks)``
+    over 0-based vertices.  A mesh term ``(j, m, o)`` is the factor
+    ``F[j, k + o]**m`` of a mesh product at column ``k``.
+
+    * ``("force", s, r, m, o, others)``: the mesh at the solved vertex
+      ``s`` has one unsolved neighbour ``r``, with exponent ``m`` and
+      column offset ``o``; ``others`` are its remaining terms.
+    * ``("divide", d, terms, x, known, o)``: no mesh forces a row, so the
+      highest unsolved vertex ``d`` whose neighbours are all solved takes
+      a divisor row ``w[k] * w[k+1] = 1 + product(terms)``.  The stuck
+      mesh at ``x`` has ``d`` and one more unsolved neighbour, so each
+      ``w[k + o]`` divides ``(F[x,k] * F[x,k+1] - 1) / product(known)``.
+
+    ``checks`` pairs each vertex whose mesh no step used with its terms.
     """
-    lower, _ = _neighbor_plan(t)
-    n = t.rank
-    if t.family in _CHAIN_FAMILIES:
-        sources = list(range(n - 1, 0, -1))
-    elif t.family == "E":
-        sources = list(range(n - 1, 3, -1))  # down to vertex 5
-    else:  # D: only the mesh at vertex n is forced before branching
-        sources = [n - 1]
-    levels = {n - 1: 0}
-    for s in sources:
-        (r, _), = lower[s]
-        levels[r] = levels[s] + 1
-    return sources, levels
-
-
-def _solve_forced_row(t, rows, s, caps, p):
-    """Full cyclic solve of the row defined by the mesh at ``s`` (0-based)."""
     lower, upper = _neighbor_plan(t)
-    (r, m), = lower[s]
-    out = []
-    src = rows[s]
-    for k in range(p):
-        num = src[k] * src[(k + 1) % p] - 1
-        if num < 1:
-            return None
-        den = 1
-        for u, mu in upper[s]:
-            v = rows[u][(k + 1) % p]
-            den *= v if mu == 1 else v**mu
-        q, rem = divmod(num, den)
-        if rem:
-            return None
+    n = t.rank
+
+    def terms(i, skip=()):
+        return tuple((j, m, 0) for j, m in lower[i] if j not in skip) + tuple(
+            (j, m, 1) for j, m in upper[i] if j not in skip
+        )
+
+    solved, used, steps = {n - 1}, set(), []
+
+    def unsolved(i):
+        return [j for j, _ in lower[i] + upper[i] if j not in solved]
+
+    while len(solved) < n:  # each step uses the mesh at s to solve row r
+        s = next((s for s in sorted(solved - used, reverse=True) if len(unsolved(s)) == 1), None)
+        if s is not None:
+            (r,) = unsolved(s)
+            m = dict(lower[s] + upper[s])[r]
+            steps.append(("force", s, r, m, int(r > s), terms(s, (r,))))
+        else:  # a divide step uses the divided vertex's own mesh
+            r = s = max(i for i in range(n) if i not in solved and not unsolved(i))
+            x = next(x for x in solved - used if len(unsolved(x)) == 2 and r in unsolved(x))
+            steps.append(("divide", r, terms(r), x, terms(x, unsolved(x)), int(r > x)))
+        used.add(s)
+        solved.add(r)
+    checks = tuple((i, terms(i)) for i in range(n) if i not in used)
+    return tuple(steps), checks
+
+
+def _term_product(rows, terms, k, k1) -> int:
+    prod = 1
+    for j, m, o in terms:
+        v = rows[j][k1 if o else k]
+        prod *= v if m == 1 else v**m
+    return prod
+
+
+def _quotient(rows, v, terms, k, k1) -> int:
+    """``(F[v,k] * F[v,k+1] - 1) / product(terms)``, or 0 when that is not
+    a positive integer."""
+    row = rows[v]
+    q, rem = divmod(row[k] * row[k1] - 1, _term_product(rows, terms, k, k1))
+    return 0 if rem else q
+
+
+def _force(rows, step, caps, p, columns) -> bool:
+    """Solve the forced row's cells at ``columns`` in place; False when a
+    cell is not a positive integer within its cap."""
+    _, s, r, m, o, others = step
+    dst, cap = rows[r], caps[r]
+    for k in columns:
+        k1 = (k + 1) % p
+        q = _quotient(rows, s, others, k, k1)
         if m > 1:
             root = integer_root(q, m)
             if root**m != q:
-                return None
+                return False
             q = root
-        if q < 1 or q > caps[r]:
-            return None
-        out.append(q)
-    return out
-
-
-def _check_vertex_mesh(t, rows, i, p) -> bool:
-    """All ``p`` cyclic mesh relations at vertex ``i`` (0-based)."""
-    lower, upper = _neighbor_plan(t)
-    row = rows[i]
-    for k in range(p):
-        rhs = 1
-        for l, m in lower[i]:
-            v = rows[l][k]
-            rhs *= v if m == 1 else v**m
-        for u, m in upper[i]:
-            v = rows[u][(k + 1) % p]
-            rhs *= v if m == 1 else v**m
-        if row[k] * row[(k + 1) % p] != 1 + rhs:
+        if not 0 < q <= cap:
             return False
+        dst[k1 if o else k] = q
     return True
 
 
-def _divisor_row(products, first_divides, extra_divides, cap_r, p, tally, budget):
-    """Solutions of ``w[k] * w[k+1] = products[k]`` cyclically.
-
-    ``w[0]`` ranges over divisors of ``first_divides``; every ``w[k]``
-    must divide ``extra_divides[k]`` when given.  One budgeted node per
-    candidate.
-    """
-    for u in _divisors(first_divides):
-        if u > cap_r:
+def _divisor_rows(rows, step, caps, p, tally, budget):
+    """Cyclic solutions ``w`` of a divide step; one budgeted node per
+    candidate ``w[0]``."""
+    _, d, terms, x, known, o = step
+    cap = caps[d]
+    quotients = [_quotient(rows, x, known, k, (k + 1) % p) for k in range(p)]
+    if not all(quotients):
+        return
+    divides = [quotients[k - o] for k in range(p)]  # w[k] divides divides[k]
+    products = [1 + _term_product(rows, terms, k, (k + 1) % p) for k in range(p)]
+    for u in _divisors(math.gcd(products[0], divides[0])):
+        if u > cap:
             break
         if budget[0] <= 0:
             return
         budget[0] -= 1
         tally.add()
         w = [u]
-        ok = True
         for k in range(p - 1):
             q, rem = divmod(products[k], w[k])
-            if rem or q > cap_r or (extra_divides is not None and extra_divides[k + 1] % q):
-                ok = False
+            if rem or q > cap or divides[k + 1] % q:
                 break
             w.append(q)
-        if ok and w[-1] * w[0] == products[p - 1]:
-            if extra_divides is None or extra_divides[0] % w[0] == 0:
+        else:
+            if w[-1] * w[0] == products[p - 1]:
                 yield w
 
 
-def _reconstruct_from_seed_row(t, trow, caps, tally, budget, notes):
-    """Yield the column lists of every frieze whose row ``n`` is ``trow``.
+def _reconstruct(t, rows, steps, caps, tally, budget):
+    """Yield the column lists of every frieze that completes ``rows``.
 
-    Chains are fully forced; D and E types branch over divisor
-    factorizations at the branch vertex.
+    ``rows`` holds the seed row and the rows of the plan steps before
+    ``steps``; the rest are solved in place, in plan order, branching at
+    divide steps.  The plan's final checks gate every frieze: a mesh
+    holds exactly when its quotient is 1.
     """
-    lower, upper = _neighbor_plan(t)
-    n = t.rank
-    p = len(trow)
-    rows: list = [None] * n
-    rows[n - 1] = list(trow)
-    sources, _ = _forced_meshes(t)
-    for s in sources:
-        (r, _), = lower[s]
-        solved = _solve_forced_row(t, rows, s, caps, p)
-        if solved is None:
-            return
-        rows[r] = solved
+    _, checks = _solve_plan(t)
+    p = len(rows[t.rank - 1])
 
-    def columns():
-        return [tuple(rows[i][k] for i in range(n)) for k in range(p)]
+    def solve(i):
+        if i == len(steps):
+            for v, terms in checks:
+                if any(_quotient(rows, v, terms, k, (k + 1) % p) != 1 for k in range(p)):
+                    return
+            yield [tuple(row[k] for row in rows) for k in range(p)]
+        elif steps[i][0] == "force":
+            if _force(rows, steps[i], caps, p, range(p)):
+                yield from solve(i + 1)
+        else:
+            for w in _divisor_rows(rows, steps[i], caps, p, tally, budget):
+                rows[steps[i][1]] = w
+                yield from solve(i + 1)
 
-    if t.family in _CHAIN_FAMILIES:
-        if _check_vertex_mesh(t, rows, 0, p):
-            yield columns()
-        return
-
-    if t.family == "D":
-        c = n - 3  # 0-based branch vertex (vertex n-2)
-        prods = [trow[k] * trow[(k + 1) % p] for k in range(p)]  # = 1 + rows[c][k]
-        for w in _divisor_row(prods, prods[0], None, caps[n - 2], p, tally, budget):
-            rows[n - 2] = w
-            ok = True
-            for s in range(c, 0, -1):  # meshes at vertices c..2 give rows c-1..1
-                solved = _solve_forced_row(t, rows, s, caps, p)
-                if solved is None:
-                    ok = False
-                    break
-                rows[s - 1] = solved
-            if ok and _check_vertex_mesh(t, rows, 0, p):
-                yield columns()
-        if budget[0] <= 0:
-            notes.append("factorization budget exhausted")
-        return
-
-    # E types: the mesh at the branch vertex 4 pins the product of rows 2, 3
-    mvals = []
-    r4, r5 = rows[3], rows[4]
-    for k in range(p):
-        num = r4[k] * r4[(k + 1) % p] - 1
-        if num < 1:
-            return
-        q, rem = divmod(num, r5[(k + 1) % p])
-        if rem:
-            return
-        mvals.append(q)
-    qvals = [1 + r4[(k + 1) % p] for k in range(p)]  # row-2 consecutive products
-    for w in _divisor_row(qvals, math.gcd(qvals[0], mvals[0]), mvals, caps[1], p, tally, budget):
-        rows[1] = w
-        row3 = []
-        ok = True
-        for k in range(p):
-            q, rem = divmod(mvals[k], w[k])
-            if rem or q < 1 or q > caps[2]:
-                ok = False
-                break
-            row3.append(q)
-        if ok:
-            rows[2] = row3
-            solved = _solve_forced_row(t, rows, 2, caps, p)  # mesh at vertex 3: row 1
-            if solved is not None:
-                rows[0] = solved
-                if _check_vertex_mesh(t, rows, 0, p):
-                    yield columns()
-    if budget[0] <= 0:
-        notes.append("factorization budget exhausted")
+    return solve(0)
 
 
 def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
@@ -582,7 +555,10 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     lower, upper = _neighbor_plan(t)
     n = t.rank
     p = period_cap
-    sources, levels = _forced_meshes(t)
+    steps, checks = _solve_plan(t)
+    # the leading force steps are solved on the wavefront, the rest at leaves
+    lead = next((i for i, step in enumerate(steps) if step[0] == "divide"), len(steps))
+    wave, rest = steps[:lead], steps[lead:]
     seed_cap = caps[n - 1]
     seed_prodcap = prodcaps[n - 1]
     orbits: dict = {}
@@ -595,36 +571,44 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     rows = [[0] * p for _ in range(n)]
     prods = [[1] * (p + 1) for _ in range(n)]
     trow, seed_prods = rows[n - 1], prods[n - 1]
-    # One tuple per forced mesh, top row first: source row, forced row, its
+    # One tuple per wave step, top row first: source row, forced row, its
     # prefix products, its level, root degree, denominator row and
-    # exponent, entry and product caps.
+    # exponent, entry and product caps.  A wave step forces the row below
+    # its source, whose other neighbour, if any, is the row above.
     ones = [1] * p
+    levels = {n - 1: 0}
     plan = []
-    for s in sources:
-        (r, m), = lower[s]
+    for _, s, r, m, _, others in wave:
+        levels[r] = levels[s] + 1
         # the seed row's mesh has no upper neighbour: its denominator is 1
-        (u, mu), = upper[s] or ((None, 1),)
+        (u, mu, _), = others or ((None, 1, 1),)
         den_row = ones if u is None else rows[u]
         plan.append((rows[s], rows[r], prods[r], levels[r], m, den_row, mu, caps[r], prodcaps[r]))
     back_plan = plan[::-1]
     _, _, top_prods, _, m_top, _, _, top_cap, top_prodcap = plan[0]
 
-    chain = t.family in _CHAIN_FAMILIES
-    if chain:
-        # the vertex-1 mesh pins row 1 once it holds a cell: t_j is pinned
-        # from j = pin_from on
-        (_, mu1), = upper[0]
-        row0, row1 = rows[0], rows[1]
-        pin_from = levels[0] + 2
-    branch = t.family == "E"
-    if branch:
-        # the branch-vertex mesh pins the product of rows 2 and 3 one level
-        # below row 4; only its divisibility and cap are checked here
-        row3, row4 = rows[3], rows[4]
-        branch_cap = caps[1] * caps[2]
+    pinned_tail = not rest
+    if pinned_tail:
+        # the wave solves every row; the last one's mesh, the only check,
+        # pins it once it holds a cell: t_j is pinned from j = pin_from on
+        (f, f_terms), = checks
+        (u1, mu1, _), = f_terms
+        row0, row1 = rows[f], rows[u1]
+        pin_from = levels[f] + 2
+    else:
+        # the first divide step's stuck mesh pins the product of its two
+        # unsolved neighbour rows; only its divisibility and cap are
+        # checked here
+        _, _, _, x, ((ku, kmu, ko),), _ = rest[0]
+        xrow, krow = rows[x], rows[ku]
+        branch_from = levels[x] + 2
+        branch_cap = math.prod(caps[j] ** m for j, m in lower[x] + upper[x] if j != ku)
 
     def leaf() -> None:
-        for cols in _reconstruct_from_seed_row(t, tuple(trow), caps, tally, budget, notes):
+        for step in wave:  # the wavefront left only the wrap-around cells
+            if not _force(rows, step, caps, p, range(max(p - levels[step[2]], 0), p)):
+                return
+        for cols in _reconstruct(t, rows, rest, caps, tally, budget):
             q = _minimal_period(cols)
             key = _canonical_columns(cols[:q])
             if key not in orbits:
@@ -632,9 +616,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
                 tally.found += 1
 
     def descend(j) -> None:  # choose position j (1-based) of the seed row
-        pinned = chain and j >= pin_from
+        pinned = pinned_tail and j >= pin_from
         if pinned:
-            # back-solve the forced meshes from the pinned row-1 cell up to t_j
+            # back-solve the wave meshes from the pinned cell up to t_j
             c0 = j - pin_from
             q, rem = divmod(1 + row1[c0 + 1] ** mu1, row0[c0])
             if rem:
@@ -706,17 +690,18 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
                     break
                 r_row[c] = q
                 r_prods[c + 1] = prod
-            if not stop and chain and j >= pin_from:
+            if not stop and pinned:
                 c0 = j - pin_from
                 if row0[c0] * row0[c0 + 1] != 1 + row1[c0 + 1] ** mu1:
                     stop = 1
-            if not stop and branch and j >= n - 2:
-                k = j - n + 2
-                num = row3[k] * row3[k + 1] - 1
+            if not stop and not pinned_tail and j >= branch_from:
+                k = j - branch_from
+                num = xrow[k] * xrow[k + 1] - 1
                 if num < 1:
                     stop = 1
                 else:
-                    q, rem = divmod(num, row4[k + 1])
+                    den = krow[k + ko]
+                    q, rem = divmod(num, den if kmu == 1 else den**kmu)
                     if rem:
                         stop = 1
                     elif q > branch_cap:
@@ -739,6 +724,8 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         leaf()
     else:
         descend(2)
+    if rest and budget[0] <= 0:
+        notes.append("factorization budget exhausted")
     return orbits, notes
 
 
@@ -761,12 +748,31 @@ def _run_partition(t, strategy, period_cap, override, node_budget, start, tally)
     return _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget)
 
 
-def _partition_job(args):
+def _partition_job(args, tally=None):
     family, rank, strategy, period_cap, override, node_budget, start = args
-    t = DynkinType(family, rank)
-    tally = _Tally()
-    orbits, notes = _run_partition(t, strategy, period_cap, override, node_budget, start, tally)
-    return orbits, tally.nodes, notes
+    if tally is None:
+        tally = _Tally()
+    before = tally.nodes
+    orbits, notes = _run_partition(
+        DynkinType(family, rank), strategy, period_cap, override, node_budget, start, tally
+    )
+    return orbits, tally.nodes - before, notes
+
+
+def _partition_results(cfg: SearchConfig, strategy, period_cap, starts, progress):
+    """``(orbits, nodes, notes)`` per partition, in ``starts`` order."""
+    t = cfg.dynkin
+    jobs = [
+        (t.family, t.rank, strategy, period_cap, cfg.entry_cap_override, cfg.node_budget, s)
+        for s in starts
+    ]
+    if cfg.jobs > 1 and len(starts) > 1:
+        with multiprocessing.Pool(min(cfg.jobs, len(starts))) as pool:
+            yield from pool.imap(_partition_job, jobs, chunksize=1)
+    else:
+        tally = _Tally(progress)  # one tally: progress lines count across partitions
+        for job in jobs:
+            yield _partition_job(job, tally)
 
 
 def _run(cfg: SearchConfig, strategy: str, progress=None) -> SearchOutcome:
@@ -777,28 +783,12 @@ def _run(cfg: SearchConfig, strategy: str, progress=None) -> SearchOutcome:
     merged: dict = {}
     notes: list[str] = []
     total_nodes = 0
-
-    if cfg.jobs > 1 and len(starts) > 1:
-        jobs = (
-            (t.family, t.rank, strategy, period_cap, cfg.entry_cap_override, cfg.node_budget, s)
-            for s in starts
-        )
-        with multiprocessing.Pool(min(cfg.jobs, len(starts))) as pool:
-            for orbits, nodes, part_notes in pool.imap(_partition_job, jobs, chunksize=1):
-                total_nodes += nodes
-                notes.extend(part_notes)
-                for key, q in orbits.items():
-                    merged.setdefault(key, q)
-    else:
-        tally = _Tally(progress)
-        for s in starts:
-            orbits, part_notes = _run_partition(
-                t, strategy, period_cap, cfg.entry_cap_override, cfg.node_budget, s, tally
-            )
-            notes.extend(part_notes)
-            for key, q in orbits.items():
-                merged.setdefault(key, q)
-        total_nodes = tally.nodes
+    results = _partition_results(cfg, strategy, period_cap, starts, progress)
+    for orbits, nodes, part_notes in results:
+        total_nodes += nodes
+        notes.extend(part_notes)
+        for key, q in orbits.items():
+            merged.setdefault(key, q)
 
     orbit_list = []
     for key in sorted(merged):

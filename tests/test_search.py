@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friezes import (
+    CATALOG_SAMPLE,
     DynkinType,
     SearchConfig,
     a_vector,
@@ -21,7 +22,8 @@ from friezes import (
 from friezes.search import (
     _canonical_columns,
     _congruence_candidates,
-    _reconstruct_from_seed_row,
+    _reconstruct,
+    _solve_plan,
     _Tally,
 )
 
@@ -200,6 +202,8 @@ def test_orbit_is_canonical_rotation():
         pytest.param("A3", "row_seeded", None, id="A3-row_seeded"),
         # doubled edge under override: cut-off and pinned tail at rank 3
         pytest.param("B3", "row_seeded", 32, id="B3-row_seeded-32"),
+        # divide step: stuck-mesh pruning and leaf branching
+        pytest.param("D4", "row_seeded", 8, id="D4-row_seeded-8"),
     ],
 )
 def test_outcome_deterministic_and_parallel_invariant(name, strategy, cap):
@@ -233,6 +237,7 @@ def test_override_marks_incomplete():
     [
         ("D4", 8, 19),
         ("D5", 6, 2),
+        ("D5", 8, 27),  # forced rows after the divide step
         ("E6", 6, 0),
         ("C3", 32, 20),  # exercises square-root extraction and quadratic congruences
         ("B3", 32, 21),
@@ -272,9 +277,9 @@ def test_e6_reconstruction_from_seed_row():
     trow = E6_ROWS[5] * 2
     caps = entry_caps(t, p)
     tally = _Tally()
-    results = list(
-        _reconstruct_from_seed_row(t, trow, caps, tally, [10**6], [])
-    )
+    rows = [[0] * p for _ in range(5)] + [list(trow)]
+    steps, _ = _solve_plan(t)
+    results = list(_reconstruct(t, rows, steps, caps, tally, [10**6]))
     assert len(results) == 1
     cols = results[0]
     assert len(cols) == 14
@@ -292,7 +297,9 @@ def test_e6_column_search_finds_the_period_seven_orbit():
 def test_factorization_budget_note():
     out = outcome("D4", "row_seeded", entry_cap_override=8, node_budget=1)
     assert not out.complete
-    assert any("budget" in note for note in out.notes)
+    budget_notes = [note for note in out.notes if "budget" in note]
+    partitions = 8  # start values 1 .. min(floor(2**b_4), 8)
+    assert 1 <= len(budget_notes) <= partitions
 
 
 def test_undersized_period_cap_reports_cap_exceeded():
@@ -354,6 +361,16 @@ def test_row_seeded_rank_one_degenerates_to_column_walk():
     assert row_seeded(SearchConfig(dynkin=DynkinType("A", 1), strategy="row_seeded")) == (
         column_dfs(SearchConfig(dynkin=DynkinType("A", 1), strategy="column_dfs"))
     )
+
+
+@pytest.mark.parametrize("t", [t for t in CATALOG_SAMPLE if t.rank >= 2], ids=str)
+def test_solve_plan_shape(t):
+    steps, checks = _solve_plan(t)
+    solved = [step[2] if step[0] == "force" else step[1] for step in steps]
+    assert sorted(solved) == list(range(t.rank - 1))  # every row but n, once
+    divides = [step for step in steps if step[0] == "divide"]
+    assert len(divides) == (1 if t.family in "DE" else 0)
+    assert [v for v, _ in checks] == [0]
 
 
 def test_default_strategy_choice():

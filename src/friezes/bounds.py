@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .catalog import DynkinType, cartan_matrix, inverse_cartan, type_profile
 from .mesh import FriezePattern
@@ -176,32 +177,41 @@ def interval_certificate(f: FriezePattern, p: int | None = None) -> IntervalCert
     return IntervalCertificate(f.dynkin, p, squares, neighbor, verdicts)
 
 
+@lru_cache(maxsize=None)
+def _refined_terms(t: DynkinType) -> tuple[tuple[float, ...], Fraction, float, Fraction]:
+    """The period-free parts of a bounds report, computed once per type:
+    the per-row sums ``sum_j Cinv[i,j] * log2(1 + 2**-d[j])``, the exact
+    ``refined_base`` and its ``log2``, and ``sum b``."""
+    profile = type_profile(t)
+    inv = inverse_cartan(t).entries
+    n = t.rank
+    d = profile.d
+    log_terms = [math.log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated
+    row_sums = tuple(
+        math.fsum(float(inv[i][j]) * log_terms[j] for j in range(n)) for i in range(n)
+    )
+    base = math.prod((Fraction(2**dj + 1, 2**dj) for dj in d), start=Fraction(1))
+    base_log2 = math.log2(base.numerator) - math.log2(base.denominator)
+    return row_sums, base, base_log2, sum(profile.b, Fraction(0))
+
+
 def bounds_report(t: DynkinType, p: int) -> BoundsReport:
     """Entry caps ``2**(p*b_i)``, the count bound exponent ``p**2 * sum b``,
     and both readings of the refined (all entries >= 2) bound."""
     if p < 1:
         raise ValueError("period must be positive")
     profile = type_profile(t)
-    inv = inverse_cartan(t).entries
-    n = t.rank
-    b = profile.b
-    d = profile.d
-    log_terms = [math.log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated
-    rowwise = tuple(
-        p * math.fsum(float(inv[i][j]) * log_terms[j] for j in range(n)) for i in range(n)
-    )
-    base = math.prod((Fraction(2**dj + 1, 2**dj) for dj in d), start=Fraction(1))
-    flat = p * (math.log2(base.numerator) - math.log2(base.denominator))
+    row_sums, base, base_log2, sum_b = _refined_terms(t)
     return BoundsReport(
         dynkin=t,
         period=p,
-        b=b,
-        entry_cap_exponents=tuple(p * bi for bi in b),
-        count_bound_exponent=p * p * sum(b, Fraction(0)),
-        d=d,
-        refined_rowwise_log2=rowwise,
+        b=profile.b,
+        entry_cap_exponents=tuple(p * bi for bi in profile.b),
+        count_bound_exponent=p * p * sum_b,
+        d=profile.d,
+        refined_rowwise_log2=tuple(p * s for s in row_sums),
         refined_base=base,
-        refined_flat_log2=flat,
+        refined_flat_log2=p * base_log2,
     )
 
 

@@ -167,41 +167,56 @@ def cartan_matrix(t: DynkinType) -> CartanMatrix:
     return CartanMatrix(n, tuple(tuple(r) for r in rows))
 
 
-def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Gauss-Jordan over Fraction; raises if singular."""
+def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Fraction-free Gauss-Jordan elimination over ``int``.
+
+    One pass over ``[C | I]``: for each pivot ``k`` and every row
+    ``i != k``, ``row_i = (a_kk * row_i - a_ik * row_k) // prev`` and then
+    ``prev = a_kk`` (Bareiss, 1968).  By Sylvester's identity every entry
+    stays a minor of ``[C | I]``, so each division is exact.  Returns
+    ``(det, adj)`` with ``adj = det * C**-1``; raises if singular.
+    """
     n = len(entries)
-    a = [[Fraction(x) for x in row] for row in entries]
-    inv = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(entries)]
+    prev, sign = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
         if pivot is None:
             raise ArithmeticError("matrix is singular")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        inv[col] = [x / scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pivot_row = rows[k]
+        akk = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                aik = rows[i][k]
+                rows[i] = [(akk * x - aik * y) // prev for x, y in zip(rows[i], pivot_row)]
+        prev = akk
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
 
 
 @lru_cache(maxsize=None)
 def inverse_cartan(t: DynkinType) -> InverseCartan:
-    """Exact rational inverse; the product with the Cartan matrix is
-    re-checked entry by entry before returning."""
+    """Exact rational inverse from the integer elimination above.
+
+    Before returning, the integer identity ``C * adj == det * I`` is
+    re-checked entry by entry, summing only over the nonzero ``C[i][k]``
+    (at most three per row).  With ``det != 0`` this is exactly
+    ``C * C**-1 == I``.
+    """
     cm = cartan_matrix(t)
-    inv = _invert_exact(cm.entries)
+    det, adj = _invert_exact(cm.entries)
+    if det == 0:
+        raise ArithmeticError("inverse check failed: zero determinant")
     n = t.rank
     for i in range(n):
+        nonzero = [(k, c) for k, c in enumerate(cm.entries[i]) if c]
         for j in range(n):
-            acc = sum(cm.entries[i][k] * inv[k][j] for k in range(n))
-            if acc != (1 if i == j else 0):
+            acc = sum(c * adj[k][j] for k, c in nonzero)
+            if acc != (det if i == j else 0):
                 raise ArithmeticError(f"inverse check failed at ({i}, {j})")
-    return InverseCartan(n, inv)
+    return InverseCartan(n, tuple(tuple(Fraction(x, det) for x in row) for row in adj))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from friezes import (
     floor_pow2,
     integer_root,
     interval_certificate,
+    inverse_cartan,
     pattern_from_columns,
     refined_min2_report,
     row_products,
@@ -149,6 +150,29 @@ def test_count_bound_identity():
         for p in (1, 2, 16):
             rep = bounds_report(t, p)
             assert rep.count_bound_exponent == p * sum(rep.entry_cap_exponents)
+
+
+@pytest.mark.parametrize("name,p", [("A48", 7), ("A48", 50), ("D9", 16)])
+def test_bounds_report_matches_direct_formula(name, p):
+    # The per-type cache must not change a bit of the report: recompute it
+    # here straight from the inverse, in the original order of operations.
+    t = DynkinType.from_name(name)
+    inv = inverse_cartan(t).entries
+    b = type_profile(t).b
+    d = type_profile(t).d
+    log_terms = [math.log2(2**dj + 1) - dj for dj in d]
+    rowwise = tuple(
+        p * math.fsum(float(inv[i][j]) * log_terms[j] for j in range(t.rank))
+        for i in range(t.rank)
+    )
+    base = math.prod((Fraction(2**dj + 1, 2**dj) for dj in d), start=Fraction(1))
+    rep = bounds_report(t, p)
+    assert rep.b == b
+    assert rep.entry_cap_exponents == tuple(p * bi for bi in b)
+    assert rep.count_bound_exponent == p * p * sum(b, Fraction(0))
+    assert rep.refined_rowwise_log2 == rowwise
+    assert rep.refined_base == base
+    assert rep.refined_flat_log2 == p * (math.log2(base.numerator) - math.log2(base.denominator))
 
 
 def test_bounds_report_rejects_bad_period():

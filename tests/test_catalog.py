@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from friezes import catalog
 from friezes import (
     CATALOG_SAMPLE,
     DynkinType,
@@ -107,6 +108,52 @@ def test_inverse_is_exact_and_positive(t):
             prod = sum(cm.entries[i][k] * inv.entries[k][j] for k in range(n))
             assert prod == (1 if i == j else 0)
             assert inv.entries[i][j] > 0
+
+
+@pytest.mark.parametrize("n", range(8, 49, 4))
+def test_a_inverse_matches_closed_form(n):
+    # C^-1[i][j] = min(i,j) * (n+1-max(i,j)) / (n+1) and b_i = i(n+1-i)/2
+    # (1-based) for the path A_n.
+    t = DynkinType("A", n)
+    inv = inverse_cartan(t).entries
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert inv[i - 1][j - 1] == Fraction(min(i, j) * (n + 1 - max(i, j)), n + 1)
+    assert type_profile(t).b == tuple(Fraction(i * (n + 1 - i), 2) for i in range(1, n + 1))
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 30, 48])
+def test_d_row_sums_match_closed_form(n):
+    # b_i = i(2n-i-1)/2 on the long arm, b_{n-1} = b_n = n(n-1)/4 on the fork.
+    want = tuple(Fraction(i * (2 * n - i - 1), 2) for i in range(1, n - 1))
+    want += (Fraction(n * (n - 1), 4),) * 2
+    assert type_profile(DynkinType("D", n)).b == want
+
+
+def test_invert_exact_swaps_rows_and_rejects_singular():
+    # Cartan matrices never need a row swap; both of these do, and have det -1.
+    assert catalog._invert_exact(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))
+    assert catalog._invert_exact(((0, 2, 1), (1, 0, 0), (3, 1, 1))) == (
+        -1, ((0, -1, 0), (-1, -3, 1), (1, 6, -2)),
+    )
+    with pytest.raises(ArithmeticError, match="singular"):
+        catalog._invert_exact(((1, 2), (2, 4)))
+
+
+@pytest.mark.parametrize("name", ["A5", "D6", "E8", "G2"])
+def test_inverse_recheck_catches_a_corrupted_kernel(monkeypatch, name):
+    kernel = catalog._invert_exact
+
+    def off_by_one(entries):
+        det, adj = kernel(entries)
+        rows = [list(row) for row in adj]
+        rows[-1][0] += 1
+        return det, tuple(tuple(row) for row in rows)
+
+    monkeypatch.setattr(catalog, "_invert_exact", off_by_one)
+    # __wrapped__ bypasses the cache, so no corrupted inverse is stored.
+    with pytest.raises(ArithmeticError, match="inverse check failed"):
+        inverse_cartan.__wrapped__(DynkinType.from_name(name))
 
 
 def test_e8_profile_values():

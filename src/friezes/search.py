@@ -24,6 +24,12 @@ Soundness of the pruning:
   most ``2**b_n``; only that far does the first coordinate need to range;
 * a frieze column extends in both directions, so true columns satisfy
   every forward and backward divisibility constraint used as a generator;
+* column search, closed-form generator limit: the generator cell of the
+  new coordinate ``x`` is ``(1 + x**m * y) / den``, where ``y`` and ``den``
+  were fixed at earlier depths, so it is strictly increasing in ``x``.
+  Its entry cap ``L`` holds exactly when
+  ``x <= integer_root((L*den - 1) // y, m)``, and no candidate beyond that
+  limit is generated;
 * row seeding, monotone cut-off: setting seed entry ``t_j = v`` gives
   each forced row one new cell ``((a*b - 1)/den)**(1/m)``, where ``a``
   and ``den`` are already fixed and ``b`` is the new cell of the row
@@ -251,6 +257,8 @@ def _column_plan(t: DynkinType):
     computable at ``cell_depth[j]``.  The generator at depth ``d``, when
     one exists, is a due cell whose only missing input is the new
     coordinate; it turns into a congruence that generates candidates.
+    It is ``(j, m, others)``: the cell, the new coordinate's exponent in
+    its mesh and the mesh's other lower terms.
     """
     lower, upper = _neighbor_plan(t)
     n = t.rank
@@ -274,42 +282,53 @@ def _column_plan(t: DynkinType):
                 continue  # own denominator, or transitive dependence on x
             mult = next((m for l, m in lower[j] if l == x), None)
             if mult is not None:
-                pick = (j, mult)
+                pick = (j, mult, tuple(term for term in lower[j] if term[0] != x))
                 break
         generator[d] = pick
     return lower, upper, cells_due, generator
 
 
-def _congruence_candidates(m, y, modulus, cap):
-    """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)``."""
+def _congruence_candidates(m, y, modulus, cap, cell_cap):
+    """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)`` whose
+    cell ``(x**m * y + 1) / modulus`` is at most ``cell_cap``."""
+    # the cell grows with x, so its cap is x**m <= (cell_cap*modulus - 1) // y
+    limit = (cell_cap * modulus - 1) // y
+    if m > 1:
+        limit = integer_root(limit, m)
+    if limit < cap:
+        cap = limit
+        if cap < 1:
+            return ()
     if modulus == 1:
         return range(1, cap + 1)
     if m == 1:
         if math.gcd(y, modulus) != 1:
             return ()
-        x0 = (-pow(y, -1, modulus)) % modulus
-        if x0 == 0:
-            x0 = modulus
-        return range(x0, cap + 1, modulus)
-    if modulus <= _RESIDUE_SCAN_LIMIT:
-        ym = y % modulus
-        roots = [r for r in range(modulus) if (pow(r, m, modulus) * ym + 1) % modulus == 0]
-        if not roots:
-            return ()
+        x0 = -pow(y, -1, modulus) % modulus
+        return range(x0 or modulus, cap + 1, modulus)
+    return _power_candidates(m, y, modulus, cap)
 
-        def progressions():
-            base = 0
-            while base <= cap:
-                for r in roots:
-                    x = base + r
-                    if x >= 1:
-                        if x > cap:
-                            return
-                        yield x
-                base += modulus
 
-        return progressions()
-    return range(1, cap + 1)  # rare fallback; the cell checks still filter
+def _power_candidates(m, y, modulus, cap):
+    """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)``, from
+    the residues that solve it, or by a scan of [1, cap] (rare) when the
+    modulus is too large to scan its residues."""
+    if modulus > _RESIDUE_SCAN_LIMIT:
+        for x in range(1, cap + 1):
+            if (pow(x, m, modulus) * y + 1) % modulus == 0:
+                yield x
+        return
+    ym = y % modulus
+    roots = [r for r in range(modulus) if (pow(r, m, modulus) * ym + 1) % modulus == 0]
+    base = 0
+    while roots and base <= cap:
+        for r in roots:
+            x = base + r
+            if x >= 1:
+                if x > cap:
+                    return
+                yield x
+        base += modulus
 
 
 def _column_partition(t, caps, period_cap, start, tally):
@@ -362,16 +381,15 @@ def _column_partition(t, caps, period_cap, start, tally):
         if gen is None:
             candidates = range(1, caps[i] + 1)
         else:
-            j, m = gen
+            j, m, others = gen
             y = 1
-            for l, mm in lower[j]:
-                if l != i:
-                    v = vals[l]
-                    y *= v if mm == 1 else v**mm
+            for l, mm in others:
+                v = vals[l]
+                y *= v if mm == 1 else v**mm
             for u, mm in upper[j]:
                 v = cells1[u]
                 y *= v if mm == 1 else v**mm
-            candidates = _congruence_candidates(m, y, vals[j], caps[i])
+            candidates = _congruence_candidates(m, y, vals[j], caps[i], caps[j])
         for x in candidates:
             tally.add()
             vals[i] = x
@@ -493,14 +511,18 @@ def _force(rows, step, caps, p, columns) -> bool:
     return True
 
 
-def _divisor_rows(rows, step, caps, p, tally, budget):
+def _divisor_rows(rows, step, caps, p, tally, budget, stuck=()):
     """Cyclic solutions ``w`` of a divide step; one budgeted node per
-    candidate ``w[0]``."""
+    candidate ``w[0]``.  ``stuck`` holds the stuck-mesh quotients of the
+    first columns when the caller has them already."""
     _, d, terms, x, known, o = step
     cap = caps[d]
-    quotients = [_quotient(rows, x, known, k, (k + 1) % p) for k in range(p)]
-    if not all(quotients):
-        return
+    quotients = list(stuck)
+    for k in range(len(stuck), p):
+        q = _quotient(rows, x, known, k, (k + 1) % p)
+        if not q:
+            return
+        quotients.append(q)
     divides = [quotients[k - o] for k in range(p)]  # w[k] divides divides[k]
     products = [1 + _term_product(rows, terms, k, (k + 1) % p) for k in range(p)]
     for u in _divisors(math.gcd(products[0], divides[0])):
@@ -521,13 +543,14 @@ def _divisor_rows(rows, step, caps, p, tally, budget):
                 yield w
 
 
-def _reconstruct(t, rows, steps, caps, tally, budget):
+def _reconstruct(t, rows, steps, caps, tally, budget, stuck=()):
     """Yield the column lists of every frieze that completes ``rows``.
 
     ``rows`` holds the seed row and the rows of the plan steps before
     ``steps``; the rest are solved in place, in plan order, branching at
-    divide steps.  The plan's final checks gate every frieze: a mesh
-    holds exactly when its quotient is 1.
+    divide steps.  ``stuck`` goes to ``_divisor_rows`` when ``steps``
+    starts with a divide step.  The plan's final checks gate every
+    frieze: a mesh holds exactly when its quotient is 1.
     """
     _, checks = _solve_plan(t)
     p = len(rows[t.rank - 1])
@@ -542,7 +565,8 @@ def _reconstruct(t, rows, steps, caps, tally, budget):
             if _force(rows, steps[i], caps, p, range(p)):
                 yield from solve(i + 1)
         else:
-            for w in _divisor_rows(rows, steps[i], caps, p, tally, budget):
+            known = stuck if i == 0 else ()
+            for w in _divisor_rows(rows, steps[i], caps, p, tally, budget, known):
                 rows[steps[i][1]] = w
                 yield from solve(i + 1)
 
@@ -595,20 +619,23 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         (u1, mu1, _), = f_terms
         row0, row1 = rows[f], rows[u1]
         pin_from = levels[f] + 2
+        stuck = ()
     else:
         # the first divide step's stuck mesh pins the product of its two
         # unsolved neighbour rows; only its divisibility and cap are
-        # checked here
+        # checked here, and its quotients at the non-wrap columns are kept
+        # for the leaf's divide step
         _, _, _, x, ((ku, kmu, ko),), _ = rest[0]
         xrow, krow = rows[x], rows[ku]
         branch_from = levels[x] + 2
         branch_cap = math.prod(caps[j] ** m for j, m in lower[x] + upper[x] if j != ku)
+        stuck = [0] * max(p - branch_from + 1, 0)
 
     def leaf() -> None:
         for step in wave:  # the wavefront left only the wrap-around cells
             if not _force(rows, step, caps, p, range(max(p - levels[step[2]], 0), p)):
                 return
-        for cols in _reconstruct(t, rows, rest, caps, tally, budget):
+        for cols in _reconstruct(t, rows, rest, caps, tally, budget, stuck):
             q = _minimal_period(cols)
             key = _canonical_columns(cols[:q])
             if key not in orbits:
@@ -706,6 +733,8 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
                         stop = 1
                     elif q > branch_cap:
                         stop = 2
+                    else:
+                        stuck[k] = q
             if stop == 2:
                 break
             if stop:

@@ -21,6 +21,7 @@ from friezes import (
 )
 from friezes.search import (
     _canonical_columns,
+    _RESIDUE_SCAN_LIMIT,
     _congruence_candidates,
     _reconstruct,
     _solve_plan,
@@ -319,19 +320,54 @@ def test_a1_with_override_stays_within_two_seeds():
     assert not out.complete
 
 
+def _brute_candidates(m, y, modulus, cap, cell_cap):
+    return [
+        x
+        for x in range(1, cap + 1)
+        if (x**m * y + 1) % modulus == 0 and (x**m * y + 1) // modulus <= cell_cap
+    ]
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=1, max_value=60),
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=200),
+    st.integers(min_value=1, max_value=10**9),
 )
-def test_congruence_candidates_complete_and_ascending(m, y, modulus, cap):
+def test_congruence_candidates_complete_and_ascending(m, y, modulus, cap, cell_cap):
     # the generator must produce exactly the solutions, in ascending order;
     # completeness of the column search rides on this
-    got = list(_congruence_candidates(m, y, modulus, cap))
-    want = [x for x in range(1, cap + 1) if (x**m * y + 1) % modulus == 0]
-    assert got == want
+    got = list(_congruence_candidates(m, y, modulus, cap, cell_cap))
+    assert got == _brute_candidates(m, y, modulus, cap, cell_cap)
+
+
+@pytest.mark.parametrize(
+    "m,y,modulus,cap",
+    [
+        (1, 7, 1, 60),
+        (2, 3, 1, 60),
+        (3, 2, 1, 60),
+        (1, 5, 12, 300),
+        (2, 3, 7, 300),
+        (3, 5, 13, 300),
+        (2, 6, 25, 300),
+        # above the residue-scan limit: inverse for m = 1, the scan otherwise
+        (1, 3, _RESIDUE_SCAN_LIMIT + 3, 300_000),
+        (2, 1, _RESIDUE_SCAN_LIMIT + 1, 150_000),
+        (3, 2, _RESIDUE_SCAN_LIMIT + 1, 150_000),
+    ],
+)
+def test_congruence_candidates_clip_matches_brute_force(m, y, modulus, cap):
+    # the cell cap clips x**m <= (cell_cap * modulus - 1) // y; a cap equal
+    # to a solution's cell must keep it and one less must drop it
+    solutions = _brute_candidates(m, y, modulus, cap, float("inf"))
+    assert len(solutions) >= 2
+    cells = [(x**m * y + 1) // modulus for x in solutions]
+    for cell_cap in sorted({1, *cells, *(c - 1 for c in cells if c > 1), cells[-1] + 1}):
+        got = list(_congruence_candidates(m, y, modulus, cap, cell_cap))
+        assert got == [x for x, c in zip(solutions, cells) if c <= cell_cap], cell_cap
 
 
 @settings(max_examples=100, deadline=None)
@@ -381,7 +417,7 @@ def test_default_strategy_choice():
     assert default_strategy(DynkinType("E", 6)) == "column_dfs"
 
 
-@pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15)])
+@pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15), ("D4", 10)])
 def test_row_seeded_matches_column_dfs_at_every_small_override(name, top):
     # overrides equal to some frieze entry put a cell exactly on the cap,
     # the boundary of the row-seeded cut-off and closed-form bound

@@ -78,7 +78,7 @@ class DynkinType:
     def from_name(cls, name: str) -> "DynkinType":
         """Parse a token like ``"E8"`` or ``"A12"``."""
         token = name.strip()
-        if len(token) < 2 or token[0] not in _RANK_RULES or not token[1:].isdigit():
+        if len(token) < 2 or token[0] not in _RANK_RULES or not token[1:].isdecimal():
             raise ValueError(f"unknown type token {name!r}; expected e.g. A3, D5, E8")
         return cls(token[0], int(token[1:]))
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .catalog import DynkinType
-from .mesh import FriezePattern, FriezeSlice
+from .mesh import FriezePattern, pattern_from_columns
 
 __all__ = ["E8_EXAMPLE_ROWS", "e8_example_pattern", "A2_ORBIT_ROWS", "a2_orbit_pattern"]
 
@@ -28,18 +28,9 @@ A2_ORBIT_ROWS: tuple[tuple[int, ...], ...] = (
 )
 
 
-def _pattern(name: str, rows) -> FriezePattern:
-    t = DynkinType.from_name(name)
-    period = len(rows[0])
-    columns = tuple(
-        FriezeSlice(t, tuple(rows[i][k] for i in range(t.rank))) for k in range(period)
-    )
-    return FriezePattern(t, period, columns)
-
-
 def e8_example_pattern() -> FriezePattern:
-    return _pattern("E8", E8_EXAMPLE_ROWS)
+    return pattern_from_columns(DynkinType("E", 8), zip(*E8_EXAMPLE_ROWS))
 
 
 def a2_orbit_pattern() -> FriezePattern:
-    return _pattern("A2", A2_ORBIT_ROWS)
+    return pattern_from_columns(DynkinType("A", 2), zip(*A2_ORBIT_ROWS))

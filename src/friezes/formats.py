@@ -18,7 +18,7 @@ from __future__ import annotations
 
 
 from .catalog import DynkinType, repetition_arrows
-from .mesh import FriezePattern, FriezeSlice
+from .mesh import FriezePattern, pattern_from_columns
 from .search import SearchOutcome
 
 __all__ = [
@@ -67,7 +67,7 @@ def parse_frieze(text: str) -> FriezePattern:
     if len(meaningful) < 2:
         raise FriezeFormatError(lineno, "missing `period` line")
     lineno, tokens = meaningful[1]
-    if tokens[0] != "period" or len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+    if tokens[0] != "period" or len(tokens) != 2 or not tokens[1].isdecimal() or int(tokens[1]) < 1:
         raise FriezeFormatError(lineno, "expected `period <positive integer>`")
     period = int(tokens[1])
 
@@ -83,7 +83,7 @@ def parse_frieze(text: str) -> FriezePattern:
             )
         values = []
         for pos, tok in enumerate(tokens[1:], start=2):
-            if not tok.isdigit() or int(tok) < 1:
+            if not tok.isdecimal() or int(tok) < 1:
                 raise FriezeFormatError(
                     lineno, f"entry {tok!r} is not a positive integer", column=pos
                 )
@@ -94,10 +94,7 @@ def parse_frieze(text: str) -> FriezePattern:
         last = meaningful[-1][0]
         raise FriezeFormatError(last, f"missing rows: got {len(rows)}, {dynkin} needs {dynkin.rank}")
 
-    columns = tuple(
-        FriezeSlice(dynkin, tuple(rows[i][k] for i in range(dynkin.rank))) for k in range(period)
-    )
-    return FriezePattern(dynkin, period, columns)
+    return pattern_from_columns(dynkin, zip(*rows))
 
 
 def emit_frieze(f: FriezePattern) -> str:

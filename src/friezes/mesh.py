@@ -116,28 +116,21 @@ class MeshViolation:
 
 
 @lru_cache(maxsize=None)
-def _neighbor_plan(t: DynkinType):
-    """Per vertex (0-based): ``(lower, upper)`` neighbor lists with
-    multiplicities ``m = -C[i,j]``."""
-    entries = cartan_matrix(t).entries
-    n = t.rank
-    lower = tuple(
-        tuple((j, -entries[i][j]) for j in range(i) if entries[i][j] < 0) for i in range(n)
+def _mesh_factors(t: DynkinType):
+    """Per vertex ``i`` (0-based): the factors ``(j, m, o)`` of its mesh
+    product at column ``k``, each standing for ``F[j, k+o]**m`` with
+    ``m = -C[i,j]`` and ``o = int(j > i)``."""
+    return tuple(
+        tuple((j, -c, int(j > i)) for j, c in enumerate(row) if c < 0)
+        for i, row in enumerate(cartan_matrix(t).entries)
     )
-    upper = tuple(
-        tuple((j, -entries[i][j]) for j in range(i + 1, n) if entries[i][j] < 0)
-        for i in range(n)
-    )
-    return lower, upper
 
 
-def _product(values_k, values_k1, lower, upper) -> int:
+def _product(cols, factors) -> int:
+    """Product of ``factors`` read from ``cols = (column k, column k+1)``."""
     prod = 1
-    for j, m in lower:
-        v = values_k[j]
-        prod *= v if m == 1 else v**m
-    for j, m in upper:
-        v = values_k1[j]
+    for j, m, o in factors:
+        v = cols[o][j]
         prod *= v if m == 1 else v**m
     return prod
 
@@ -147,21 +140,20 @@ def mesh_product(i: int, col_k: FriezeSlice, col_k1: FriezeSlice) -> int:
     columns; the empty product is 1."""
     if col_k.dynkin != col_k1.dynkin:
         raise ValueError("columns belong to different types")
-    lower, upper = _neighbor_plan(col_k.dynkin)
-    return _product(col_k.values, col_k1.values, lower[i - 1], upper[i - 1])
+    return _product((col_k.values, col_k1.values), _mesh_factors(col_k.dynkin)[i - 1])
 
 
 def forward_values(t: DynkinType, values: tuple[int, ...]) -> tuple[int, ...]:
     """Next column from ``values``, on raw tuples.  Walks ``i = n..1`` so
     that only already-filled entries of the new column are read.  Raises
     :class:`IndivisibleError` when a division is inexact."""
-    lower, upper = _neighbor_plan(t)
+    factors = _mesh_factors(t)
     n = len(values)
     # None sentinels: touching a not-yet-computed entry is a bug and raises
     out: list = [None] * n
+    cols = (values, out)
     for i in range(n - 1, -1, -1):
-        num = 1 + _product(values, out, lower[i], upper[i])
-        q, r = divmod(num, values[i])
+        q, r = divmod(1 + _product(cols, factors[i]), values[i])
         if r:
             raise IndivisibleError(i + 1)
         out[i] = q
@@ -170,12 +162,12 @@ def forward_values(t: DynkinType, values: tuple[int, ...]) -> tuple[int, ...]:
 
 def backward_values(t: DynkinType, values: tuple[int, ...]) -> tuple[int, ...]:
     """Previous column from ``values``; walks ``i = 1..n``."""
-    lower, upper = _neighbor_plan(t)
+    factors = _mesh_factors(t)
     n = len(values)
     out: list = [None] * n
+    cols = (out, values)
     for i in range(n):
-        num = 1 + _product(out, values, lower[i], upper[i])
-        q, r = divmod(num, values[i])
+        q, r = divmod(1 + _product(cols, factors[i]), values[i])
         if r:
             raise IndivisibleError(i + 1)
         out[i] = q
@@ -192,6 +184,29 @@ def propagate_backward(s: FriezeSlice) -> FriezeSlice:
     return FriezeSlice(s.dynkin, backward_values(s.dynkin, s.values))
 
 
+def _orbit(t: DynkinType, first: tuple[int, ...], cap: int, caps=None):
+    """Columns ``0 .. q-1`` of the orbit of ``first``, on raw tuples, where
+    ``q <= cap`` is minimal with ``column_q = first``.
+
+    Returns ``None`` as soon as a propagated column has an entry above
+    ``caps`` (when given).  Raises :class:`DeadEndError` if propagation
+    dies and :class:`NoRecurrenceError` if ``cap`` is exhausted.
+    """
+    cols = [first]
+    cur = first
+    for step in range(1, cap + 1):
+        try:
+            cur = forward_values(t, cur)
+        except IndivisibleError as exc:
+            raise DeadEndError(step, exc.vertex) from exc
+        if caps is not None and any(v > c for v, c in zip(cur, caps)):
+            return None
+        if cur == first:
+            return cols
+        cols.append(cur)
+    raise NoRecurrenceError(cap)
+
+
 def detect_period(seed: FriezeSlice, cap: int) -> tuple[int, list[FriezeSlice]]:
     """Propagate forward until the seed column recurs.
 
@@ -205,33 +220,23 @@ def detect_period(seed: FriezeSlice, cap: int) -> tuple[int, list[FriezeSlice]]:
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    t = seed.dynkin
-    first = seed.values
-    cols = [first]
-    cur = first
-    for step in range(1, cap + 1):
-        try:
-            cur = forward_values(t, cur)
-        except IndivisibleError as exc:
-            raise DeadEndError(step, exc.vertex) from exc
-        if cur == first:
-            return step, [FriezeSlice(t, v) for v in cols]
-        cols.append(cur)
-    raise NoRecurrenceError(cap)
+    cols = _orbit(seed.dynkin, seed.values, cap)
+    return len(cols), [FriezeSlice(seed.dynkin, v) for v in cols]
 
 
 def verify_pattern(f: FriezePattern) -> list[MeshViolation]:
     """Check every mesh relation cyclically; an empty list means the
     pattern is a frieze."""
-    lower, upper = _neighbor_plan(f.dynkin)
+    factors = _mesh_factors(f.dynkin)
     p = f.period
     violations = []
     for k in range(p):
         vk = f.columns[k].values
         vk1 = f.columns[(k + 1) % p].values
+        cols = (vk, vk1)
         for i in range(f.dynkin.rank):
             lhs = vk[i] * vk1[i]
-            rhs = 1 + _product(vk, vk1, lower[i], upper[i])
+            rhs = 1 + _product(cols, factors[i])
             if lhs != rhs:
                 violations.append(MeshViolation(i + 1, k, lhs, rhs))
     return violations

@@ -15,6 +15,12 @@ against each other:
   its own mesh, each entry also dividing the quotient of the stuck mesh
   that has two unsolved neighbours; unused meshes are checked last.
 
+Both read every mesh product from the factor table ``mesh._mesh_factors``
+and walk every orbit with ``mesh._orbit``: the column search to trace a
+candidate seed, the row-seeded search to cut a reconstructed frieze down
+to its minimal period.  Keeping the strategies apart is what makes their
+agreement an oracle; a fault in the shared table would hit both alike.
+
 Soundness of the pruning:
 
 * every entry of a frieze is at most ``2**(p*b_i)``, and every row product
@@ -72,13 +78,13 @@ from functools import lru_cache
 from .bounds import floor_pow2, integer_root
 from .catalog import DynkinType, type_profile
 from .mesh import (
+    DeadEndError,
     FriezePattern,
-    IndivisibleError,
-    forward_values,
+    NoRecurrenceError,
     pattern_from_columns,
     verify_pattern,
 )
-from .mesh import _neighbor_plan  # shared neighbor tables
+from .mesh import _mesh_factors, _orbit, _product  # shared mesh table and orbit walk
 
 __all__ = [
     "SearchConfig",
@@ -95,7 +101,6 @@ __all__ = [
 PROGRESS_STRIDE = 1_000_000
 
 _RESIDUE_SCAN_LIMIT = 1 << 16
-_NO_RECURRENCE = "no_recurrence"
 
 
 @dataclass(frozen=True)
@@ -196,14 +201,6 @@ def _canonical_columns(cols) -> tuple[tuple[int, ...], ...]:
     return best
 
 
-def _minimal_period(cols) -> int:
-    p = len(cols)
-    for q in _divisors(p):
-        if all(cols[k] == cols[(k + q) % p] for k in range(p)):
-            return q
-    return p
-
-
 class _Tally:
     """Node counter; emits a progress line every million nodes."""
 
@@ -221,29 +218,6 @@ class _Tally:
                 self._progress(self.nodes, self.found)
 
 
-def _trace_orbit(t, seed, caps, period_cap):
-    """Forward-propagate a seed until it recurs.
-
-    Returns the orbit's columns, ``None`` for a dead or out-of-cap
-    candidate, or ``"no_recurrence"`` when the cap runs out.  Because
-    propagation is invertible, the first repeated column is the seed
-    itself, so the returned orbit has minimal period.
-    """
-    cols = [seed]
-    cur = seed
-    for _ in range(period_cap):
-        try:
-            cur = forward_values(t, cur)
-        except IndivisibleError:
-            return None
-        if any(v > c for v, c in zip(cur, caps)):
-            return None
-        if cur == seed:
-            return cols
-        cols.append(cur)
-    return _NO_RECURRENCE
-
-
 # ---------------------------------------------------------------------------
 # column strategy
 # ---------------------------------------------------------------------------
@@ -258,17 +232,15 @@ def _column_plan(t: DynkinType):
     one exists, is a due cell whose only missing input is the new
     coordinate; it turns into a congruence that generates candidates.
     It is ``(j, m, others)``: the cell, the new coordinate's exponent in
-    its mesh and the mesh's other lower terms.
+    its mesh and the mesh's other factors.
     """
-    lower, upper = _neighbor_plan(t)
+    factors = _mesh_factors(t)
     n = t.rank
     cell_depth = [0] * n
     for j in range(n - 1, -1, -1):
         d = n - j
-        for l, _ in lower[j]:
-            d = max(d, n - l)
-        for u, _ in upper[j]:
-            d = max(d, cell_depth[u])
+        for l, _, o in factors[j]:
+            d = max(d, cell_depth[l] if o else n - l)
         cell_depth[j] = d
     cells_due = {d: [] for d in range(1, n + 1)}
     for j in range(n - 1, -1, -1):  # descending: upper cells evaluate first
@@ -278,14 +250,14 @@ def _column_plan(t: DynkinType):
         x = n - d  # coordinate chosen at depth d
         pick = None
         for j in cells_due[d]:
-            if j == x or any(cell_depth[u] >= d for u, _ in upper[j]):
+            if j == x or any(o and cell_depth[u] >= d for u, _, o in factors[j]):
                 continue  # own denominator, or transitive dependence on x
-            mult = next((m for l, m in lower[j] if l == x), None)
+            mult = next((m for l, m, _ in factors[j] if l == x), None)
             if mult is not None:
-                pick = (j, mult, tuple(term for term in lower[j] if term[0] != x))
+                pick = (j, mult, tuple(f for f in factors[j] if f[0] != x))
                 break
         generator[d] = pick
-    return lower, upper, cells_due, generator
+    return factors, cells_due, generator
 
 
 def _congruence_candidates(m, y, modulus, cap, cell_cap):
@@ -334,23 +306,17 @@ def _power_candidates(m, y, modulus, cap):
 def _column_partition(t, caps, period_cap, start, tally):
     """Orbits reachable from seed columns whose row-n entry is ``start``."""
     n = t.rank
-    lower, upper, cells_due, generator = _column_plan(t)
+    factors, cells_due, generator = _column_plan(t)
     vals = [0] * n
     cells1 = [0] * n
+    cols = (vals, cells1)  # the seed column and its forward cells
     orbits: dict = {}
     visited: set = set()
     notes: list[str] = []
 
     def eval_cells(d) -> bool:
         for j in cells_due[d]:
-            num = 1
-            for l, m in lower[j]:
-                v = vals[l]
-                num *= v if m == 1 else v**m
-            for u, m in upper[j]:
-                v = cells1[u]
-                num *= v if m == 1 else v**m
-            q, r = divmod(1 + num, vals[j])
+            q, r = divmod(1 + _product(cols, factors[j]), vals[j])
             if r or q > caps[j]:
                 return False
             cells1[j] = q
@@ -360,11 +326,14 @@ def _column_partition(t, caps, period_cap, start, tally):
         seed = tuple(vals)
         if seed in visited:
             return
-        traced = _trace_orbit(t, seed, caps, period_cap)
-        if traced is None:
+        try:
+            traced = _orbit(t, seed, period_cap, caps)
+        except DeadEndError:
             return
-        if traced == _NO_RECURRENCE:
+        except NoRecurrenceError:
             notes.append(f"cap exceeded: seed {seed} did not recur within {period_cap} steps")
+            return
+        if traced is None:
             return
         visited.update(traced)
         key = _canonical_columns(traced)
@@ -382,13 +351,7 @@ def _column_partition(t, caps, period_cap, start, tally):
             candidates = range(1, caps[i] + 1)
         else:
             j, m, others = gen
-            y = 1
-            for l, mm in others:
-                v = vals[l]
-                y *= v if mm == 1 else v**mm
-            for u, mm in upper[j]:
-                v = cells1[u]
-                y *= v if mm == 1 else v**mm
+            y = _product(cols, others)
             candidates = _congruence_candidates(m, y, vals[j], caps[i], caps[j])
         for x in candidates:
             tally.add()
@@ -406,11 +369,8 @@ def _column_partition(t, caps, period_cap, start, tally):
     elif n == 2:
         # Last coordinate: the previous column pins v1 to a divisor of
         # 1 + v2**(-C[1,2]); the forward cells then filter candidates.
-        k = 1
-        for u, m in upper[0]:
-            v = vals[u]
-            k *= v if m == 1 else v**m
-        for x in _divisors(1 + k):
+        # Vertex 1's only factor lies in this column, read as column k+1.
+        for x in _divisors(1 + _product((None, vals), factors[0])):
             if x > caps[0]:
                 break
             tally.add()
@@ -433,8 +393,8 @@ def _solve_plan(t: DynkinType):
     """Row-seeded solve order, derived from the Cartan matrix.
 
     Starting from the solved seed row ``n``, returns ``(steps, checks)``
-    over 0-based vertices.  A mesh term ``(j, m, o)`` is the factor
-    ``F[j, k + o]**m`` of a mesh product at column ``k``.
+    over 0-based vertices.  Mesh terms are factors ``(j, m, o)`` of the
+    mesh table, each ``F[j, k + o]**m`` in a mesh product at column ``k``.
 
     * ``("force", s, r, m, o, others)``: the mesh at the solved vertex
       ``s`` has one unsolved neighbour ``r``, with exponent ``m`` and
@@ -447,32 +407,29 @@ def _solve_plan(t: DynkinType):
 
     ``checks`` pairs each vertex whose mesh no step used with its terms.
     """
-    lower, upper = _neighbor_plan(t)
+    factors = _mesh_factors(t)
     n = t.rank
 
-    def terms(i, skip=()):
-        return tuple((j, m, 0) for j, m in lower[i] if j not in skip) + tuple(
-            (j, m, 1) for j, m in upper[i] if j not in skip
-        )
+    def terms(i, skip):
+        return tuple(f for f in factors[i] if f[0] not in skip)
 
     solved, used, steps = {n - 1}, set(), []
 
     def unsolved(i):
-        return [j for j, _ in lower[i] + upper[i] if j not in solved]
+        return [j for j, _, _ in factors[i] if j not in solved]
 
     while len(solved) < n:  # each step uses the mesh at s to solve row r
         s = next((s for s in sorted(solved - used, reverse=True) if len(unsolved(s)) == 1), None)
         if s is not None:
-            (r,) = unsolved(s)
-            m = dict(lower[s] + upper[s])[r]
-            steps.append(("force", s, r, m, int(r > s), terms(s, (r,))))
+            ((r, m, o),) = terms(s, solved)
+            steps.append(("force", s, r, m, o, terms(s, (r,))))
         else:  # a divide step uses the divided vertex's own mesh
             r = s = max(i for i in range(n) if i not in solved and not unsolved(i))
             x = next(x for x in solved - used if len(unsolved(x)) == 2 and r in unsolved(x))
-            steps.append(("divide", r, terms(r), x, terms(x, unsolved(x)), int(r > x)))
+            steps.append(("divide", r, factors[r], x, terms(x, unsolved(x)), int(r > x)))
         used.add(s)
         solved.add(r)
-    checks = tuple((i, terms(i)) for i in range(n) if i not in used)
+    checks = tuple((i, factors[i]) for i in range(n) if i not in used)
     return tuple(steps), checks
 
 
@@ -576,7 +533,6 @@ def _reconstruct(t, rows, steps, caps, tally, budget, stuck=()):
 def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     """Row-seeded search over cyclic tuples with ``t_1 = start`` (the row
     minimum, so every entry is at least ``start``)."""
-    lower, upper = _neighbor_plan(t)
     n = t.rank
     p = period_cap
     steps, checks = _solve_plan(t)
@@ -628,7 +584,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         _, _, _, x, ((ku, kmu, ko),), _ = rest[0]
         xrow, krow = rows[x], rows[ku]
         branch_from = levels[x] + 2
-        branch_cap = math.prod(caps[j] ** m for j, m in lower[x] + upper[x] if j != ku)
+        branch_cap = math.prod(caps[j] ** m for j, m, _ in _mesh_factors(t)[x] if j != ku)
         stuck = [0] * max(p - branch_from + 1, 0)
 
     def leaf() -> None:
@@ -636,10 +592,11 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
             if not _force(rows, step, caps, p, range(max(p - levels[step[2]], 0), p)):
                 return
         for cols in _reconstruct(t, rows, rest, caps, tally, budget, stuck):
-            q = _minimal_period(cols)
-            key = _canonical_columns(cols[:q])
+            # a verified frieze recurs within p: no exception is expected
+            orbit = _orbit(t, cols[0], p)
+            key = _canonical_columns(orbit)
             if key not in orbits:
-                orbits[key] = q
+                orbits[key] = len(orbit)
                 tally.found += 1
 
     def descend(j) -> None:  # choose position j (1-based) of the seed row
@@ -769,34 +726,22 @@ def _start_values(t: DynkinType, caps) -> range:
     return range(1, min(floor_pow2(b[t.rank - 1]), caps[t.rank - 1]) + 1)
 
 
-def _run_partition(t, strategy, period_cap, override, node_budget, start, tally):
-    caps = entry_caps(t, period_cap, override)
-    if strategy == "column_dfs" or t.rank == 1:
-        return _column_partition(t, caps, period_cap, start, tally)
-    prodcaps = entry_caps(t, period_cap)  # row products ignore the override
-    return _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget)
-
-
 def _partition_job(args, tally=None):
-    family, rank, strategy, period_cap, override, node_budget, start = args
+    t, strategy, period_cap, caps, prodcaps, node_budget, start = args
     if tally is None:
         tally = _Tally()
     before = tally.nodes
-    orbits, notes = _run_partition(
-        DynkinType(family, rank), strategy, period_cap, override, node_budget, start, tally
-    )
+    if strategy == "column_dfs" or t.rank == 1:
+        orbits, notes = _column_partition(t, caps, period_cap, start, tally)
+    else:
+        orbits, notes = _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget)
     return orbits, tally.nodes - before, notes
 
 
-def _partition_results(cfg: SearchConfig, strategy, period_cap, starts, progress):
-    """``(orbits, nodes, notes)`` per partition, in ``starts`` order."""
-    t = cfg.dynkin
-    jobs = [
-        (t.family, t.rank, strategy, period_cap, cfg.entry_cap_override, cfg.node_budget, s)
-        for s in starts
-    ]
-    if cfg.jobs > 1 and len(starts) > 1:
-        with multiprocessing.Pool(min(cfg.jobs, len(starts))) as pool:
+def _partition_results(jobs, workers, progress):
+    """``(orbits, nodes, notes)`` per partition job, in ``jobs`` order."""
+    if workers > 1 and len(jobs) > 1:
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             yield from pool.imap(_partition_job, jobs, chunksize=1)
     else:
         tally = _Tally(progress)  # one tally: progress lines count across partitions
@@ -808,12 +753,15 @@ def _run(cfg: SearchConfig, strategy: str, progress=None) -> SearchOutcome:
     t = cfg.dynkin
     period_cap = _effective_period_cap(cfg)
     caps = entry_caps(t, period_cap, cfg.entry_cap_override)
-    starts = _start_values(t, caps)
+    prodcaps = entry_caps(t, period_cap)  # row products ignore the override
+    jobs = [
+        (t, strategy, period_cap, caps, prodcaps, cfg.node_budget, start)
+        for start in _start_values(t, caps)
+    ]
     merged: dict = {}
     notes: list[str] = []
     total_nodes = 0
-    results = _partition_results(cfg, strategy, period_cap, starts, progress)
-    for orbits, nodes, part_notes in results:
+    for orbits, nodes, part_notes in _partition_results(jobs, cfg.jobs, progress):
         total_nodes += nodes
         notes.extend(part_notes)
         for key, q in orbits.items():

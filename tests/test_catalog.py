@@ -45,9 +45,9 @@ def test_inadmissible_ranks_rejected(name):
         DynkinType.from_name(name)
 
 
-@pytest.mark.parametrize("name", ["X4", "8E", "A", "Ax", ""])
+@pytest.mark.parametrize("name", ["X4", "8E", "A", "Ax", "", "A\u00b2"])
 def test_bad_tokens_rejected(name):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown type token"):
         DynkinType.from_name(name)
 
 

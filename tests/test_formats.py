@@ -86,6 +86,10 @@ def test_round_trip_arbitrary_positive_documents(name, period, data):
     [
         ("", "empty document"),
         ("dynkin Z9\nperiod 1\nrow 1\n", "unknown type token"),
+        # superscript digits pass str.isdigit() but not int()
+        ("dynkin A\u00b2\nperiod 1\nrow 1\n", "unknown type token"),
+        ("dynkin A1\nperiod \u00b2\nrow 1\n", "positive integer"),
+        ("dynkin A1\nperiod 2\nrow 1 \u00b2\n", "not a positive integer"),
         ("dynkin A1\nperiod 0\nrow 1\n", "positive integer"),
         ("dynkin A1\nperiod 2\nrow 1\n", "expected 2"),
         ("dynkin A2\nperiod 1\nrow 1\n", "missing rows"),

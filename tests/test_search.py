@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -308,7 +310,49 @@ def test_undersized_period_cap_reports_cap_exceeded():
     # close are reported and the outcome is uncertified
     out = outcome("A2", "column_dfs", period_cap=3)
     assert not out.complete
-    assert any("cap exceeded" in note for note in out.notes)
+    assert out.notes == tuple(
+        f"cap exceeded: seed {seed} did not recur within 3 steps"
+        for seed in [(1, 1), (2, 1), (1, 2), (3, 2)]
+    )
+    # the entry cap check runs before the recurrence guard: every orbit of
+    # A2 leaves the cap box [1, 2]^2, so no seed reaches the guard
+    capped = outcome("A2", "column_dfs", period_cap=3, entry_cap_override=2)
+    assert capped.notes == () and capped.frieze_count == 0
+
+
+# Outcomes pinned per case: frieze count, a digest of the orbits and
+# their sizes, and the completeness claim.  Both strategies read the same
+# mesh-factor table and orbit walk, so a fault there would keep them in
+# agreement with each other; these fixed values catch it.
+GOLDEN = [
+    ("A1", None, 2, "026216da718300d2", True),
+    ("A2", None, 5, "26e2c35bb4a16cab", True),
+    ("A3", None, 14, "6754f3332bf29d25", True),
+    ("B2", None, 6, "4dbd41d47196a995", True),
+    ("C2", None, 6, "bc33d99f1a779b11", True),
+    ("G2", None, 9, "762f2b48aa268770", True),
+    ("B3", 32, 21, "a7b31165b01b9e09", False),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False),
+    ("F4", 16, 7, "4df6259b33d2e253", False),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False),
+    ("B4", 12, 15, "7105166c0046b3d0", False),
+    ("C4", 12, 10, "db6af63233c3f324", False),
+]
+
+
+@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
+@pytest.mark.parametrize(
+    "name,cap,count,digest,complete", GOLDEN, ids=[f"{g[0]}@{g[1]}" for g in GOLDEN]
+)
+def test_golden_outcomes(name, cap, count, digest, complete, strategy):
+    out = outcome(name, strategy, entry_cap_override=cap)
+    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    assert out.frieze_count == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert out.complete is complete
+    assert out.notes == ()
 
 
 def test_a1_with_override_stays_within_two_seeds():

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import DynkinType, cartan_matrix, inverse_cartan, type_profile
-from .mesh import FriezePattern
+from .catalog import DynkinType, inverse_cartan, type_profile
+from .mesh import FriezePattern, _mesh_factors, _product
 
 __all__ = [
     "LogVector",
@@ -151,10 +151,10 @@ def a_vector(f: FriezePattern, p: int | None = None) -> LogVector:
     p = _resolve_period(f, p)
     prods = row_products(f, p)
     a = tuple(math.log2(x) / p for x in prods)
-    entries = cartan_matrix(f.dynkin).entries
+    # the diagonal entry of C is 2 and each factor (j, m, o) is -C[i,j]
     ca = tuple(
-        math.fsum(entries[i][j] * a[j] for j in range(f.dynkin.rank) if entries[i][j])
-        for i in range(f.dynkin.rank)
+        math.fsum([2 * a[i]] + [-m * a[j] for j, m, _ in factors])
+        for i, factors in enumerate(_mesh_factors(f.dynkin))
     )
     return LogVector(a, ca)
 
@@ -163,17 +163,11 @@ def interval_certificate(f: FriezePattern, p: int | None = None) -> IntervalCert
     """Exact big-integer form of the interval test; passes on every frieze."""
     p = _resolve_period(f, p)
     prods = row_products(f, p)
-    entries = cartan_matrix(f.dynkin).entries
-    n = f.dynkin.rank
     squares = tuple(x * x for x in prods)
-    neighbor = tuple(
-        math.prod(prods[j] ** (-entries[i][j]) for j in range(n) if j != i and entries[i][j])
-        for i in range(n)
-    )
+    # a mesh product over row products: both "columns" are the products
+    neighbor = tuple(_product((prods, prods), factors) for factors in _mesh_factors(f.dynkin))
     shift = 1 << p
-    verdicts = tuple(
-        neighbor[i] < squares[i] <= shift * neighbor[i] for i in range(n)
-    )
+    verdicts = tuple(neighbor[i] < sq <= shift * neighbor[i] for i, sq in enumerate(squares))
     return IntervalCertificate(f.dynkin, p, squares, neighbor, verdicts)
 
 

@@ -16,10 +16,13 @@ against each other:
   that has two unsolved neighbours; unused meshes are checked last.
 
 Both read every mesh product from the factor table ``mesh._mesh_factors``
-and walk every orbit with ``mesh._orbit``: the column search to trace a
-candidate seed, the row-seeded search to cut a reconstructed frieze down
-to its minimal period.  Keeping the strategies apart is what makes their
-agreement an oracle; a fault in the shared table would hit both alike.
+through one loop, ``mesh._product`` on a pair of columns: the row-seeded
+search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
+only its wavefront reads its single-factor meshes inline.  Both walk every
+orbit with ``mesh._orbit``: the column search to trace a candidate seed,
+the row-seeded search to cut a reconstructed frieze down to its minimal
+period.  Keeping the strategies apart is what makes their agreement an
+oracle; a fault in the shared table would hit both alike.
 
 Soundness of the pruning:
 
@@ -60,7 +63,9 @@ Soundness of the pruning:
   to row 1.  Once it holds a row-1 cell, the vertex-1 mesh fixes the next
   row-1 cell, and each forced mesh, read upwards, fixes its source row's
   next cell by one exact division.  So ``t_j`` has at most one value from
-  then on, and it still passes every forward check.
+  then on, and it still passes every forward check.  That cell's
+  vertex-1 mesh needs no test: the wave inverts each exact back-solve
+  step, so it recomputes the very cell that mesh fixed.
 
 Counts treat each of the ``q`` distinct columns of a minimal-period-``q``
 orbit as a distinct frieze (a frieze and its translates are different
@@ -91,8 +96,6 @@ __all__ = [
     "Orbit",
     "SearchOutcome",
     "enumerate_friezes",
-    "column_dfs",
-    "row_seeded",
     "entry_caps",
     "default_strategy",
     "stderr_progress",
@@ -433,30 +436,21 @@ def _solve_plan(t: DynkinType):
     return tuple(steps), checks
 
 
-def _term_product(rows, terms, k, k1) -> int:
-    prod = 1
-    for j, m, o in terms:
-        v = rows[j][k1 if o else k]
-        prod *= v if m == 1 else v**m
-    return prod
-
-
-def _quotient(rows, v, terms, k, k1) -> int:
-    """``(F[v,k] * F[v,k+1] - 1) / product(terms)``, or 0 when that is not
-    a positive integer."""
-    row = rows[v]
-    q, rem = divmod(row[k] * row[k1] - 1, _term_product(rows, terms, k, k1))
+def _quotient(pair, v, terms) -> int:
+    """``(F[v,k] * F[v,k+1] - 1) / product(terms)`` on ``pair = (column k,
+    column k+1)``, or 0 when that is not a positive integer."""
+    q, rem = divmod(pair[0][v] * pair[1][v] - 1, _product(pair, terms))
     return 0 if rem else q
 
 
-def _force(rows, step, caps, p, columns) -> bool:
+def _force(cols, step, caps, columns) -> bool:
     """Solve the forced row's cells at ``columns`` in place; False when a
     cell is not a positive integer within its cap."""
     _, s, r, m, o, others = step
-    dst, cap = rows[r], caps[r]
+    p, cap = len(cols), caps[r]
     for k in columns:
-        k1 = (k + 1) % p
-        q = _quotient(rows, s, others, k, k1)
+        pair = (cols[k], cols[(k + 1) % p])
+        q = _quotient(pair, s, others)
         if m > 1:
             root = integer_root(q, m)
             if root**m != q:
@@ -464,24 +458,25 @@ def _force(rows, step, caps, p, columns) -> bool:
             q = root
         if not 0 < q <= cap:
             return False
-        dst[k1 if o else k] = q
+        pair[o][r] = q
     return True
 
 
-def _divisor_rows(rows, step, caps, p, tally, budget, stuck=()):
+def _divisor_rows(cols, step, caps, tally, budget, stuck=()):
     """Cyclic solutions ``w`` of a divide step; one budgeted node per
     candidate ``w[0]``.  ``stuck`` holds the stuck-mesh quotients of the
-    first columns when the caller has them already."""
+    first columns when the caller has them already.  Each ``w`` holds
+    ``p + 1`` entries, the last equal to the first."""
     _, d, terms, x, known, o = step
-    cap = caps[d]
+    p, cap = len(cols), caps[d]
     quotients = list(stuck)
     for k in range(len(stuck), p):
-        q = _quotient(rows, x, known, k, (k + 1) % p)
+        q = _quotient((cols[k], cols[(k + 1) % p]), x, known)
         if not q:
             return
         quotients.append(q)
-    divides = [quotients[k - o] for k in range(p)]  # w[k] divides divides[k]
-    products = [1 + _term_product(rows, terms, k, (k + 1) % p) for k in range(p)]
+    divides = [quotients[(k - o) % p] for k in range(p + 1)]  # w[k] divides divides[k]
+    products = [1 + _product((cols[0], cols[1 % p]), terms)]  # w[k] * w[k+1]
     for u in _divisors(math.gcd(products[0], divides[0])):
         if u > cap:
             break
@@ -490,41 +485,45 @@ def _divisor_rows(rows, step, caps, p, tally, budget, stuck=()):
         budget[0] -= 1
         tally.add()
         w = [u]
-        for k in range(p - 1):
+        for k in range(p):
+            if k == len(products):  # formed once the walk reaches column k
+                products.append(1 + _product((cols[k], cols[(k + 1) % p]), terms))
             q, rem = divmod(products[k], w[k])
             if rem or q > cap or divides[k + 1] % q:
                 break
             w.append(q)
         else:
-            if w[-1] * w[0] == products[p - 1]:
+            if w[p] == w[0]:
                 yield w
 
 
-def _reconstruct(t, rows, steps, caps, tally, budget, stuck=()):
-    """Yield the column lists of every frieze that completes ``rows``.
+def _reconstruct(t, cols, steps, caps, tally, budget, stuck=()):
+    """Yield the columns of every frieze that completes ``cols``.
 
-    ``rows`` holds the seed row and the rows of the plan steps before
-    ``steps``; the rest are solved in place, in plan order, branching at
-    divide steps.  ``stuck`` goes to ``_divisor_rows`` when ``steps``
-    starts with a divide step.  The plan's final checks gate every
-    frieze: a mesh holds exactly when its quotient is 1.
+    ``cols[c][i]`` holds ``F[i+1, c+1]`` for the seed row and the rows of
+    the plan steps before ``steps``; the rest are solved in place, in plan
+    order, branching at divide steps.  ``stuck`` goes to ``_divisor_rows``
+    when ``steps`` starts with a divide step.  The plan's final checks
+    gate every frieze: a mesh holds exactly when its quotient is 1.
     """
     _, checks = _solve_plan(t)
-    p = len(rows[t.rank - 1])
+    p = len(cols)
 
     def solve(i):
         if i == len(steps):
             for v, terms in checks:
-                if any(_quotient(rows, v, terms, k, (k + 1) % p) != 1 for k in range(p)):
+                if any(_quotient((cols[k], cols[(k + 1) % p]), v, terms) != 1 for k in range(p)):
                     return
-            yield [tuple(row[k] for row in rows) for k in range(p)]
+            yield [tuple(col) for col in cols]
         elif steps[i][0] == "force":
-            if _force(rows, steps[i], caps, p, range(p)):
+            if _force(cols, steps[i], caps, range(p)):
                 yield from solve(i + 1)
         else:
+            d = steps[i][1]
             known = stuck if i == 0 else ()
-            for w in _divisor_rows(rows, steps[i], caps, p, tally, budget, known):
-                rows[steps[i][1]] = w
+            for w in _divisor_rows(cols, steps[i], caps, tally, budget, known):
+                for col, v in zip(cols, w):
+                    col[d] = v
                 yield from solve(i + 1)
 
     return solve(0)
@@ -535,35 +534,35 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     minimum, so every entry is at least ``start``)."""
     n = t.rank
     p = period_cap
+    seed = n - 1
     steps, checks = _solve_plan(t)
     # the leading force steps are solved on the wavefront, the rest at leaves
     lead = next((i for i, step in enumerate(steps) if step[0] == "divide"), len(steps))
     wave, rest = steps[:lead], steps[lead:]
-    seed_cap = caps[n - 1]
-    seed_prodcap = prodcaps[n - 1]
+    seed_cap = caps[seed]
+    seed_prodcap = prodcaps[seed]
     orbits: dict = {}
     notes: list[str] = []
     budget = [node_budget]
 
-    # rows[i][c] is F[i+1, c+1] for the seed row (i = n-1) and the forced
-    # rows alike; prods[i][c] is the product of rows[i][:c].  Cells beyond
+    # cols[c][i] is F[i+1, c+1] for the seed row and the forced rows alike;
+    # prods[i][c] is the product of row i's first c cells.  Cells beyond
     # the current wavefront are stale and never read.
-    rows = [[0] * p for _ in range(n)]
+    cols = [[0] * n for _ in range(p)]
     prods = [[1] * (p + 1) for _ in range(n)]
-    trow, seed_prods = rows[n - 1], prods[n - 1]
-    # One tuple per wave step, top row first: source row, forced row, its
-    # prefix products, its level, root degree, denominator row and
-    # exponent, entry and product caps.  A wave step forces the row below
-    # its source, whose other neighbour, if any, is the row above.
-    ones = [1] * p
-    levels = {n - 1: 0}
+    seed_prods = prods[seed]
+    # One tuple per wave step, top row first: source vertex, forced vertex,
+    # its prefix products, its level, root degree, denominator vertex and
+    # exponent, entry and product caps.  The wave is a chain: each step
+    # forces the row below its source, whose other neighbour, if any, is
+    # the row above, read one column later.
+    levels = {seed: 0}
     plan = []
     for _, s, r, m, _, others in wave:
         levels[r] = levels[s] + 1
-        # the seed row's mesh has no upper neighbour: its denominator is 1
-        (u, mu, _), = others or ((None, 1, 1),)
-        den_row = ones if u is None else rows[u]
-        plan.append((rows[s], rows[r], prods[r], levels[r], m, den_row, mu, caps[r], prodcaps[r]))
+        # the seed row's mesh has no upper neighbour: mu = 0, denominator 1
+        ((u, mu, _),) = others or ((s, 0, 1),)
+        plan.append((s, r, prods[r], levels[r], m, u, mu, caps[r], prodcaps[r]))
     back_plan = plan[::-1]
     _, _, top_prods, _, m_top, _, _, top_cap, top_prodcap = plan[0]
 
@@ -571,9 +570,8 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     if pinned_tail:
         # the wave solves every row; the last one's mesh, the only check,
         # pins it once it holds a cell: t_j is pinned from j = pin_from on
-        (f, f_terms), = checks
-        (u1, mu1, _), = f_terms
-        row0, row1 = rows[f], rows[u1]
+        ((f, f_terms),) = checks
+        ((u1, mu1, _),) = f_terms
         pin_from = levels[f] + 2
         stuck = ()
     else:
@@ -582,18 +580,17 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         # checked here, and its quotients at the non-wrap columns are kept
         # for the leaf's divide step
         _, _, _, x, ((ku, kmu, ko),), _ = rest[0]
-        xrow, krow = rows[x], rows[ku]
         branch_from = levels[x] + 2
         branch_cap = math.prod(caps[j] ** m for j, m, _ in _mesh_factors(t)[x] if j != ku)
         stuck = [0] * max(p - branch_from + 1, 0)
 
     def leaf() -> None:
         for step in wave:  # the wavefront left only the wrap-around cells
-            if not _force(rows, step, caps, p, range(max(p - levels[step[2]], 0), p)):
+            if not _force(cols, step, caps, range(max(p - levels[step[2]], 0), p)):
                 return
-        for cols in _reconstruct(t, rows, rest, caps, tally, budget, stuck):
+        for found in _reconstruct(t, cols, rest, caps, tally, budget, stuck):
             # a verified frieze recurs within p: no exception is expected
-            orbit = _orbit(t, cols[0], p)
+            orbit = _orbit(t, found[0], p)
             key = _canonical_columns(orbit)
             if key not in orbits:
                 orbits[key] = len(orbit)
@@ -603,20 +600,23 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         pinned = pinned_tail and j >= pin_from
         if pinned:
             # back-solve the wave meshes from the pinned cell up to t_j
-            c0 = j - pin_from
-            q, rem = divmod(1 + row1[c0 + 1] ** mu1, row0[c0])
+            c = j - pin_from
+            nxt = cols[c + 1]
+            q, rem = divmod(1 + nxt[u1] ** mu1, cols[c][f])
             if rem:
                 return
-            for s_row, _, _, level, m, den_row, mu, _, _ in back_plan:
-                c = j - level - 1
-                q, rem = divmod(q**m * den_row[c + 1] ** mu + 1, s_row[c])
+            for s, _, _, _, m, u, mu, _, _ in back_plan:
+                col = nxt
+                c += 1
+                nxt = cols[c + 1]
+                q, rem = divmod(q**m * nxt[u] ** mu + 1, col[s])
                 if rem:
                     return
         base = seed_prods[j - 1]
         scaled = base * start ** (p - j)
         if scaled > seed_prodcap:
             return
-        prev = trow[j - 2]
+        prev = cols[j - 2][seed]
         # the top forced row's new cell (prev*v - 1)**(1/m_top) is at most xcap
         xcap = min(top_cap, top_prodcap // top_prods[j - 2])
         limit = min(seed_prodcap // scaled, seed_cap, (xcap**m_top + 1) // prev)
@@ -643,22 +643,26 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         # any other failure skips the candidate (stop = 1).
         for v in candidates:
             tally.add()
-            trow[j - 1] = v
+            nxt = cols[j - 1]
+            nxt[seed] = v
             seed_prods[j] = base * v
             stop = 0
-            for s_row, r_row, r_prods, level, m, den_row, mu, cap, prodcap in plan:
+            for s, r, r_prods, level, m, u, mu, cap, prodcap in plan:
                 c = j - level - 1
                 if c < 0:
                     break
-                num = s_row[c] * s_row[c + 1] - 1
+                col = cols[c]
+                num = col[s] * nxt[s] - 1
                 if num < 1:
                     stop = 1
                     break
-                den = den_row[c + 1]
-                q, rem = divmod(num, den if mu == 1 else den**mu)
-                if rem:
-                    stop = 1
-                    break
+                q = num
+                if mu:  # the seed row's mesh has no denominator (mu = 0)
+                    den = nxt[u]
+                    q, rem = divmod(num, den if mu == 1 else den**mu)
+                    if rem:
+                        stop = 1
+                        break
                 if m > 1:
                     root = integer_root(q, m)
                     if root**m != q:
@@ -672,19 +676,16 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
                 if prod > prodcap:
                     stop = 2
                     break
-                r_row[c] = q
+                col[r] = q
                 r_prods[c + 1] = prod
-            if not stop and pinned:
-                c0 = j - pin_from
-                if row0[c0] * row0[c0 + 1] != 1 + row1[c0 + 1] ** mu1:
-                    stop = 1
+                nxt = col
             if not stop and not pinned_tail and j >= branch_from:
                 k = j - branch_from
-                num = xrow[k] * xrow[k + 1] - 1
+                num = cols[k][x] * cols[k + 1][x] - 1
                 if num < 1:
                     stop = 1
                 else:
-                    den = krow[k + ko]
+                    den = cols[k + ko][ku]
                     q, rem = divmod(num, den if kmu == 1 else den**kmu)
                     if rem:
                         stop = 1
@@ -704,7 +705,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     tally.add()
     if start > seed_cap or start**p > seed_prodcap:
         return orbits, notes
-    trow[0] = start
+    cols[0][seed] = start
     seed_prods[1] = start
     if p == 1:
         leaf()
@@ -749,17 +750,22 @@ def _partition_results(jobs, workers, progress):
             yield _partition_job(job, tally)
 
 
-def _run(cfg: SearchConfig, strategy: str, progress=None) -> SearchOutcome:
+def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
+    """Run the configured strategy; rank 1 degenerates to the column walk."""
     t = cfg.dynkin
     period_cap = _effective_period_cap(cfg)
     caps = entry_caps(t, period_cap, cfg.entry_cap_override)
     prodcaps = entry_caps(t, period_cap)  # row products ignore the override
     jobs = [
-        (t, strategy, period_cap, caps, prodcaps, cfg.node_budget, start)
+        (t, cfg.strategy, period_cap, caps, prodcaps, cfg.node_budget, start)
         for start in _start_values(t, caps)
     ]
     merged: dict = {}
     notes: list[str] = []
+    catalog_cap = type_profile(t).period_cap
+    if cfg.strategy == "row_seeded" and t.rank >= 2 and period_cap % catalog_cap:
+        # cyclic seed rows of length p hold only friezes whose period divides p
+        notes.append(f"period cap {period_cap} is not a multiple of {catalog_cap}")
     total_nodes = 0
     for orbits, nodes, part_notes in _partition_results(jobs, cfg.jobs, progress):
         total_nodes += nodes
@@ -784,23 +790,6 @@ def _run(cfg: SearchConfig, strategy: str, progress=None) -> SearchOutcome:
         nodes_explored=total_nodes,
         notes=tuple(notes),
     )
-
-
-def column_dfs(cfg: SearchConfig, progress=None) -> SearchOutcome:
-    """Seed-column enumeration; complete at the exact entry caps."""
-    return _run(cfg, "column_dfs", progress)
-
-
-def row_seeded(cfg: SearchConfig, progress=None) -> SearchOutcome:
-    """Row-``n`` tuple enumeration; rank 1 degenerates to the column walk."""
-    return _run(cfg, "row_seeded", progress)
-
-
-def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
-    """Run the configured strategy."""
-    if cfg.strategy == "row_seeded":
-        return row_seeded(cfg, progress)
-    return column_dfs(cfg, progress)
 
 
 def stderr_progress(nodes: int, found: int) -> None:

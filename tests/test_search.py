@@ -10,14 +10,12 @@ from friezes import (
     SearchConfig,
     a_vector,
     check_pattern_against_bounds,
-    column_dfs,
     default_strategy,
     enumerate_friezes,
     interval_certificate,
     propagate_backward,
     propagate_forward,
     entry_caps,
-    row_seeded,
     type_profile,
     verify_pattern,
 )
@@ -247,6 +245,7 @@ def test_override_marks_incomplete():
         ("F4", 16, 7),  # interior double edge
         ("B4", 12, 15),
         ("C4", 12, 10),
+        ("D4", 16, 51),  # every D4 frieze, through the divide-step leaf
     ],
 )
 def test_cross_strategy_under_override(name, cap, expected):
@@ -280,9 +279,9 @@ def test_e6_reconstruction_from_seed_row():
     trow = E6_ROWS[5] * 2
     caps = entry_caps(t, p)
     tally = _Tally()
-    rows = [[0] * p for _ in range(5)] + [list(trow)]
+    cols = [[0] * 5 + [v] for v in trow]  # column-major: cols[c][i] = F[i+1, c+1]
     steps, _ = _solve_plan(t)
-    results = list(_reconstruct(t, rows, steps, caps, tally, [10**6]))
+    results = list(_reconstruct(t, cols, steps, caps, tally, [10**6]))
     assert len(results) == 1
     cols = results[0]
     assert len(cols) == 14
@@ -320,39 +319,54 @@ def test_undersized_period_cap_reports_cap_exceeded():
     assert capped.notes == () and capped.frieze_count == 0
 
 
+def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
+    # a cyclic seed row of length p holds only friezes whose period divides
+    # p, so a cap that is not a multiple of h+2 can miss every orbit
+    for name, period_cap, h2 in [("A2", 6, 5), ("A2", 7, 5), ("A3", 7, 6)]:
+        out = outcome(name, "row_seeded", period_cap=period_cap)
+        assert not out.complete
+        assert out.notes == (f"period cap {period_cap} is not a multiple of {h2}",)
+        assert outcome(name, "column_dfs", period_cap=period_cap).complete
+    doubled = outcome("A2", "row_seeded", period_cap=10)
+    assert doubled.complete and doubled.notes == () and doubled.frieze_count == 5
+
+
 # Outcomes pinned per case: frieze count, a digest of the orbits and
-# their sizes, and the completeness claim.  Both strategies read the same
-# mesh-factor table and orbit walk, so a fault there would keep them in
-# agreement with each other; these fixed values catch it.
+# their sizes, the completeness claim and the nodes explored by
+# (column_dfs, row_seeded).  Both strategies read the same mesh-factor
+# table and orbit walk, so a fault there would keep them in agreement with
+# each other; these fixed values catch it.  The node totals also pin the
+# budgeted divisor-node counting of the row-seeded divide step.
 GOLDEN = [
-    ("A1", None, 2, "026216da718300d2", True),
-    ("A2", None, 5, "26e2c35bb4a16cab", True),
-    ("A3", None, 14, "6754f3332bf29d25", True),
-    ("B2", None, 6, "4dbd41d47196a995", True),
-    ("C2", None, 6, "bc33d99f1a779b11", True),
-    ("G2", None, 9, "762f2b48aa268770", True),
-    ("B3", 32, 21, "a7b31165b01b9e09", False),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False),
-    ("F4", 16, 7, "4df6259b33d2e253", False),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False),
-    ("E8", 4, 0, "4f53cda18c2baa0c", False),
-    ("B4", 12, 15, "7105166c0046b3d0", False),
-    ("C4", 12, 10, "db6af63233c3f324", False),
+    ("A1", None, 2, "026216da718300d2", True, (1, 1)),
+    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 41)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (6132, 1904)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (6, 537)),
+    ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82)),
+    ("G2", None, 9, "762f2b48aa268770", True, (154, 12546)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (264, 292)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (192, 101)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (313, 18981)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (338, 262)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (714, 7744)),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False, (212, 29)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (227, 138)),
+    ("C4", 12, 10, "db6af63233c3f324", False, (164, 48)),
 ]
 
 
 @pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
 @pytest.mark.parametrize(
-    "name,cap,count,digest,complete", GOLDEN, ids=[f"{g[0]}@{g[1]}" for g in GOLDEN]
+    "name,cap,count,digest,complete,nodes", GOLDEN, ids=[f"{g[0]}@{g[1]}" for g in GOLDEN]
 )
-def test_golden_outcomes(name, cap, count, digest, complete, strategy):
+def test_golden_outcomes(name, cap, count, digest, complete, nodes, strategy):
     out = outcome(name, strategy, entry_cap_override=cap)
     text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
     assert out.frieze_count == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert out.complete is complete
     assert out.notes == ()
+    assert out.nodes_explored == nodes[strategy == "row_seeded"]
 
 
 def test_a1_with_override_stays_within_two_seeds():
@@ -438,9 +452,7 @@ def test_config_validation():
 
 
 def test_row_seeded_rank_one_degenerates_to_column_walk():
-    assert row_seeded(SearchConfig(dynkin=DynkinType("A", 1), strategy="row_seeded")) == (
-        column_dfs(SearchConfig(dynkin=DynkinType("A", 1), strategy="column_dfs"))
-    )
+    assert outcome("A1", "row_seeded") == outcome("A1", "column_dfs")
 
 
 @pytest.mark.parametrize("t", [t for t in CATALOG_SAMPLE if t.rank >= 2], ids=str)

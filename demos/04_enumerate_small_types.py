@@ -5,7 +5,8 @@ Two independent search strategies run side by side: seed-column DFS and
 row-seeded reconstruction.  Agreement of their counts and canonical orbit
 sets is the correctness oracle.  Counts treat each of the q columns of a
 period-q orbit as a distinct frieze, which reproduces the Catalan numbers
-2, 5, 14, 42 for types A1..A4.
+2, 5, 14, 42 for types A1..A4.  B3, C3 and D4 (51 friezes, the
+Fontaine-Plamondon count) are certified at the half period.
 """
 
 import time
@@ -30,8 +31,19 @@ for name in ("A1", "A2", "A3", "A4", "B2", "C2", "G2"):
         print(f"   orbit {idx}: period {orbit.size}, first column ({first})")
     print()
 
-print("branch types at full caps are beyond desk scale; a truncated search")
-print("with an entry cap override is possible but flagged incomplete:")
-t = DynkinType.from_name("D4")
-out = enumerate_friezes(SearchConfig(dynkin=t, strategy="column_dfs", entry_cap_override=16))
-print(f"D4 with entries capped at 16: {out.frieze_count} friezes, complete={out.complete}")
+print("where the Nakayama twist is the identity, every frieze repeats after")
+print("(h+2)/2 columns; searching at that half period certifies larger types:")
+for name, strategy in (("B3", "row_seeded"), ("C3", "column_dfs"), ("D4", "row_seeded")):
+    t = DynkinType.from_name(name)
+    start = time.perf_counter()
+    out = enumerate_friezes(SearchConfig(dynkin=t, strategy=strategy))
+    print(f"{name} via {strategy:10}: {out.frieze_count:3d} friezes in "
+          f"{len(out.orbits)} orbits  ({time.perf_counter() - start:6.2f}s, "
+          f"complete={out.complete})")
+print()
+
+print("E6 at full caps is beyond desk scale; a truncated search with an")
+print("entry cap override is possible but flagged incomplete:")
+t = DynkinType.from_name("E6")
+out = enumerate_friezes(SearchConfig(dynkin=t, strategy="column_dfs", entry_cap_override=12))
+print(f"E6 with entries capped at 12: {out.frieze_count} friezes, complete={out.complete}")

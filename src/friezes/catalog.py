@@ -32,6 +32,8 @@ __all__ = [
     "cartan_matrix",
     "inverse_cartan",
     "type_profile",
+    "twist",
+    "search_period",
     "repetition_arrows",
     "leading_principal_minors",
     "CATALOG_SAMPLE",
@@ -228,6 +230,59 @@ def type_profile(t: DynkinType) -> TypeProfile:
     b = tuple(sum(row, Fraction(0)) for row in inv.entries)
     d = tuple(sum(-x for x in row if x < 0) for row in cm.entries)
     return TypeProfile(t, b, d, coxeter_number(t) + 2)
+
+
+@lru_cache(maxsize=None)
+def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The Nakayama twist ``(sigma, c)`` of ``t`` (0-based vertices): every
+    frieze satisfies ``F[i,k] = F[sigma[i], k + c[i]]`` (Keller, *The
+    periodicity conjecture for pairs of Dynkin diagrams*, 2013).
+
+    Derived from the Cartan entries by tropical propagation of denominator
+    vectors from the slice ``d[i] = -e_i``: the frieze step walked as in
+    ``mesh.forward_values`` with ``out[i] = max(0, sum of m * neighbour) -
+    cur[i]``, componentwise.  When entry ``i`` of column ``k`` is ``-e_j``,
+    then ``sigma[j] = i`` and ``c[j] = k``.  The result is re-checked
+    (every ``-e_j`` found within ``h + 2`` columns, ``sigma`` an
+    involution, ``c[i] + c[sigma[i]] == h + 2``); raises ``ArithmeticError``
+    otherwise.  Costs O(n**3): only the search and the ``enumerate``
+    command call it.
+    """
+    n = t.rank
+    h2 = coxeter_number(t) + 2
+    rows = cartan_matrix(t).entries
+    factors = [[(j, -x) for j, x in enumerate(row) if x < 0] for row in rows]
+    unit = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
+    found = {vec: i for i, vec in enumerate(unit)}
+    sigma, c = [None] * n, [None] * n
+    cur = unit
+    for k in range(1, h2 + 1):
+        out: list = [None] * n
+        for i in range(n - 1, -1, -1):
+            total = [0] * n
+            for j, m in factors[i]:
+                # neighbours j > i are read from the new column, as in forward_values
+                for x, v in enumerate(out[j] if j > i else cur[j]):
+                    total[x] += m * v
+            out[i] = tuple(max(0, s) - v for s, v in zip(total, cur[i]))
+        for i, vec in enumerate(out):
+            j = found.get(vec)
+            if j is not None and sigma[j] is None:
+                sigma[j], c[j] = i, k
+        cur = out
+    if None in sigma:
+        raise ArithmeticError(f"twist check failed: not every -e_j recurs within {h2} columns")
+    for i in range(n):
+        if sigma[sigma[i]] != i or c[i] + c[sigma[i]] != h2:
+            raise ArithmeticError(f"twist check failed at vertex {i + 1}")
+    return tuple(sigma), tuple(c)
+
+
+def search_period(t: DynkinType) -> int:
+    """A period of every frieze of ``t``: ``(h + 2) / 2`` when the twist's
+    permutation is the identity, ``h + 2`` otherwise."""
+    h2 = coxeter_number(t) + 2
+    return h2 // 2 if twist(t)[0] == tuple(range(t.rank)) else h2
 
 
 def repetition_arrows(

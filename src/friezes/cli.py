@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .catalog import DynkinType, type_profile
+from .catalog import DynkinType, search_period, type_profile
 from .formats import (
     FriezeFormatError,
     analyze_payload,
@@ -143,10 +143,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
-    profile = type_profile(t)
     if t.family in _BRANCH_FAMILIES and args.cap is None:
-        caps = entry_caps(t, profile.period_cap)
-        exps = " ".join(f"2^{profile.period_cap * bi}" for bi in profile.b)
+        p = search_period(t)
+        caps = entry_caps(t, p)
+        exps = " ".join(f"2^{p * bi}" for bi in type_profile(t).b)
         print(
             f"error: full enumeration of {t} needs entry caps {exps} "
             f"(about {max(caps).bit_length()} bit entries), far beyond desk scale; "

@@ -28,6 +28,14 @@ Soundness of the pruning:
 
 * every entry of a frieze is at most ``2**(p*b_i)``, and every row product
   over ``p`` columns obeys the same bound (kept as exact integer caps);
+* half period: every frieze satisfies ``F[i,k] = F[sigma(i), k + c_i]``
+  with ``c_i + c_sigma(i) = h + 2``, for the Nakayama twist
+  ``(sigma, c)`` that ``catalog.twist`` derives from the Cartan matrix and
+  re-checks (Keller, 2013).  Where ``sigma`` is the identity, every
+  ``c_i`` is ``(h + 2) / 2``, a period of every frieze; the default period
+  ``p`` is then that half period (``catalog.search_period``), so the caps
+  above, the orbit walk's recurrence guard and the row-seeded cycle length
+  all hold at it.  ``SearchConfig.period_cap`` still reaches ``h + 2``;
 * every orbit contains a column whose row-``n`` entry is that row's
   minimum, which is at most the geometric mean of the row and hence at
   most ``2**b_n``; only that far does the first coordinate need to range;
@@ -75,13 +83,12 @@ functions on the quiver).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import floor_pow2, integer_root
-from .catalog import DynkinType, type_profile
+from .catalog import DynkinType, search_period, type_profile
 from .mesh import (
     DeadEndError,
     FriezePattern,
@@ -110,7 +117,7 @@ _RESIDUE_SCAN_LIMIT = 1 << 16
 class SearchConfig:
     dynkin: DynkinType
     strategy: str = "column_dfs"
-    period_cap: int | None = None  # default: catalog cap
+    period_cap: int | None = None  # default: catalog.search_period
     entry_cap_override: int | None = None
     jobs: int = 1
     node_budget: int = 100_000_000  # divisor-branch guard per partition
@@ -165,14 +172,13 @@ def entry_caps(
 
 
 def _effective_period_cap(cfg: SearchConfig) -> int:
-    return cfg.period_cap if cfg.period_cap is not None else type_profile(cfg.dynkin).period_cap
+    return cfg.period_cap if cfg.period_cap is not None else search_period(cfg.dynkin)
 
 
 def _certified(cfg: SearchConfig) -> bool:
     """True when no configuration choice truncated the certified space."""
-    catalog_cap = type_profile(cfg.dynkin).period_cap
     p = _effective_period_cap(cfg)
-    if p < catalog_cap:
+    if p < search_period(cfg.dynkin):
         return False
     if cfg.entry_cap_override is None:
         return True
@@ -497,36 +503,32 @@ def _divisor_rows(cols, step, caps, tally, budget, stuck=()):
                 yield w
 
 
-def _reconstruct(t, cols, steps, caps, tally, budget, stuck=()):
+def _reconstruct(t, cols, steps, caps, tally, budget, stuck=(), first=0):
     """Yield the columns of every frieze that completes ``cols``.
 
     ``cols[c][i]`` holds ``F[i+1, c+1]`` for the seed row and the rows of
-    the plan steps before ``steps``; the rest are solved in place, in plan
-    order, branching at divide steps.  ``stuck`` goes to ``_divisor_rows``
-    when ``steps`` starts with a divide step.  The plan's final checks
-    gate every frieze: a mesh holds exactly when its quotient is 1.
+    the plan steps before ``steps[first:]``; the rest are solved in place,
+    in plan order, branching at divide steps.  ``stuck`` goes to
+    ``_divisor_rows`` when ``steps[first]`` is a divide step.  The plan's
+    final checks gate every frieze: a mesh holds exactly when its quotient
+    is 1.  Each step recurses on ``first + 1``; no closure is built, so a
+    leaf leaves no reference cycle behind.
     """
-    _, checks = _solve_plan(t)
     p = len(cols)
-
-    def solve(i):
-        if i == len(steps):
-            for v, terms in checks:
-                if any(_quotient((cols[k], cols[(k + 1) % p]), v, terms) != 1 for k in range(p)):
-                    return
-            yield [tuple(col) for col in cols]
-        elif steps[i][0] == "force":
-            if _force(cols, steps[i], caps, range(p)):
-                yield from solve(i + 1)
-        else:
-            d = steps[i][1]
-            known = stuck if i == 0 else ()
-            for w in _divisor_rows(cols, steps[i], caps, tally, budget, known):
-                for col, v in zip(cols, w):
-                    col[d] = v
-                yield from solve(i + 1)
-
-    return solve(0)
+    if first == len(steps):
+        for v, terms in _solve_plan(t)[1]:
+            if any(_quotient((cols[k], cols[(k + 1) % p]), v, terms) != 1 for k in range(p)):
+                return
+        yield [tuple(col) for col in cols]
+    elif steps[first][0] == "force":
+        if _force(cols, steps[first], caps, range(p)):
+            yield from _reconstruct(t, cols, steps, caps, tally, budget, (), first + 1)
+    else:
+        d = steps[first][1]
+        for w in _divisor_rows(cols, steps[first], caps, tally, budget, stuck):
+            for col, v in zip(cols, w):
+                col[d] = v
+            yield from _reconstruct(t, cols, steps, caps, tally, budget, (), first + 1)
 
 
 def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
@@ -544,6 +546,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     orbits: dict = {}
     notes: list[str] = []
     budget = [node_budget]
+    tally.add()
+    if start > seed_cap or start**p > seed_prodcap:
+        return orbits, notes
 
     # cols[c][i] is F[i+1, c+1] for the seed row and the forced rows alike;
     # prods[i][c] is the product of row i's first c cells.  Cells beyond
@@ -702,15 +707,13 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
             else:
                 descend(j + 1)
 
-    tally.add()
-    if start > seed_cap or start**p > seed_prodcap:
-        return orbits, notes
     cols[0][seed] = start
     seed_prods[1] = start
     if p == 1:
         leaf()
     else:
         descend(2)
+    descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
     if rest and budget[0] <= 0:
         notes.append("factorization budget exhausted")
     return orbits, notes
@@ -742,6 +745,8 @@ def _partition_job(args, tally=None):
 def _partition_results(jobs, workers, progress):
     """``(orbits, nodes, notes)`` per partition job, in ``jobs`` order."""
     if workers > 1 and len(jobs) > 1:
+        import multiprocessing  # imported here: only a pool needs it
+
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             yield from pool.imap(_partition_job, jobs, chunksize=1)
     else:
@@ -762,10 +767,9 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
     ]
     merged: dict = {}
     notes: list[str] = []
-    catalog_cap = type_profile(t).period_cap
-    if cfg.strategy == "row_seeded" and t.rank >= 2 and period_cap % catalog_cap:
+    if cfg.strategy == "row_seeded" and t.rank >= 2 and period_cap % search_period(t):
         # cyclic seed rows of length p hold only friezes whose period divides p
-        notes.append(f"period cap {period_cap} is not a multiple of {catalog_cap}")
+        notes.append(f"period cap {period_cap} is not a multiple of {search_period(t)}")
     total_nodes = 0
     for orbits, nodes, part_notes in _partition_results(jobs, cfg.jobs, progress):
         total_nodes += nodes

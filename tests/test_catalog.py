@@ -12,6 +12,7 @@ from friezes import (
     repetition_arrows,
     type_profile,
 )
+from friezes.catalog import search_period, twist
 
 # The E8 Cartan matrix and its integer inverse under the fixed numbering.
 E8_CARTAN = (
@@ -177,6 +178,37 @@ def test_a1_profile_values():
 )
 def test_period_caps(name, cap):
     assert type_profile(DynkinType.from_name(name)).period_cap == cap
+
+
+def _tabulated_twist(t):
+    """The Nakayama twist ``F[i,k] = F[sigma(i), k + c_i]`` of the sample
+    types, read off their enumerated orbits (0-based vertices)."""
+    n, h2 = t.rank, type_profile(t).period_cap
+    if t.family == "A":  # i -> n+1-i with c_i = n+2-i, 1-based
+        return tuple(n - 1 - i for i in range(n)), tuple(n + 1 - i for i in range(n))
+    if str(t) == "D5":  # swaps 4 and 5
+        return (0, 1, 2, 4, 3), (5,) * 5
+    if str(t) == "E6":  # (1 6)(3 5)
+        return (5, 1, 4, 3, 2, 0), (9, 7, 8, 7, 6, 5)
+    return tuple(range(n)), (h2 // 2,) * n  # B, C, D_even, E7, E8, F4, G2
+
+
+@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+def test_twist_matches_the_table(t):
+    sigma, c = _tabulated_twist(t)
+    assert twist(t) == (sigma, c)
+    h2 = type_profile(t).period_cap
+    assert search_period(t) == (h2 // 2 if sigma == tuple(range(t.rank)) else h2)
+
+
+@pytest.mark.parametrize("name", ["A3", "E6"])
+def test_twist_rechecks_its_result(monkeypatch, name):
+    # a wrong Coxeter number breaks c_i + c_sigma(i) = h + 2
+    true_h = catalog.coxeter_number
+    monkeypatch.setattr(catalog, "coxeter_number", lambda t: true_h(t) + 1)
+    # __wrapped__ bypasses the cache, so no corrupted twist is stored.
+    with pytest.raises(ArithmeticError, match="twist check failed"):
+        twist.__wrapped__(DynkinType.from_name(name))
 
 
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)

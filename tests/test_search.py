@@ -19,6 +19,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
+from friezes.catalog import search_period, twist
 from friezes.search import (
     _canonical_columns,
     _RESIDUE_SCAN_LIMIT,
@@ -245,7 +246,10 @@ def test_override_marks_incomplete():
         ("F4", 16, 7),  # interior double edge
         ("B4", 12, 15),
         ("C4", 12, 10),
-        ("D4", 16, 51),  # every D4 frieze, through the divide-step leaf
+        # every D4 frieze (the Fontaine-Plamondon count 51) happens to fit
+        # under an entry cap of 16; row_seeded reaches them through the
+        # divide-step leaf
+        ("D4", 16, 51),
     ],
 )
 def test_cross_strategy_under_override(name, cap, expected):
@@ -254,12 +258,6 @@ def test_cross_strategy_under_override(name, cap, expected):
     assert col.frieze_count == row.frieze_count == expected
     assert orbit_keys(col) == orbit_keys(row)
     assert not col.complete and not row.complete
-
-
-def test_d4_override_sixteen_finds_all_fifty_one():
-    # all 51 friezes of type D4 happen to fit under an entry cap of 16
-    col = outcome("D4", "column_dfs", entry_cap_override=16)
-    assert col.frieze_count == 51
 
 
 # A verified period-7 frieze of type E6, rows in index order.
@@ -333,49 +331,114 @@ def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
 
 # Outcomes pinned per case: frieze count, a digest of the orbits and
 # their sizes, the completeness claim and the nodes explored by
-# (column_dfs, row_seeded).  Both strategies read the same mesh-factor
-# table and orbit walk, so a fault there would keep them in agreement with
-# each other; these fixed values catch it.  The node totals also pin the
-# budgeted divisor-node counting of the row-seeded divide step.
+# (column_dfs, row_seeded) at the full period h+2, then at the default
+# search period (h+2)/2 where the Nakayama twist is the identity.  Both
+# strategies read the same mesh-factor table and orbit walk, so a fault
+# there would keep them in agreement with each other; these fixed values
+# catch it.  The node totals also pin the budgeted divisor-node counting
+# of the row-seeded divide step.
 GOLDEN = [
-    ("A1", None, 2, "026216da718300d2", True, (1, 1)),
-    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 41)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (6132, 1904)),
-    ("B2", None, 6, "4dbd41d47196a995", True, (6, 537)),
-    ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82)),
-    ("G2", None, 9, "762f2b48aa268770", True, (154, 12546)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (264, 292)),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (192, 101)),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (313, 18981)),
-    ("F4", 16, 7, "4df6259b33d2e253", False, (338, 262)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (714, 7744)),
-    ("E8", 4, 0, "4f53cda18c2baa0c", False, (212, 29)),
-    ("B4", 12, 15, "7105166c0046b3d0", False, (227, 138)),
-    ("C4", 12, 10, "db6af63233c3f324", False, (164, 48)),
+    ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
+    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 41), (6, 41)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (6132, 1904), (6132, 1904)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (6, 537), (6, 30)),
+    ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
+    ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (264, 292), (264, 268)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (192, 101), (192, 81)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (313, 18981), (313, 230)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (338, 262), (338, 248)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (714, 7744), (714, 417)),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False, (212, 29), (212, 29)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (227, 138), (227, 108)),
+    ("C4", 12, 10, "db6af63233c3f324", False, (164, 48), (164, 38)),
 ]
 
 
 @pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
 @pytest.mark.parametrize(
-    "name,cap,count,digest,complete,nodes", GOLDEN, ids=[f"{g[0]}@{g[1]}" for g in GOLDEN]
+    "name,cap,count,digest,complete,nodes,default_nodes",
+    GOLDEN,
+    ids=[f"{g[0]}@{g[1]}" for g in GOLDEN],
 )
-def test_golden_outcomes(name, cap, count, digest, complete, nodes, strategy):
-    out = outcome(name, strategy, entry_cap_override=cap)
-    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
-    assert out.frieze_count == count
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
-    assert out.complete is complete
-    assert out.notes == ()
-    assert out.nodes_explored == nodes[strategy == "row_seeded"]
+def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_nodes, strategy):
+    full_period = type_profile(DynkinType.from_name(name)).period_cap
+    for period_cap, expected_nodes in ((full_period, nodes), (None, default_nodes)):
+        out = outcome(name, strategy, entry_cap_override=cap, period_cap=period_cap)
+        text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+        assert out.frieze_count == count
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+        assert out.complete is complete
+        assert out.notes == ()
+        assert out.nodes_explored == expected_nodes[strategy == "row_seeded"]
 
 
 def test_a1_with_override_stays_within_two_seeds():
-    out = outcome("A1", "column_dfs", entry_cap_override=2)
+    out = outcome("A1", "column_dfs", entry_cap_override=2, period_cap=4)
     assert out.frieze_count == 2
     assert len(out.orbits) == 1 and out.orbits[0].size == 2
     assert out.nodes_explored <= 2
-    # the exact cap is floor(2^(4 * 1/2)) = 4 > 2, so no completeness claim
+    # the exact cap at p = 4 is floor(2^(4 * 1/2)) = 4 > 2: no completeness claim
     assert not out.complete
+    # at the default half period the cap is floor(2^(2 * 1/2)) = 2: certified
+    half = outcome("A1", "column_dfs", entry_cap_override=2)
+    assert half.complete and half.frieze_count == 2 and half.nodes_explored <= 2
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, None) for name in DESK_TYPES]
+    + [("B3", 32), ("C3", 32), ("D4", 16), ("D5", 8), ("F4", 16), ("E6", 12)],
+)
+def test_orbits_obey_the_twisted_periodicity(name, cap):
+    # F[i,k] = F[sigma(i), k + c_i] on every enumerated orbit: the rule
+    # that lets the search stop at the half period where sigma = id
+    t = DynkinType.from_name(name)
+    sigma, c = twist(t)
+    out = outcome(name, "column_dfs", entry_cap_override=cap)
+    assert out.orbits
+    for orbit in out.orbits:
+        cols = [col.values for col in orbit.pattern.columns]
+        q = len(cols)
+        assert search_period(t) % q == 0
+        for k in range(q):
+            for i in range(t.rank):
+                assert cols[k][i] == cols[(k + c[i]) % q][sigma[i]]
+
+
+@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
+@pytest.mark.parametrize(
+    "name,cap",
+    [("A1", None), ("B2", None), ("C2", None), ("G2", None),
+     ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)],
+)
+def test_half_and_full_periods_agree(name, cap, strategy):
+    # where the twist is the identity the default period is (h+2)/2; the
+    # full period h+2 stays reachable and must find the same friezes
+    t = DynkinType.from_name(name)
+    full_period = type_profile(t).period_cap
+    assert search_period(t) * 2 == full_period
+    half = outcome(name, strategy, entry_cap_override=cap)
+    full = outcome(name, strategy, entry_cap_override=cap, period_cap=full_period)
+    assert half.frieze_count == full.frieze_count > 0
+    assert orbit_keys(half) == orbit_keys(full)
+    assert half.complete == full.complete == (cap is None)
+    assert half.notes == full.notes == ()
+    assert half.nodes_explored <= full.nodes_explored
+
+
+@pytest.mark.parametrize(
+    "name,strategy,count",
+    [
+        ("D4", "row_seeded", 51),  # the Fontaine-Plamondon count
+        ("B3", "row_seeded", 21),
+        ("C3", "column_dfs", 20),
+    ],
+)
+def test_certified_at_the_half_period(name, strategy, count):
+    out = outcome(name, strategy)
+    assert out.complete and out.notes == ()
+    assert out.frieze_count == count
 
 
 def _brute_candidates(m, y, modulus, cap, cell_cap):

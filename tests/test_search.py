@@ -260,6 +260,12 @@ def test_cross_strategy_under_override(name, cap, expected):
     assert not col.complete and not row.complete
 
 
+def test_d4_override_sixteen_finds_all_fifty_one():
+    # all 51 friezes of type D4 happen to fit under an entry cap of 16
+    col = outcome("D4", "column_dfs", entry_cap_override=16)
+    assert col.frieze_count == 51
+
+
 # A verified period-7 frieze of type E6, rows in index order.
 E6_ROWS = (
     (1, 4, 2, 2, 4, 1, 5),

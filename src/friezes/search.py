@@ -47,6 +47,13 @@ Soundness of the pruning:
   Its entry cap ``L`` holds exactly when
   ``x <= integer_root((L*den - 1) // y, m)``, and no candidate beyond that
   limit is generated;
+* column search, row-minimum floor: partition ``start`` keeps only the
+  orbits whose row-``n`` minimum is ``start`` (the partition of a lower
+  minimum finds the others), so every forward row-``n`` cell of a seed
+  it tries is at least ``start``.  Where that cell is the generator cell,
+  the floor holds exactly when ``x**m * y >= start*den - 1``, a closed-form
+  lower limit below which no candidate is generated; at ranks 1 and 2
+  it is checked with the cell's other constraints;
 * row seeding, monotone cut-off: setting seed entry ``t_j = v`` gives
   each forced row one new cell ``((a*b - 1)/den)**(1/m)``, where ``a``
   and ``den`` are already fixed and ``b`` is the new cell of the row
@@ -211,20 +218,25 @@ def _canonical_columns(cols) -> tuple[tuple[int, ...], ...]:
 
 
 class _Tally:
-    """Node counter; emits a progress line every million nodes."""
+    """Node counter; emits a progress line every ``PROGRESS_STRIDE`` nodes.
+    Hot loops may count inline: ``nodes += 1``, then ``stride()`` once
+    ``nodes`` reaches ``next_stride``."""
 
     def __init__(self, progress=None):
         self.nodes = 0
         self.found = 0
         self._progress = progress
-        self._next = PROGRESS_STRIDE
+        self.next_stride = PROGRESS_STRIDE
 
     def add(self) -> None:
         self.nodes += 1
-        if self.nodes >= self._next:
-            self._next += PROGRESS_STRIDE
-            if self._progress is not None:
-                self._progress(self.nodes, self.found)
+        if self.nodes >= self.next_stride:
+            self.stride()
+
+    def stride(self) -> None:
+        self.next_stride += PROGRESS_STRIDE
+        if self._progress is not None:
+            self._progress(self.nodes, self.found)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +244,23 @@ class _Tally:
 # ---------------------------------------------------------------------------
 
 
-def _column_plan(t: DynkinType):
-    """Static tables for the bottom-up column DFS.
+@lru_cache(maxsize=64)  # keyed on the caps too: bounded
+def _column_plan(t: DynkinType, caps):
+    """Per-depth steps of the bottom-up column DFS under entry caps ``caps``.
 
-    Coordinate ``i`` (0-based vertex) is chosen at depth ``n - i``.  The
+    Coordinate ``i`` (0-based vertex) is chosen at depth ``d = n - i``.  The
     forward cell of vertex ``j`` (its value in the next column) becomes
-    computable at ``cell_depth[j]``.  The generator at depth ``d``, when
-    one exists, is a due cell whose only missing input is the new
-    coordinate; it turns into a congruence that generates candidates.
-    It is ``(j, m, others)``: the cell, the new coordinate's exponent in
-    its mesh and the mesh's other factors.
+    computable at ``cell_depth[j]``.  Returns one tuple ``(i, cap, gen,
+    due)`` per depth ``d`` (index 0 unused), ``cap`` being coordinate
+    ``i``'s entry cap.  The generator ``gen``, when one exists, is a cell
+    due at ``d`` whose only missing input is the new coordinate; it turns
+    into a congruence that generates candidates.  It is ``(j, m, others,
+    cap, floored)``: the cell, the new coordinate's exponent in its mesh,
+    the mesh's other factors and the cell's entry cap.  ``due`` holds the
+    other cells due at ``d``, upper cells first, each ``(j, factors, cap,
+    floored)``.  ``floored`` marks the row-``n`` cell, which is at least
+    the seed's row-``n`` entry.  Rank 2 has no generator: its last
+    coordinate is a divisor (see ``_column_partition``).
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -251,61 +270,68 @@ def _column_plan(t: DynkinType):
         for l, _, o in factors[j]:
             d = max(d, cell_depth[l] if o else n - l)
         cell_depth[j] = d
-    cells_due = {d: [] for d in range(1, n + 1)}
-    for j in range(n - 1, -1, -1):  # descending: upper cells evaluate first
-        cells_due[cell_depth[j]].append(j)
-    generator = {}
-    for d in range(2, n + 1):
+    plan = [None]
+    for d in range(1, n + 1):
         x = n - d  # coordinate chosen at depth d
-        pick = None
-        for j in cells_due[d]:
+        due = [j for j in range(n - 1, -1, -1) if cell_depth[j] == d]
+        gen = None
+        for j in due if n > 2 else ():
             if j == x or any(o and cell_depth[u] >= d for u, _, o in factors[j]):
                 continue  # own denominator, or transitive dependence on x
             mult = next((m for l, m, _ in factors[j] if l == x), None)
             if mult is not None:
-                pick = (j, mult, tuple(f for f in factors[j] if f[0] != x))
+                others = tuple(f for f in factors[j] if f[0] != x)
+                gen = (j, mult, others, caps[j], j == n - 1)
+                due.remove(j)
                 break
-        generator[d] = pick
-    return factors, cells_due, generator
+        cells = tuple((j, factors[j], caps[j], j == n - 1) for j in due)
+        plan.append((x, caps[x], gen, cells))
+    return tuple(plan)
 
 
-def _congruence_candidates(m, y, modulus, cap, cell_cap):
+def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
     """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)`` whose
-    cell ``(x**m * y + 1) / modulus`` is at most ``cell_cap``."""
+    cell ``(x**m * y + 1) / modulus`` lies in ``[cell_floor, cell_cap]``."""
     # the cell grows with x, so its cap is x**m <= (cell_cap*modulus - 1) // y
+    # and its floor x**m >= (cell_floor*modulus - 1) / y
     limit = (cell_cap * modulus - 1) // y
     if m > 1:
         limit = integer_root(limit, m)
     if limit < cap:
         cap = limit
-        if cap < 1:
-            return ()
+    first = 1
+    if cell_floor > 1:
+        low = -(-(cell_floor * modulus - 1) // y)
+        if low > 1:
+            first = integer_root(low - 1, m) + 1
+    if cap < first:
+        return ()
     if modulus == 1:
-        return range(1, cap + 1)
+        return range(first, cap + 1)
     if m == 1:
         if math.gcd(y, modulus) != 1:
             return ()
         x0 = -pow(y, -1, modulus) % modulus
-        return range(x0 or modulus, cap + 1, modulus)
-    return _power_candidates(m, y, modulus, cap)
+        return range(first + (x0 - first) % modulus, cap + 1, modulus)
+    return _power_candidates(m, y, modulus, first, cap)
 
 
-def _power_candidates(m, y, modulus, cap):
-    """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)``, from
-    the residues that solve it, or by a scan of [1, cap] (rare) when the
-    modulus is too large to scan its residues."""
+def _power_candidates(m, y, modulus, first, cap):
+    """Ascending x in [first, cap] with ``x**m * y = -1 (mod modulus)``,
+    from the residues that solve it, or by a scan of [first, cap] (rare)
+    when the modulus is too large to scan its residues."""
     if modulus > _RESIDUE_SCAN_LIMIT:
-        for x in range(1, cap + 1):
+        for x in range(first, cap + 1):
             if (pow(x, m, modulus) * y + 1) % modulus == 0:
                 yield x
         return
     ym = y % modulus
     roots = [r for r in range(modulus) if (pow(r, m, modulus) * ym + 1) % modulus == 0]
-    base = 0
+    base = first - first % modulus
     while roots and base <= cap:
         for r in roots:
             x = base + r
-            if x >= 1:
+            if x >= first:
                 if x > cap:
                     return
                 yield x
@@ -313,23 +339,17 @@ def _power_candidates(m, y, modulus, cap):
 
 
 def _column_partition(t, caps, period_cap, start, tally):
-    """Orbits reachable from seed columns whose row-n entry is ``start``."""
+    """Orbits whose row-n minimum is ``start``, traced from seed columns
+    whose row-n entry is ``start`` and whose forward row-n cell is at least
+    ``start``."""
     n = t.rank
-    factors, cells_due, generator = _column_plan(t)
+    plan = _column_plan(t, caps)
     vals = [0] * n
     cells1 = [0] * n
     cols = (vals, cells1)  # the seed column and its forward cells
     orbits: dict = {}
     visited: set = set()
     notes: list[str] = []
-
-    def eval_cells(d) -> bool:
-        for j in cells_due[d]:
-            q, r = divmod(1 + _product(cols, factors[j]), vals[j])
-            if r or q > caps[j]:
-                return False
-            cells1[j] = q
-        return True
 
     def leaf() -> None:
         seed = tuple(vals)
@@ -345,50 +365,52 @@ def _column_partition(t, caps, period_cap, start, tally):
         if traced is None:
             return
         visited.update(traced)
+        if min(col[n - 1] for col in traced) < start:
+            return  # found in the partition of its row-n minimum
         key = _canonical_columns(traced)
         if key not in orbits:
             orbits[key] = len(traced)
             tally.found += 1
 
     def descend(d) -> None:
-        if d > n:
-            leaf()
-            return
-        i = n - d
-        gen = generator[d]
-        if gen is None:
-            candidates = range(1, caps[i] + 1)
-        else:
-            j, m, others = gen
+        i, cap, gen, due = plan[d]
+        if gen is not None:
+            g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
-            candidates = _congruence_candidates(m, y, vals[j], caps[i], caps[j])
+            modulus = vals[g]
+            candidates = _congruence_candidates(
+                m, y, modulus, cap, cell_cap, start if floored else 1
+            )
+        elif d == 1:
+            candidates = (start,)
+        elif n == 2:
+            # Last coordinate: the previous column pins v1 to a divisor of
+            # 1 + v2**(-C[1,2]); the forward cells then filter candidates.
+            # Vertex 1's only factor lies in this column, read as column k+1.
+            pinned = 1 + _product((None, vals), _mesh_factors(t)[0])
+            candidates = [x for x in _divisors(pinned) if x <= cap]
+        else:
+            candidates = range(1, cap + 1)
         for x in candidates:
-            tally.add()
+            tally.nodes += 1
+            if tally.nodes >= tally.next_stride:
+                tally.stride()
             vals[i] = x
-            if eval_cells(d):
-                descend(d + 1)
-        vals[i] = 0
+            if gen is not None:  # exact, and within its cap and floor, by construction
+                cells1[g] = ((x if m == 1 else x**m) * y + 1) // modulus
+            for j, factors, cell_cap, floored in due:
+                q, r = divmod(1 + _product(cols, factors), vals[j])
+                if r or q > cell_cap or (floored and q < start):
+                    break
+                cells1[j] = q
+            else:
+                if d == n:
+                    leaf()
+                else:
+                    descend(d + 1)
 
-    tally.add()
-    vals[n - 1] = start
-    if not eval_cells(1):
-        return orbits, notes
-    if n == 1:
-        leaf()
-    elif n == 2:
-        # Last coordinate: the previous column pins v1 to a divisor of
-        # 1 + v2**(-C[1,2]); the forward cells then filter candidates.
-        # Vertex 1's only factor lies in this column, read as column k+1.
-        for x in _divisors(1 + _product((None, vals), factors[0])):
-            if x > caps[0]:
-                break
-            tally.add()
-            vals[0] = x
-            if eval_cells(2):
-                leaf()
-        vals[0] = 0
-    else:
-        descend(2)
+    descend(1)
+    descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
     return orbits, notes
 
 

@@ -23,10 +23,13 @@ from friezes.catalog import search_period, twist
 from friezes.search import (
     _canonical_columns,
     _RESIDUE_SCAN_LIMIT,
+    _column_partition,
     _congruence_candidates,
     _reconstruct,
     _solve_plan,
+    _start_values,
     _Tally,
+    stderr_progress,
 )
 
 DESK_TYPES = ["A1", "A2", "A3", "B2", "C2", "G2"]
@@ -266,6 +269,24 @@ def test_d4_override_sixteen_finds_all_fifty_one():
     assert col.frieze_count == 51
 
 
+@pytest.mark.parametrize("name,cap", [("A3", None), ("C3", None), ("D4", 16), ("E6", 12)])
+def test_column_partitions_hold_their_row_minimum(name, cap):
+    # partition `start` returns exactly the orbits whose row-n minimum is
+    # `start`, so no two partitions share an orbit and together they find
+    # every orbit of the whole search
+    t = DynkinType.from_name(name)
+    p = search_period(t)
+    caps = entry_caps(t, p, cap)
+    seen = set()
+    for start in _start_values(t, caps):
+        orbits, _ = _column_partition(t, caps, p, start, _Tally())
+        for key in orbits:
+            assert min(col[-1] for col in key) == start, (start, key)
+        assert not seen & orbits.keys()
+        seen |= orbits.keys()
+    assert seen == set(orbit_keys(outcome(name, "column_dfs", entry_cap_override=cap)))
+
+
 # A verified period-7 frieze of type E6, rows in index order.
 E6_ROWS = (
     (1, 4, 2, 2, 4, 1, 5),
@@ -310,12 +331,13 @@ def test_factorization_budget_note():
 
 def test_undersized_period_cap_reports_cap_exceeded():
     # with the recurrence guard below the true period, candidates that never
-    # close are reported and the outcome is uncertified
+    # close are reported and the outcome is uncertified; seed (1, 2) is not
+    # tried, as its forward row-2 cell (1 + 1) / 2 = 1 is below its own 2
     out = outcome("A2", "column_dfs", period_cap=3)
     assert not out.complete
     assert out.notes == tuple(
         f"cap exceeded: seed {seed} did not recur within 3 steps"
-        for seed in [(1, 1), (2, 1), (1, 2), (3, 2)]
+        for seed in [(1, 1), (2, 1), (3, 2)]
     )
     # the entry cap check runs before the recurrence guard: every orbit of
     # A2 leaves the cap box [1, 2]^2, so no seed reaches the guard
@@ -346,18 +368,18 @@ def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
     ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 41), (6, 41)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (6132, 1904), (6132, 1904)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 1904), (5619, 1904)),
     ("B2", None, 6, "4dbd41d47196a995", True, (6, 537), (6, 30)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (264, 292), (264, 268)),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (192, 101), (192, 81)),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (313, 18981), (313, 230)),
-    ("F4", 16, 7, "4df6259b33d2e253", False, (338, 262), (338, 248)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (714, 7744), (714, 417)),
-    ("E8", 4, 0, "4f53cda18c2baa0c", False, (212, 29), (212, 29)),
-    ("B4", 12, 15, "7105166c0046b3d0", False, (227, 138), (227, 108)),
-    ("C4", 12, 10, "db6af63233c3f324", False, (164, 48), (164, 38)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (118, 292), (118, 268)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (88, 101), (88, 81)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (191, 18981), (191, 230)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (141, 262), (141, 248)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (271, 7744), (271, 417)),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False, (74, 29), (74, 29)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (68, 138), (68, 108)),
+    ("C4", 12, 10, "db6af63233c3f324", False, (57, 48), (57, 38)),
 ]
 
 
@@ -377,6 +399,30 @@ def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_node
         assert out.complete is complete
         assert out.notes == ()
         assert out.nodes_explored == expected_nodes[strategy == "row_seeded"]
+
+
+@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
+def test_progress_line_at_every_stride(strategy, monkeypatch, capsys):
+    # one `explored=<n> found=<m>` line each time the node count reaches a
+    # multiple of the stride, then the final totals
+    stride = 100
+    monkeypatch.setattr("friezes.search.PROGRESS_STRIDE", stride)
+    cfg = SearchConfig(dynkin=DynkinType.from_name("A3"), strategy=strategy)
+    out = enumerate_friezes(cfg, progress=stderr_progress)
+    lines = capsys.readouterr().err.splitlines()
+    counts = []
+    for line in lines:
+        explored, found = line.split()
+        assert explored.startswith("explored=") and found.startswith("found=")
+        counts.append((int(explored[9:]), int(found[6:])))
+    *strides, final = counts
+    assert out.nodes_explored >= 10 * stride
+    assert [nodes for nodes, _ in strides] == list(
+        range(stride, out.nodes_explored + 1, stride)
+    )
+    found = [f for _, f in counts]
+    assert found == sorted(found)
+    assert final == (out.nodes_explored, len(out.orbits))
 
 
 def test_a1_with_override_stays_within_two_seeds():
@@ -447,11 +493,11 @@ def test_certified_at_the_half_period(name, strategy, count):
     assert out.frieze_count == count
 
 
-def _brute_candidates(m, y, modulus, cap, cell_cap):
+def _brute_candidates(m, y, modulus, cap, cell_cap, cell_floor=1):
     return [
         x
         for x in range(1, cap + 1)
-        if (x**m * y + 1) % modulus == 0 and (x**m * y + 1) // modulus <= cell_cap
+        if (x**m * y + 1) % modulus == 0 and cell_floor <= (x**m * y + 1) // modulus <= cell_cap
     ]
 
 
@@ -462,12 +508,13 @@ def _brute_candidates(m, y, modulus, cap, cell_cap):
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=200),
     st.integers(min_value=1, max_value=10**9),
+    st.integers(min_value=1, max_value=10**5),
 )
-def test_congruence_candidates_complete_and_ascending(m, y, modulus, cap, cell_cap):
+def test_congruence_candidates_complete_and_ascending(m, y, modulus, cap, cell_cap, cell_floor):
     # the generator must produce exactly the solutions, in ascending order;
     # completeness of the column search rides on this
-    got = list(_congruence_candidates(m, y, modulus, cap, cell_cap))
-    assert got == _brute_candidates(m, y, modulus, cap, cell_cap)
+    got = list(_congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor))
+    assert got == _brute_candidates(m, y, modulus, cap, cell_cap, cell_floor)
 
 
 @pytest.mark.parametrize(
@@ -487,14 +534,18 @@ def test_congruence_candidates_complete_and_ascending(m, y, modulus, cap, cell_c
     ],
 )
 def test_congruence_candidates_clip_matches_brute_force(m, y, modulus, cap):
-    # the cell cap clips x**m <= (cell_cap * modulus - 1) // y; a cap equal
-    # to a solution's cell must keep it and one less must drop it
+    # the cell cap clips x**m <= (cell_cap * modulus - 1) // y and the cell
+    # floor x**m >= (cell_floor * modulus - 1) / y; a cap or floor equal to
+    # a solution's cell must keep it, one past it must drop it
     solutions = _brute_candidates(m, y, modulus, cap, float("inf"))
     assert len(solutions) >= 2
     cells = [(x**m * y + 1) // modulus for x in solutions]
     for cell_cap in sorted({1, *cells, *(c - 1 for c in cells if c > 1), cells[-1] + 1}):
-        got = list(_congruence_candidates(m, y, modulus, cap, cell_cap))
+        got = list(_congruence_candidates(m, y, modulus, cap, cell_cap, 1))
         assert got == [x for x, c in zip(solutions, cells) if c <= cell_cap], cell_cap
+    for cell_floor in sorted({1, *cells, *(c + 1 for c in cells)}):
+        got = list(_congruence_candidates(m, y, modulus, cap, cells[-1], cell_floor))
+        assert got == [x for x, c in zip(solutions, cells) if c >= cell_floor], cell_floor
 
 
 @settings(max_examples=100, deadline=None)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import DynkinType, inverse_cartan, type_profile
-from .mesh import FriezePattern, _mesh_factors, _product
+from .catalog import DynkinType, _mesh_factors, inverse_cartan, type_profile
+from .mesh import FriezePattern, _product
 
 __all__ = [
     "LogVector",
@@ -27,7 +27,7 @@ __all__ = [
     "interval_certificate",
     "bounds_report",
     "check_pattern_against_bounds",
-    "refined_min2_report",
+    "entry_caps",
     "floor_pow2",
     "integer_root",
 ]
@@ -60,6 +60,17 @@ def floor_pow2(e: Fraction) -> int:
     if den == 1:
         return 1 << num
     return integer_root(1 << num, den)
+
+
+def entry_caps(
+    t: DynkinType, period_cap: int, override: int | None = None
+) -> tuple[int, ...]:
+    """Exact per-entry caps ``floor(2**(p*b_i))``, clipped by an override."""
+    b = type_profile(t).b
+    caps = [floor_pow2(period_cap * bi) for bi in b]
+    if override is not None:
+        caps = [min(c, override) for c in caps]
+    return tuple(caps)
 
 
 @dataclass(frozen=True)
@@ -210,28 +221,12 @@ def bounds_report(t: DynkinType, p: int) -> BoundsReport:
 
 
 def check_pattern_against_bounds(f: FriezePattern, p: int | None = None) -> BoundsCheck:
-    """Exact caps test: per row, ``(prod_k F[i,k])**den(b_i) <= 2**(p*num(b_i))``
-    over the ``p``-column unrolling, and the same comparison entrywise."""
+    """Exact caps test over the ``p``-column unrolling: per row,
+    ``prod_k F[i,k]`` and every entry are at most ``floor(2**(p*b_i))``."""
     p = _resolve_period(f, p)
-    b = type_profile(f.dynkin).b
+    caps = entry_caps(f.dynkin, p)
     prods = row_products(f, p)
-    rows = f.rows()
-    row_ok = []
-    entry_ok = []
-    for i, bi in enumerate(b):
-        cap = 1 << (p * bi.numerator)
-        row_ok.append(prods[i] ** bi.denominator <= cap)
-        entry_ok.append(all(v**bi.denominator <= cap for v in rows[i]))
-    return BoundsCheck(tuple(row_ok), tuple(entry_ok))
-
-
-def refined_min2_report(t: DynkinType, p: int) -> tuple[tuple[float, float], ...]:
-    """Per-row pair ``(formula_bound_log2, flat_exponent_bound_log2)``.
-
-    The first is the displayed per-row sum; the second reads the exponent
-    as a plain ``p`` on the whole product, which is what the worked
-    numeric value for E8 corresponds to.  Both are reported side by side;
-    no attempt is made to pick one.
-    """
-    report = bounds_report(t, p)
-    return tuple((fw, report.refined_flat_log2) for fw in report.refined_rowwise_log2)
+    return BoundsCheck(
+        tuple(x <= cap for x, cap in zip(prods, caps)),
+        tuple(max(row) <= cap for row, cap in zip(f.rows(), caps)),
+    )

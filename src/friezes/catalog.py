@@ -1,8 +1,8 @@
 """Finite-type Dynkin diagram catalog.
 
-Cartan matrices under a fixed vertex numbering, their exact rational
-inverses, the derived bound vectors used elsewhere, and repetition-quiver
-arrow generation.
+Cartan matrices under a fixed vertex numbering with their mesh-factor
+table and exact rational inverses, the derived bound vectors used
+elsewhere, and repetition-quiver arrow generation.
 
 Vertex numbering (1-based, fixed per family):
 
@@ -169,6 +169,17 @@ def cartan_matrix(t: DynkinType) -> CartanMatrix:
     return CartanMatrix(n, tuple(tuple(r) for r in rows))
 
 
+@lru_cache(maxsize=None)
+def _mesh_factors(t: DynkinType):
+    """Per vertex ``i`` (0-based): the factors ``(j, m, o)`` of its mesh
+    product at column ``k``, each standing for ``F[j, k+o]**m`` with
+    ``m = -C[i,j]`` and ``o = int(j > i)``."""
+    return tuple(
+        tuple((j, -c, int(j > i)) for j, c in enumerate(row) if c < 0)
+        for i, row in enumerate(cartan_matrix(t).entries)
+    )
+
+
 def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Fraction-free Gauss-Jordan elimination over ``int``.
 
@@ -238,7 +249,7 @@ def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     frieze satisfies ``F[i,k] = F[sigma[i], k + c[i]]`` (Keller, *The
     periodicity conjecture for pairs of Dynkin diagrams*, 2013).
 
-    Derived from the Cartan entries by tropical propagation of denominator
+    Derived from the mesh table by tropical propagation of denominator
     vectors from the slice ``d[i] = -e_i``: the frieze step walked as in
     ``mesh.forward_values`` with ``out[i] = max(0, sum of m * neighbour) -
     cur[i]``, componentwise.  When entry ``i`` of column ``k`` is ``-e_j``,
@@ -250,8 +261,7 @@ def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
     n = t.rank
     h2 = coxeter_number(t) + 2
-    rows = cartan_matrix(t).entries
-    factors = [[(j, -x) for j, x in enumerate(row) if x < 0] for row in rows]
+    factors = _mesh_factors(t)
     unit = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
     found = {vec: i for i, vec in enumerate(unit)}
     sigma, c = [None] * n, [None] * n
@@ -260,9 +270,8 @@ def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
         out: list = [None] * n
         for i in range(n - 1, -1, -1):
             total = [0] * n
-            for j, m in factors[i]:
-                # neighbours j > i are read from the new column, as in forward_values
-                for x, v in enumerate(out[j] if j > i else cur[j]):
+            for j, m, o in factors[i]:
+                for x, v in enumerate((cur, out)[o][j]):
                     total[x] += m * v
             out[i] = tuple(max(0, s) - v for s, v in zip(total, cur[i]))
         for i, vec in enumerate(out):

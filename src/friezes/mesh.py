@@ -17,9 +17,8 @@ frieze column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .catalog import DynkinType, cartan_matrix
+from .catalog import DynkinType, _mesh_factors
 
 __all__ = [
     "FriezeSlice",
@@ -113,17 +112,6 @@ class MeshViolation:
     column: int
     lhs: int
     rhs: int
-
-
-@lru_cache(maxsize=None)
-def _mesh_factors(t: DynkinType):
-    """Per vertex ``i`` (0-based): the factors ``(j, m, o)`` of its mesh
-    product at column ``k``, each standing for ``F[j, k+o]**m`` with
-    ``m = -C[i,j]`` and ``o = int(j > i)``."""
-    return tuple(
-        tuple((j, -c, int(j > i)) for j, c in enumerate(row) if c < 0)
-        for i, row in enumerate(cartan_matrix(t).entries)
-    )
 
 
 def _product(cols, factors) -> int:

@@ -15,7 +15,7 @@ against each other:
   its own mesh, each entry also dividing the quotient of the stuck mesh
   that has two unsolved neighbours; unused meshes are checked last.
 
-Both read every mesh product from the factor table ``mesh._mesh_factors``
+Both read every mesh product from the factor table ``catalog._mesh_factors``
 through one loop, ``mesh._product`` on a pair of columns: the row-seeded
 search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
 only its wavefront reads its single-factor meshes inline.  Both walk every
@@ -94,8 +94,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bounds import floor_pow2, integer_root
-from .catalog import DynkinType, search_period, type_profile
+from .bounds import entry_caps, integer_root
+from .catalog import DynkinType, _mesh_factors, search_period
 from .mesh import (
     DeadEndError,
     FriezePattern,
@@ -103,19 +103,19 @@ from .mesh import (
     pattern_from_columns,
     verify_pattern,
 )
-from .mesh import _mesh_factors, _orbit, _product  # shared mesh table and orbit walk
+from .mesh import _orbit, _product  # shared product loop and orbit walk
 
 __all__ = [
     "SearchConfig",
     "Orbit",
     "SearchOutcome",
     "enumerate_friezes",
-    "entry_caps",
     "default_strategy",
     "stderr_progress",
 ]
 
 PROGRESS_STRIDE = 1_000_000
+_FACTORIZATION_BUDGET = 100_000_000  # divisor-branch guard per partition
 
 _RESIDUE_SCAN_LIMIT = 1 << 16
 
@@ -127,7 +127,6 @@ class SearchConfig:
     period_cap: int | None = None  # default: catalog.search_period
     entry_cap_override: int | None = None
     jobs: int = 1
-    node_budget: int = 100_000_000  # divisor-branch guard per partition
 
     def __post_init__(self) -> None:
         if self.strategy not in ("column_dfs", "row_seeded"):
@@ -165,17 +164,6 @@ def default_strategy(t: DynkinType) -> str:
     if t.rank >= 2 and all(step[0] == "force" for step in steps):
         return "row_seeded"
     return "column_dfs"
-
-
-def entry_caps(
-    t: DynkinType, period_cap: int, override: int | None = None
-) -> tuple[int, ...]:
-    """Exact per-entry caps ``floor(2**(p*b_i))``, clipped by an override."""
-    b = type_profile(t).b
-    caps = [floor_pow2(period_cap * bi) for bi in b]
-    if override is not None:
-        caps = [min(c, override) for c in caps]
-    return tuple(caps)
 
 
 def _effective_period_cap(cfg: SearchConfig) -> int:
@@ -219,7 +207,7 @@ def _canonical_columns(cols) -> tuple[tuple[int, ...], ...]:
 
 class _Tally:
     """Node counter; emits a progress line every ``PROGRESS_STRIDE`` nodes.
-    Hot loops may count inline: ``nodes += 1``, then ``stride()`` once
+    Each search counts inline: ``nodes += 1``, then ``stride()`` once
     ``nodes`` reaches ``next_stride``."""
 
     def __init__(self, progress=None):
@@ -227,11 +215,6 @@ class _Tally:
         self.found = 0
         self._progress = progress
         self.next_stride = PROGRESS_STRIDE
-
-    def add(self) -> None:
-        self.nodes += 1
-        if self.nodes >= self.next_stride:
-            self.stride()
 
     def stride(self) -> None:
         self.next_stride += PROGRESS_STRIDE
@@ -511,7 +494,9 @@ def _divisor_rows(cols, step, caps, tally, budget, stuck=()):
         if budget[0] <= 0:
             return
         budget[0] -= 1
-        tally.add()
+        tally.nodes += 1
+        if tally.nodes >= tally.next_stride:
+            tally.stride()
         w = [u]
         for k in range(p):
             if k == len(products):  # formed once the walk reaches column k
@@ -553,7 +538,7 @@ def _reconstruct(t, cols, steps, caps, tally, budget, stuck=(), first=0):
             yield from _reconstruct(t, cols, steps, caps, tally, budget, (), first + 1)
 
 
-def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
+def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     """Row-seeded search over cyclic tuples with ``t_1 = start`` (the row
     minimum, so every entry is at least ``start``)."""
     n = t.rank
@@ -567,8 +552,10 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
     seed_prodcap = prodcaps[seed]
     orbits: dict = {}
     notes: list[str] = []
-    budget = [node_budget]
-    tally.add()
+    budget = [_FACTORIZATION_BUDGET]
+    tally.nodes += 1
+    if tally.nodes >= tally.next_stride:
+        tally.stride()
     if start > seed_cap or start**p > seed_prodcap:
         return orbits, notes
 
@@ -669,7 +656,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
         # non-decreasing in t_j, so a cap failure ends the loop (stop = 2);
         # any other failure skips the candidate (stop = 1).
         for v in candidates:
-            tally.add()
+            tally.nodes += 1
+            if tally.nodes >= tally.next_stride:
+                tally.stride()
             nxt = cols[j - 1]
             nxt[seed] = v
             seed_prods[j] = base * v
@@ -748,19 +737,18 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget):
 
 def _start_values(t: DynkinType, caps) -> range:
     """First-coordinate partition values: 1 .. min(floor(2**b_n), cap_n)."""
-    b = type_profile(t).b
-    return range(1, min(floor_pow2(b[t.rank - 1]), caps[t.rank - 1]) + 1)
+    return range(1, min(entry_caps(t, 1)[-1], caps[-1]) + 1)
 
 
 def _partition_job(args, tally=None):
-    t, strategy, period_cap, caps, prodcaps, node_budget, start = args
+    t, strategy, period_cap, caps, prodcaps, start = args
     if tally is None:
         tally = _Tally()
     before = tally.nodes
     if strategy == "column_dfs" or t.rank == 1:
         orbits, notes = _column_partition(t, caps, period_cap, start, tally)
     else:
-        orbits, notes = _row_partition(t, caps, prodcaps, period_cap, start, tally, node_budget)
+        orbits, notes = _row_partition(t, caps, prodcaps, period_cap, start, tally)
     return orbits, tally.nodes - before, notes
 
 
@@ -784,7 +772,7 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
     caps = entry_caps(t, period_cap, cfg.entry_cap_override)
     prodcaps = entry_caps(t, period_cap)  # row products ignore the override
     jobs = [
-        (t, cfg.strategy, period_cap, caps, prodcaps, cfg.node_budget, start)
+        (t, cfg.strategy, period_cap, caps, prodcaps, start)
         for start in _start_values(t, caps)
     ]
     merged: dict = {}

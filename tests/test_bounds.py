@@ -16,10 +16,10 @@ from friezes import (
     interval_certificate,
     inverse_cartan,
     pattern_from_columns,
-    refined_min2_report,
     row_products,
     type_profile,
 )
+from friezes.formats import bounds_payload
 
 A1 = DynkinType("A", 1)
 
@@ -194,10 +194,29 @@ def test_check_bounds_a1_tight():
     assert row_products(pattern, 2) == (2,)  # equals the cap 2**(2 * 1/2) exactly
 
 
+@pytest.mark.parametrize(
+    "columns,row_product_ok,entry_ok",
+    [
+        # row 1 of A3 at period 5 is capped at floor(2**7.5) = 181
+        ([(181, 1, 1)] + [(1, 1, 1)] * 4, True, True),
+        ([(182, 1, 1)] + [(1, 1, 1)] * 4, False, False),
+        # product 14 * 13 = 182 is over the cap, every entry under it
+        ([(14, 1, 1), (13, 1, 1)] + [(1, 1, 1)] * 3, False, True),
+    ],
+    ids=["entry-at-cap", "entry-over-cap", "product-over-cap"],
+)
+def test_caps_at_a_fractional_exponent(columns, row_product_ok, entry_ok):
+    # the pattern is not a frieze: the caps test does not verify meshes
+    pattern = pattern_from_columns(DynkinType("A", 3), columns)
+    chk = check_pattern_against_bounds(pattern, 5)
+    assert chk.row_product_ok == (row_product_ok, True, True)
+    assert chk.entry_ok == (entry_ok, True, True)
+
+
 def test_refined_min2_a1():
-    pairs = refined_min2_report(A1, 2)
-    assert len(pairs) == 1
-    formula, flat = pairs[0]
+    rep = bounds_report(A1, 2)
+    assert len(rep.refined_rowwise_log2) == 1
+    formula, flat = rep.refined_rowwise_log2[0], rep.refined_flat_log2
     # d = (0): the per-row formula gives p * (1/2) * log2(2) = 1; the flat
     # reading exponentiates the whole base by p and gives p * log2(2) = 2
     assert abs(formula - 1.0) < 1e-9
@@ -213,9 +232,10 @@ def test_refined_formula_never_exceeds_plain_cap(t):
 
 
 def test_refined_flat_is_row_independent():
-    pairs = refined_min2_report(DynkinType("E", 8), 16)
-    flats = {flat for _, flat in pairs}
-    assert len(flats) == 1
+    payload = bounds_payload(bounds_report(DynkinType("E", 8), 16), True)
+    flats = payload["refined_flat_log2"]
+    assert len(flats) == 8
+    assert len(set(flats)) == 1
 
 
 def test_log_precision_documented_target(e8_pattern):

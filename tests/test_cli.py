@@ -104,6 +104,13 @@ def test_bounds_json(capsys):
     assert payload["b"] == ["46", "68", "91", "135", "110", "84", "57", "29"]
 
 
+def test_bounds_rejects_zero_period(capsys):
+    code, out, err = run(capsys, "bounds", "A1", "--period", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: period must be positive\n"
+
+
 def test_bounds_unknown_type(capsys):
     code, _, err = run(capsys, "bounds", "Z3")
     assert code == 2

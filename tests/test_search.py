@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -263,10 +264,30 @@ def test_cross_strategy_under_override(name, cap, expected):
     assert not col.complete and not row.complete
 
 
+def fontaine_plamondon_count(n):
+    """Number of friezes of type D_n (Fontaine and Plamondon):
+    ``sum_{m=1..n} d(m) * C(2n - m - 1, n - m)``, ``d(m)`` the number of
+    divisors of ``m``."""
+    return sum(
+        sum(1 for k in range(1, m + 1) if m % k == 0) * math.comb(2 * n - m - 1, n - m)
+        for m in range(1, n + 1)
+    )
+
+
 def test_d4_override_sixteen_finds_all_fifty_one():
     # all 51 friezes of type D4 happen to fit under an entry cap of 16
     col = outcome("D4", "column_dfs", entry_cap_override=16)
-    assert col.frieze_count == 51
+    assert col.frieze_count == fontaine_plamondon_count(4)
+
+
+@pytest.mark.parametrize("name,cap,count", [("D5", 64, 187), ("D6", 256, 695)])
+def test_type_d_counts_match_fontaine_plamondon(name, cap, count):
+    # every frieze of D5 and D6 happens to fit under these caps; the caps
+    # are below the certified ones, so neither run is complete
+    assert fontaine_plamondon_count(int(name[1:])) == count
+    out = outcome(name, "column_dfs", entry_cap_override=cap)
+    assert out.frieze_count == count
+    assert not out.complete
 
 
 @pytest.mark.parametrize("name,cap", [("A3", None), ("C3", None), ("D4", 16), ("E6", 12)])
@@ -321,8 +342,9 @@ def test_e6_column_search_finds_the_period_seven_orbit():
     assert verify_pattern(out.orbits[0].pattern) == []
 
 
-def test_factorization_budget_note():
-    out = outcome("D4", "row_seeded", entry_cap_override=8, node_budget=1)
+def test_factorization_budget_note(monkeypatch):
+    monkeypatch.setattr("friezes.search._FACTORIZATION_BUDGET", 1)
+    out = outcome("D4", "row_seeded", entry_cap_override=8)
     assert not out.complete
     budget_notes = [note for note in out.notes if "budget" in note]
     partitions = 8  # start values 1 .. min(floor(2**b_4), 8)

@@ -47,6 +47,16 @@ Soundness of the pruning:
   Its entry cap ``L`` holds exactly when
   ``x <= integer_root((L*den - 1) // y, m)``, and no candidate beyond that
   limit is generated;
+* column search, free-coordinate lookahead: where the plan marks a free
+  depth, its coordinate ``x`` enters the next depth's generator cell
+  ``(1 + x1 * x**e * r) / M`` and nothing else checks it first; ``r`` and
+  ``M`` are fixed already.  That next depth generates a candidate ``x1``
+  only if ``gcd(x**e * r, M) = 1`` and the least solution ``x1`` of
+  ``x1 * x**e * r = -1 (mod M)`` (1 when ``M = 1``) lies within its own
+  cap and gives a cell within the cell's cap; every other solution is
+  larger and gives a larger cell.  An ``x`` that fails this has no
+  descendant, so dropping it changes only the node count.  The next
+  depth's row-``n`` floor is not applied: skipping it keeps more ``x``;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -118,6 +128,9 @@ PROGRESS_STRIDE = 1_000_000
 _FACTORIZATION_BUDGET = 100_000_000  # divisor-branch guard per partition
 
 _RESIDUE_SCAN_LIMIT = 1 << 16
+# Moduli up to this limit read inverses from a table of 2-byte entries; one
+# table per modulus, all kept: at most L*(L+1) bytes, about 1 MiB.
+_INVERSE_TABLE_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -234,7 +247,7 @@ def _column_plan(t: DynkinType, caps):
     Coordinate ``i`` (0-based vertex) is chosen at depth ``d = n - i``.  The
     forward cell of vertex ``j`` (its value in the next column) becomes
     computable at ``cell_depth[j]``.  Returns one tuple ``(i, cap, gen,
-    due)`` per depth ``d`` (index 0 unused), ``cap`` being coordinate
+    due, look)`` per depth ``d`` (index 0 unused), ``cap`` being coordinate
     ``i``'s entry cap.  The generator ``gen``, when one exists, is a cell
     due at ``d`` whose only missing input is the new coordinate; it turns
     into a congruence that generates candidates.  It is ``(j, m, others,
@@ -244,6 +257,17 @@ def _column_plan(t: DynkinType, caps):
     floored)``.  ``floored`` marks the row-``n`` cell, which is at least
     the seed's row-``n`` entry.  Rank 2 has no generator: its last
     coordinate is a divisor (see ``_column_partition``).
+
+    Each step ends with ``look``, set only at a free depth: one with no
+    generator and no due cell, whose coordinate ``x`` is a factor ``(x, e,
+    0)`` of the next depth's generator mesh, that generator having ``m =
+    1`` and a modulus fixed before ``x``.  It is ``(e, rest, g, next_cap,
+    cell_cap)``: the exponent, the generator's other factors (all known at
+    this depth), the generator cell (whose value in the seed column is the
+    modulus), the next coordinate's cap and the generated cell's cap.  The
+    free depth keeps only the ``x`` for which the next congruence has a
+    solution (``_solvable_coordinates``).  Today these are the branch
+    vertex's free neighbour in type E (E6 depth 4, E7 depth 5, E8 depth 6).
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -268,7 +292,13 @@ def _column_plan(t: DynkinType, caps):
                 due.remove(j)
                 break
         cells = tuple((j, factors[j], caps[j], j == n - 1) for j in due)
-        plan.append((x, caps[x], gen, cells))
+        if d > 2 and gen and gen[1] == 1:  # is depth d - 1 free? (depth 1 holds the start)
+            fx, fcap, fgen, fcells, _ = plan[d - 1]
+            e = next((m for l, m, o in gen[2] if l == fx and not o), None)
+            if fgen is None and not fcells and e is not None and gen[0] != fx:
+                rest = tuple(f for f in gen[2] if f[0] != fx or f[2])
+                plan[d - 1] = (fx, fcap, fgen, fcells, (e, rest, gen[0], caps[x], gen[3]))
+        plan.append((x, caps[x], gen, cells, None))
     return tuple(plan)
 
 
@@ -297,6 +327,59 @@ def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
         x0 = -pow(y, -1, modulus) % modulus
         return range(first + (x0 - first) % modulus, cap + 1, modulus)
     return _power_candidates(m, y, modulus, first, cap)
+
+
+@lru_cache(maxsize=_INVERSE_TABLE_LIMIT)
+def _inverses(modulus):
+    """``u**-1 mod modulus`` at index ``u``, or 0 where ``u`` has none."""
+    from array import array  # imported here: only a free depth needs it
+
+    return array(
+        "H", [pow(u, -1, modulus) if math.gcd(u, modulus) == 1 else 0 for u in range(modulus)]
+    )
+
+
+class _PowInverses:
+    """``_inverses`` above the table limit: one ``pow`` per lookup."""
+
+    def __init__(self, modulus):
+        self.modulus = modulus
+
+    def __getitem__(self, u):
+        return pow(u, -1, self.modulus) if math.gcd(u, self.modulus) == 1 else 0
+
+
+def _solvable_coordinates(look, cols, cap):
+    """Ascending x in [1, cap] for which the next depth's congruence
+    ``x1 * x**e * r = -1 (mod modulus)`` has a least solution ``x1`` within
+    the next coordinate's cap and the generated cell's cap; ``look`` is a
+    free depth's plan slot.  The next depth's row-``n`` floor and due cells
+    are left to that depth: ignoring them only keeps more coordinates."""
+    e, rest, g, next_cap, cell_cap = look
+    r = _product(cols, rest)
+    modulus = cols[0][g]
+    bound = cell_cap * modulus - 1  # the cell (x1 * x**e * r + 1) / modulus <= cell_cap
+    top = bound // r  # x1 >= 1
+    if e > 1:
+        top = integer_root(top, e)
+    if top > cap:
+        top = cap
+    if modulus == 1:  # x1 = 1
+        return range(1, top + 1)
+    if math.gcd(r, modulus) != 1:
+        return ()
+    s = -pow(r, -1, modulus) % modulus  # x1 = x**-e * s mod modulus
+    if modulus > _INVERSE_TABLE_LIMIT:
+        inverses = _PowInverses(modulus)
+    else:
+        inverses = _inverses(modulus)
+    return [
+        x
+        for x in range(1, top + 1)
+        if (u := inverses[x % modulus])
+        and (x1 := (u if e == 1 else u**e) * s % modulus) <= next_cap
+        and x1 * (x if e == 1 else x**e) * r <= bound
+    ]
 
 
 def _power_candidates(m, y, modulus, first, cap):
@@ -356,8 +439,10 @@ def _column_partition(t, caps, period_cap, start, tally):
             tally.found += 1
 
     def descend(d) -> None:
-        i, cap, gen, due = plan[d]
-        if gen is not None:
+        i, cap, gen, due, look = plan[d]
+        if look is not None:
+            candidates = _solvable_coordinates(look, cols, cap)
+        elif gen is not None:
             g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
             modulus = vals[g]

@@ -21,12 +21,16 @@ from friezes import (
     verify_pattern,
 )
 from friezes.catalog import search_period, twist
+from friezes.mesh import _product
 from friezes.search import (
+    _INVERSE_TABLE_LIMIT,
     _canonical_columns,
     _RESIDUE_SCAN_LIMIT,
     _column_partition,
+    _column_plan,
     _congruence_candidates,
     _reconstruct,
+    _solvable_coordinates,
     _solve_plan,
     _start_values,
     _Tally,
@@ -122,14 +126,22 @@ def _continuant(seq):
     return cur
 
 
-def test_a4_row_seeded_matches_conway_coxeter_triangulations():
+@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
+@pytest.mark.parametrize(
+    "n,cap,count",
+    [(1, None, 2), (2, None, 5), (3, None, 14), (4, 16, 42), (5, 16, 132)],
+    ids=["A1", "A2", "A3", "A4@16", "A5@16"],
+)
+def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
     # Conway-Coxeter: the A_n friezes are the triangulations of an
     # (n+3)-gon.  With quiddity a (triangles per polygon vertex), the
     # frieze has F[i,k] = K(a[1-k], ..., a[i-k]) for the continuant K,
-    # indices mod n+3; independent of both search strategies.
-    n, size = 4, 7
+    # indices mod n+3; independent of both search strategies.  Every A4
+    # and A5 frieze fits under an entry cap of 16, so those runs are
+    # uncertified but must still find every orbit.
+    size = n + 3
     triangulations = _triangulations(list(range(size)))
-    assert len(triangulations) == 42
+    assert len(triangulations) == count
     expected = {}
     columns = set()
     for tri in triangulations:
@@ -142,10 +154,10 @@ def test_a4_row_seeded_matches_conway_coxeter_triangulations():
         q = next(d for d in range(1, size + 1) if cols[d:] + cols[:d] == cols)
         rotations = [tuple(cols[(r + x) % q] for x in range(q)) for r in range(q)]
         expected[min(rotations)] = q
-    assert len(columns) == 42
+    assert len(columns) == count
 
-    out = outcome("A4", "row_seeded")
-    assert out.complete and out.frieze_count == 42
+    out = outcome(f"A{n}", strategy, entry_cap_override=cap)
+    assert out.complete is (cap is None) and out.frieze_count == count
     assert dict(zip(orbit_keys(out), (o.size for o in out.orbits))) == expected
     assert {c.values for o in out.orbits for c in o.pattern.columns} == columns
 
@@ -342,6 +354,78 @@ def test_e6_column_search_finds_the_period_seven_orbit():
     assert verify_pattern(out.orbits[0].pattern) == []
 
 
+@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+def test_column_plan_free_depths(t):
+    # a depth with no generator and no due cell whose coordinate the next
+    # generator multiplies in: the branch vertex's free neighbour in type E
+    caps = entry_caps(t, search_period(t), 64)
+    free = [d for d in range(1, t.rank + 1) if _column_plan(t, caps)[d][4] is not None]
+    assert free == ([t.rank - 2] if t.family == "E" else [])
+
+
+@pytest.mark.parametrize(
+    "name,caps",
+    [
+        ("E6", (12,) * 6),
+        ("E7", (6,) * 7),
+        # the next coordinate's cap below the modulus cap: x1 can exceed it
+        ("E6", (12, 5, 12, 12, 12, 12)),
+    ],
+    ids=["E6@12", "E7@6", "E6-uneven"],
+)
+@pytest.mark.parametrize("table_limit", [_INVERSE_TABLE_LIMIT, 1], ids=["table", "pow"])
+def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, table_limit, monkeypatch):
+    # at every free-depth call of a real search, x is kept exactly when the
+    # next depth's congruence generates at least one candidate for it, with
+    # inverses from the table or, above its limit, from pow
+    monkeypatch.setattr("friezes.search._INVERSE_TABLE_LIMIT", table_limit)
+    t = DynkinType.from_name(name)
+    plan = _column_plan(t, caps)
+    (d,) = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
+    i, coord_cap = plan[d][:2]
+    g, m, others, cell_cap, floored = plan[d + 1][2]
+    assert m == 1 and not floored  # so the next depth's floor is 1
+    calls = []
+
+    def record(look, cols, top):
+        kept = _solvable_coordinates(look, cols, top)
+        calls.append((look, [list(col) for col in cols], top, list(kept)))
+        return kept
+
+    monkeypatch.setattr("friezes.search._solvable_coordinates", record)
+    for start in _start_values(t, caps):
+        _column_partition(t, caps, search_period(t), start, _Tally())
+    assert calls
+    for look, cols, top, kept in calls:
+        assert look == plan[d][4] and top == coord_cap
+        solvable = []
+        for x in range(1, top + 1):
+            cols[0][i] = x
+            y = _product(cols, others)
+            if list(_congruence_candidates(1, y, cols[0][g], plan[d + 1][1], cell_cap, 1)):
+                solvable.append(x)
+        assert kept == solvable
+
+
+@pytest.mark.parametrize(
+    "name,count,orbits,digest",
+    [
+        ("E6", 462, 36, "39f60d128710ea91"),
+        ("E7", 440, 44, "baf2b4d10e0a869e"),
+        ("E8", 4, 1, "c02e19b958d3cf48"),
+    ],
+    ids=["E6@64", "E7@64", "E8@64"],
+)
+def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
+    # counts and orbits the column search found before the free-depth
+    # lookahead existed; the lookahead may only drop nodes
+    out = outcome(name, "column_dfs", entry_cap_override=64)
+    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    assert out.frieze_count == count and len(out.orbits) == orbits
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert not out.complete and out.notes == ()
+
+
 def test_factorization_budget_note(monkeypatch):
     monkeypatch.setattr("friezes.search._FACTORIZATION_BUDGET", 1)
     out = outcome("D4", "row_seeded", entry_cap_override=8)
@@ -398,8 +482,8 @@ GOLDEN = [
     ("C3", 32, 20, "9f41c9d0dc4a6237", False, (88, 101), (88, 81)),
     ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (191, 18981), (191, 230)),
     ("F4", 16, 7, "4df6259b33d2e253", False, (141, 262), (141, 248)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (271, 7744), (271, 417)),
-    ("E8", 4, 0, "4f53cda18c2baa0c", False, (74, 29), (74, 29)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (203, 7744), (203, 417)),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False, (50, 29), (50, 29)),
     ("B4", 12, 15, "7105166c0046b3d0", False, (68, 138), (68, 108)),
     ("C4", 12, 10, "db6af63233c3f324", False, (57, 48), (57, 38)),
 ]
@@ -423,13 +507,23 @@ def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_node
         assert out.nodes_explored == expected_nodes[strategy == "row_seeded"]
 
 
-@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
-def test_progress_line_at_every_stride(strategy, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "name,strategy,cap,stride",
+    [
+        ("A3", "column_dfs", None, 100),
+        ("A3", "row_seeded", None, 100),
+        # E6 has a free depth: its nodes come from the lookahead's candidates
+        ("E6", "column_dfs", 12, 50),
+    ],
+    ids=["column_dfs", "row_seeded", "E6@12-column_dfs"],
+)
+def test_progress_line_at_every_stride(name, strategy, cap, stride, monkeypatch, capsys):
     # one `explored=<n> found=<m>` line each time the node count reaches a
     # multiple of the stride, then the final totals
-    stride = 100
     monkeypatch.setattr("friezes.search.PROGRESS_STRIDE", stride)
-    cfg = SearchConfig(dynkin=DynkinType.from_name("A3"), strategy=strategy)
+    cfg = SearchConfig(
+        dynkin=DynkinType.from_name(name), strategy=strategy, entry_cap_override=cap
+    )
     out = enumerate_friezes(cfg, progress=stderr_progress)
     lines = capsys.readouterr().err.splitlines()
     counts = []

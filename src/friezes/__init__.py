@@ -2,10 +2,6 @@
 bounds, and exhaustive enumeration with exact arithmetic."""
 
 from .bounds import (
-    BoundsCheck,
-    BoundsReport,
-    IntervalCertificate,
-    LogVector,
     a_vector,
     bounds_report,
     check_pattern_against_bounds,
@@ -17,10 +13,7 @@ from .bounds import (
 )
 from .catalog import (
     CATALOG_SAMPLE,
-    CartanMatrix,
     DynkinType,
-    InverseCartan,
-    TypeProfile,
     cartan_matrix,
     inverse_cartan,
     leading_principal_minors,
@@ -40,7 +33,6 @@ from .mesh import (
     FriezePattern,
     FriezeSlice,
     IndivisibleError,
-    MeshViolation,
     NoRecurrenceError,
     detect_period,
     mesh_product,
@@ -50,9 +42,7 @@ from .mesh import (
     verify_pattern,
 )
 from .search import (
-    Orbit,
     SearchConfig,
-    SearchOutcome,
     default_strategy,
     enumerate_friezes,
 )
@@ -60,26 +50,16 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsCheck",
-    "BoundsReport",
     "CATALOG_SAMPLE",
-    "CartanMatrix",
     "DeadEndError",
     "DynkinType",
     "FriezeFormatError",
     "FriezePattern",
     "FriezeSlice",
     "IndivisibleError",
-    "InverseCartan",
     "JSON_SCHEMAS",
-    "IntervalCertificate",
-    "LogVector",
-    "MeshViolation",
     "NoRecurrenceError",
-    "Orbit",
     "SearchConfig",
-    "SearchOutcome",
-    "TypeProfile",
     "a2_orbit_pattern",
     "a_vector",
     "bounds_report",

@@ -39,24 +39,14 @@ __all__ = [
     "CATALOG_SAMPLE",
 ]
 
-_RANK_RULES = {
-    "A": lambda n: n >= 1,
-    "B": lambda n: n >= 2,
-    "C": lambda n: n >= 2,
-    "D": lambda n: n >= 4,
-    "E": lambda n: n in (6, 7, 8),
-    "F": lambda n: n == 4,
-    "G": lambda n: n == 2,
-}
-
-_RANK_TEXT = {
-    "A": "rank >= 1",
-    "B": "rank >= 2",
-    "C": "rank >= 2",
-    "D": "rank >= 4",
-    "E": "rank in {6, 7, 8}",
-    "F": "rank = 4",
-    "G": "rank = 2",
+_RANKS = {  # family: (the admissible ranks in words, their test)
+    "A": ("rank >= 1", lambda n: n >= 1),
+    "B": ("rank >= 2", lambda n: n >= 2),
+    "C": ("rank >= 2", lambda n: n >= 2),
+    "D": ("rank >= 4", lambda n: n >= 4),
+    "E": ("rank in {6, 7, 8}", lambda n: n in (6, 7, 8)),
+    "F": ("rank = 4", lambda n: n == 4),
+    "G": ("rank = 2", lambda n: n == 2),
 }
 
 
@@ -68,19 +58,19 @@ class DynkinType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in _RANK_RULES:
+        if self.family not in _RANKS:
             raise ValueError(f"unknown family {self.family!r}; expected one of A-G")
-        if not isinstance(self.rank, int) or not _RANK_RULES[self.family](self.rank):
+        text, admissible = _RANKS[self.family]
+        if not isinstance(self.rank, int) or not admissible(self.rank):
             raise ValueError(
-                f"inadmissible type {self.family}{self.rank}: "
-                f"family {self.family} requires {_RANK_TEXT[self.family]}"
+                f"inadmissible type {self.family}{self.rank}: family {self.family} requires {text}"
             )
 
     @classmethod
     def from_name(cls, name: str) -> "DynkinType":
         """Parse a token like ``"E8"`` or ``"A12"``."""
         token = name.strip()
-        if len(token) < 2 or token[0] not in _RANK_RULES or not token[1:].isdecimal():
+        if len(token) < 2 or token[0] not in _RANKS or not token[1:].isdecimal():
             raise ValueError(f"unknown type token {name!r}; expected e.g. A3, D5, E8")
         return cls(token[0], int(token[1:]))
 

@@ -49,10 +49,10 @@ Soundness of the pruning:
   limit is generated;
 * column search, free-coordinate lookahead: where the plan marks a free
   depth, its coordinate ``x`` enters the next depth's generator cell
-  ``(1 + x1 * x**e * r) / M`` and nothing else checks it first; ``r`` and
+  ``(1 + x1 * x * r) / M`` and nothing else checks it first; ``r`` and
   ``M`` are fixed already.  That next depth generates a candidate ``x1``
-  only if ``gcd(x**e * r, M) = 1`` and the least solution ``x1`` of
-  ``x1 * x**e * r = -1 (mod M)`` (1 when ``M = 1``) lies within its own
+  only if ``gcd(x * r, M) = 1`` and the least solution ``x1`` of
+  ``x1 * x * r = -1 (mod M)`` (1 when ``M = 1``) lies within its own
   cap and gives a cell within the cell's cap; every other solution is
   larger and gives a larger cell.  An ``x`` that fails this has no
   descendant, so dropping it changes only the node count.  The next
@@ -127,7 +127,6 @@ __all__ = [
 PROGRESS_STRIDE = 1_000_000
 _FACTORIZATION_BUDGET = 100_000_000  # divisor-branch guard per partition
 
-_RESIDUE_SCAN_LIMIT = 1 << 16
 # Moduli up to this limit read inverses from a table of 2-byte entries; one
 # table per modulus, all kept: at most L*(L+1) bytes, about 1 MiB.
 _INVERSE_TABLE_LIMIT = 1 << 10
@@ -259,15 +258,17 @@ def _column_plan(t: DynkinType, caps):
     coordinate is a divisor (see ``_column_partition``).
 
     Each step ends with ``look``, set only at a free depth: one with no
-    generator and no due cell, whose coordinate ``x`` is a factor ``(x, e,
+    generator and no due cell, whose coordinate ``x`` is a factor ``(x, 1,
     0)`` of the next depth's generator mesh, that generator having ``m =
-    1`` and a modulus fixed before ``x``.  It is ``(e, rest, g, next_cap,
-    cell_cap)``: the exponent, the generator's other factors (all known at
-    this depth), the generator cell (whose value in the seed column is the
-    modulus), the next coordinate's cap and the generated cell's cap.  The
-    free depth keeps only the ``x`` for which the next congruence has a
+    1`` and a modulus fixed before ``x``.  It is ``(rest, g, next_cap,
+    cell_cap)``: the generator's other factors (all known at this depth),
+    the generator cell (whose value in the seed column is the modulus),
+    the next coordinate's cap and the generated cell's cap.  The free
+    depth keeps only the ``x`` for which the next congruence has a
     solution (``_solvable_coordinates``).  Today these are the branch
     vertex's free neighbour in type E (E6 depth 4, E7 depth 5, E8 depth 6).
+    A coordinate that entered with a higher exponent would only go
+    unpruned.
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -294,17 +295,21 @@ def _column_plan(t: DynkinType, caps):
         cells = tuple((j, factors[j], caps[j], j == n - 1) for j in due)
         if d > 2 and gen and gen[1] == 1:  # is depth d - 1 free? (depth 1 holds the start)
             fx, fcap, fgen, fcells, _ = plan[d - 1]
-            e = next((m for l, m, o in gen[2] if l == fx and not o), None)
-            if fgen is None and not fcells and e is not None and gen[0] != fx:
-                rest = tuple(f for f in gen[2] if f[0] != fx or f[2])
-                plan[d - 1] = (fx, fcap, fgen, fcells, (e, rest, gen[0], caps[x], gen[3]))
+            if fgen is None and not fcells and (fx, 1, 0) in gen[2] and gen[0] != fx:
+                rest = tuple(f for f in gen[2] if f != (fx, 1, 0))
+                plan[d - 1] = (fx, fcap, fgen, fcells, (rest, gen[0], caps[x], gen[3]))
         plan.append((x, caps[x], gen, cells, None))
     return tuple(plan)
 
 
 def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
     """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)`` whose
-    cell ``(x**m * y + 1) / modulus`` lies in ``[cell_floor, cell_cap]``."""
+    cell ``(x**m * y + 1) / modulus`` lies in ``[cell_floor, cell_cap]``.
+
+    For ``m > 1`` it scans x from ``first`` over at most ``modulus``
+    consecutive values, each residue once, and merges the ascending range
+    ``range(x, cap + 1, modulus)`` of every x that solves the congruence:
+    ``min(modulus, cap - first + 1)`` ``pow`` calls, one range per root."""
     # the cell grows with x, so its cap is x**m <= (cell_cap*modulus - 1) // y
     # and its floor x**m >= (cell_floor*modulus - 1) / y
     limit = (cell_cap * modulus - 1) // y
@@ -326,7 +331,16 @@ def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
             return ()
         x0 = -pow(y, -1, modulus) % modulus
         return range(first + (x0 - first) % modulus, cap + 1, modulus)
-    return _power_candidates(m, y, modulus, first, cap)
+    from heapq import merge  # imported here: only a doubled or tripled edge needs it
+
+    y %= modulus
+    return merge(
+        *(
+            range(x, cap + 1, modulus)
+            for x in range(first, min(first + modulus, cap + 1))
+            if (pow(x, m, modulus) * y + 1) % modulus == 0
+        )
+    )
 
 
 @lru_cache(maxsize=_INVERSE_TABLE_LIMIT)
@@ -351,24 +365,20 @@ class _PowInverses:
 
 def _solvable_coordinates(look, cols, cap):
     """Ascending x in [1, cap] for which the next depth's congruence
-    ``x1 * x**e * r = -1 (mod modulus)`` has a least solution ``x1`` within
+    ``x1 * x * r = -1 (mod modulus)`` has a least solution ``x1`` within
     the next coordinate's cap and the generated cell's cap; ``look`` is a
     free depth's plan slot.  The next depth's row-``n`` floor and due cells
     are left to that depth: ignoring them only keeps more coordinates."""
-    e, rest, g, next_cap, cell_cap = look
+    rest, g, next_cap, cell_cap = look
     r = _product(cols, rest)
     modulus = cols[0][g]
-    bound = cell_cap * modulus - 1  # the cell (x1 * x**e * r + 1) / modulus <= cell_cap
-    top = bound // r  # x1 >= 1
-    if e > 1:
-        top = integer_root(top, e)
-    if top > cap:
-        top = cap
+    bound = cell_cap * modulus - 1  # the cell (x1 * x * r + 1) / modulus <= cell_cap
+    top = min(bound // r, cap)  # x1 >= 1
     if modulus == 1:  # x1 = 1
         return range(1, top + 1)
     if math.gcd(r, modulus) != 1:
         return ()
-    s = -pow(r, -1, modulus) % modulus  # x1 = x**-e * s mod modulus
+    s = -pow(r, -1, modulus) % modulus  # x1 = x**-1 * s mod modulus
     if modulus > _INVERSE_TABLE_LIMIT:
         inverses = _PowInverses(modulus)
     else:
@@ -377,31 +387,9 @@ def _solvable_coordinates(look, cols, cap):
         x
         for x in range(1, top + 1)
         if (u := inverses[x % modulus])
-        and (x1 := (u if e == 1 else u**e) * s % modulus) <= next_cap
-        and x1 * (x if e == 1 else x**e) * r <= bound
+        and (x1 := u * s % modulus) <= next_cap
+        and x1 * x * r <= bound
     ]
-
-
-def _power_candidates(m, y, modulus, first, cap):
-    """Ascending x in [first, cap] with ``x**m * y = -1 (mod modulus)``,
-    from the residues that solve it, or by a scan of [first, cap] (rare)
-    when the modulus is too large to scan its residues."""
-    if modulus > _RESIDUE_SCAN_LIMIT:
-        for x in range(first, cap + 1):
-            if (pow(x, m, modulus) * y + 1) % modulus == 0:
-                yield x
-        return
-    ym = y % modulus
-    roots = [r for r in range(modulus) if (pow(r, m, modulus) * ym + 1) % modulus == 0]
-    base = first - first % modulus
-    while roots and base <= cap:
-        for r in roots:
-            x = base + r
-            if x >= first:
-                if x > cap:
-                    return
-                yield x
-        base += modulus
 
 
 def _column_partition(t, caps, period_cap, start, tally):

@@ -1,7 +1,9 @@
+import types
 from fractions import Fraction
 
 import pytest
 
+import friezes
 from friezes import catalog
 from friezes import (
     CATALOG_SAMPLE,
@@ -38,12 +40,33 @@ E8_INVERSE = (
 )
 
 
+def test_package_exports_match_all():
+    # every listed name is bound, and every public non-module name is listed
+    assert all(hasattr(friezes, name) for name in friezes.__all__)
+    public = {
+        name
+        for name, value in vars(friezes).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(friezes.__all__)
+
+
 @pytest.mark.parametrize(
     "name", ["A0", "B1", "C1", "D3", "E5", "E9", "F3", "F5", "G1", "G3"]
 )
 def test_inadmissible_ranks_rejected(name):
-    with pytest.raises(ValueError, match="rank"):
+    requires = {
+        "A": "rank >= 1",
+        "B": "rank >= 2",
+        "C": "rank >= 2",
+        "D": "rank >= 4",
+        "E": "rank in {6, 7, 8}",
+        "F": "rank = 4",
+        "G": "rank = 2",
+    }[name[0]]
+    with pytest.raises(ValueError) as excinfo:
         DynkinType.from_name(name)
+    assert str(excinfo.value) == f"inadmissible type {name}: family {name[0]} requires {requires}"
 
 
 @pytest.mark.parametrize("name", ["X4", "8E", "A", "Ax", "", "A\u00b2"])

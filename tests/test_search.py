@@ -25,7 +25,6 @@ from friezes.mesh import _product
 from friezes.search import (
     _INVERSE_TABLE_LIMIT,
     _canonical_columns,
-    _RESIDUE_SCAN_LIMIT,
     _column_partition,
     _column_plan,
     _congruence_candidates,
@@ -426,6 +425,26 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
     assert not out.complete and out.notes == ()
 
 
+@pytest.mark.parametrize(
+    "name,cap,count,orbits,digest,nodes",
+    [
+        ("B4", 256, 75, 15, "06f7021921eea21c", 4219),
+        ("C4", 256, 70, 14, "4907534766d2da06", 4135),
+        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 11325),
+    ],
+    ids=["B4@256", "C4@256", "F4@512"],
+)
+def test_doubled_edge_column_search_at_large_caps(name, cap, count, orbits, digest, nodes):
+    # doubled edges give power congruences (m > 1) whose moduli reach the
+    # hundreds here; regression values of this code, not published counts
+    out = outcome(name, "column_dfs", entry_cap_override=cap)
+    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    assert out.frieze_count == count and len(out.orbits) == orbits
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert out.nodes_explored == nodes
+    assert not out.complete and out.notes == ()
+
+
 def test_factorization_budget_note(monkeypatch):
     monkeypatch.setattr("friezes.search._FACTORIZATION_BUDGET", 1)
     out = outcome("D4", "row_seeded", entry_cap_override=8)
@@ -643,10 +662,13 @@ def test_congruence_candidates_complete_and_ascending(m, y, modulus, cap, cell_c
         (2, 3, 7, 300),
         (3, 5, 13, 300),
         (2, 6, 25, 300),
-        # above the residue-scan limit: inverse for m = 1, the scan otherwise
-        (1, 3, _RESIDUE_SCAN_LIMIT + 3, 300_000),
-        (2, 1, _RESIDUE_SCAN_LIMIT + 1, 150_000),
-        (3, 2, _RESIDUE_SCAN_LIMIT + 1, 150_000),
+        # moduli above 2**16: the inverse for m = 1, a scan of one
+        # modulus of residues otherwise
+        (1, 3, 65_539, 300_000),
+        (2, 1, 65_537, 150_000),
+        (3, 2, 65_537, 150_000),
+        # modulus above the cap: only the cap - first + 1 values are scanned
+        (2, 1, 1009, 1000),
     ],
 )
 def test_congruence_candidates_clip_matches_brute_force(m, y, modulus, cap):

@@ -62,10 +62,15 @@ def floor_pow2(e: Fraction) -> int:
     return integer_root(1 << num, den)
 
 
+@lru_cache(maxsize=64)
 def entry_caps(
     t: DynkinType, period_cap: int, override: int | None = None
 ) -> tuple[int, ...]:
-    """Exact per-entry caps ``floor(2**(p*b_i))``, clipped by an override."""
+    """Exact per-entry caps ``floor(2**(p*b_i))``, clipped by an override.
+
+    Cached per ``(t, p, override)``: the caps check of every stored frieze
+    of one type and period reads the same roots.  The cache is bounded
+    because a cap at a large period has thousands of digits."""
     b = type_profile(t).b
     caps = [floor_pow2(period_cap * bi) for bi in b]
     if override is not None:
@@ -147,10 +152,11 @@ def _resolve_period(f: FriezePattern, p: int | None) -> int:
 
 def row_products(f: FriezePattern, p: int | None = None) -> tuple[int, ...]:
     """``prod_k F[i,k]`` over ``p`` columns, computed exactly as the
-    stored-period product raised to ``p // f.period``."""
-    p = _resolve_period(f, p)
-    e = p // f.period
-    return tuple(math.prod(row) ** e for row in f.rows())
+    stored-period product (formed once per pattern) raised to
+    ``p // f.period``."""
+    e = _resolve_period(f, p) // f.period
+    prods = f._row_products
+    return prods if e == 1 else tuple(x**e for x in prods)
 
 
 def a_vector(f: FriezePattern, p: int | None = None) -> LogVector:

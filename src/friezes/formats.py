@@ -81,14 +81,20 @@ def parse_frieze(text: str) -> FriezePattern:
             raise FriezeFormatError(
                 lineno, f"row {len(rows) + 1} has {len(tokens) - 1} entries, expected {period}"
             )
-        values = []
-        for pos, tok in enumerate(tokens[1:], start=2):
-            if not tok.isdecimal() or int(tok) < 1:
-                raise FriezeFormatError(
-                    lineno, f"entry {tok!r} is not a positive integer", column=pos
-                )
-            values.append(int(tok))
-        rows.append(tuple(values))
+        # one pass over the row; the token loop runs only to name the first
+        # bad token, or to raise int()'s digit-limit error in token order
+        entries = tokens[1:]
+        try:
+            values = tuple(map(int, entries)) if all(map(str.isdecimal, entries)) else ()
+        except ValueError:
+            values = ()
+        if not values or min(values) < 1:
+            for pos, tok in enumerate(entries, start=2):
+                if not tok.isdecimal() or int(tok) < 1:
+                    raise FriezeFormatError(
+                        lineno, f"entry {tok!r} is not a positive integer", column=pos
+                    )
+        rows.append(values)
 
     if len(rows) != dynkin.rank:
         last = meaningful[-1][0]
@@ -101,7 +107,7 @@ def emit_frieze(f: FriezePattern) -> str:
     """Canonical document text for a pattern."""
     lines = [f"dynkin {f.dynkin}", f"period {f.period}"]
     for row in f.rows():
-        lines.append("row " + " ".join(str(v) for v in row))
+        lines.append("row " + " ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -12,11 +12,21 @@ column that are already filled (the ``j < i`` factors live in the old
 column).  Walking ``i = 1..n`` inverts the step.  All arithmetic is on
 arbitrary-precision integers; division must be exact or the seed is not a
 frieze column.
+
+A :class:`FriezePattern` computes two views of itself on first use and
+keeps them: its row-major transpose (``rows()``) and the product of each
+row over the stored period, which ``bounds.row_products`` raises to any
+multiple of the period.  Caching is safe because a pattern cannot change:
+both dataclasses are frozen, and their ``values`` and ``columns`` are
+stored as tuples, whatever sequence the caller passed.  The caches live
+outside the dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catalog import DynkinType, _mesh_factors
 
@@ -69,12 +79,16 @@ class FriezeSlice:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.dynkin.rank:
+        values = self.values
+        if not isinstance(values, tuple):
+            values = tuple(values)
+            object.__setattr__(self, "values", values)
+        if len(values) != self.dynkin.rank:
             raise ValueError(
-                f"expected {self.dynkin.rank} entries for {self.dynkin}, "
-                f"got {len(self.values)}"
+                f"expected {self.dynkin.rank} entries for {self.dynkin}, got {len(values)}"
             )
-        for i, v in enumerate(self.values):
+        # a plain loop: on CPython 3.11 it beats all(map(isinstance, ...)) + min
+        for i, v in enumerate(values):
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"entry {v!r} at vertex {i + 1} is not a positive integer")
 
@@ -90,17 +104,28 @@ class FriezePattern:
     columns: tuple[FriezeSlice, ...]
 
     def __post_init__(self) -> None:
-        if self.period < 1 or len(self.columns) != self.period:
-            raise ValueError(f"period {self.period} does not match {len(self.columns)} columns")
-        for c in self.columns:
+        columns = self.columns
+        if not isinstance(columns, tuple):
+            columns = tuple(columns)
+            object.__setattr__(self, "columns", columns)
+        if self.period < 1 or len(columns) != self.period:
+            raise ValueError(f"period {self.period} does not match {len(columns)} columns")
+        for c in columns:
             if c.dynkin != self.dynkin:
                 raise ValueError(f"column of type {c.dynkin} in a {self.dynkin} pattern")
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*(col.values for col in self.columns)))
+
+    @cached_property
+    def _row_products(self) -> tuple[int, ...]:
+        """``prod_k F[i,k]`` over the stored period, per row."""
+        return tuple(map(math.prod, self._rows))
+
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Row-major view: ``rows()[i][k] = F[i+1, k]``."""
-        return tuple(
-            tuple(col.values[i] for col in self.columns) for i in range(self.dynkin.rank)
-        )
+        return self._rows
 
 
 @dataclass(frozen=True)

@@ -660,6 +660,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         ((f, f_terms),) = checks
         ((u1, mu1, _),) = f_terms
         pin_from = levels[f] + 2
+        # its first test, at column 0, reads cells the wave has finished by
+        # j = pin_from - 1: run it there, per candidate, instead of in a call
+        pin_test = pin_from - 1 if pin_from <= p else 0
         stuck = ()
     else:
         # the first divide step's stuck mesh pins the product of its two
@@ -670,6 +673,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         branch_from = levels[x] + 2
         branch_cap = math.prod(caps[j] ** m for j, m, _ in _mesh_factors(t)[x] if j != ku)
         stuck = [0] * max(p - branch_from + 1, 0)
+        pin_test = 0
 
     def leaf() -> None:
         for step in wave:  # the wavefront left only the wrap-around cells
@@ -768,6 +772,8 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                 col[r] = q
                 r_prods[c + 1] = prod
                 nxt = col
+            if not stop and j == pin_test and (1 + cols[1][u1] ** mu1) % cols[0][f]:
+                stop = 1
             if not stop and not pinned_tail and j >= branch_from:
                 k = j - branch_from
                 num = cols[k][x] * cols[k + 1][x] - 1

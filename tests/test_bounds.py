@@ -11,6 +11,7 @@ from friezes import (
     a_vector,
     bounds_report,
     check_pattern_against_bounds,
+    entry_caps,
     floor_pow2,
     integer_root,
     interval_certificate,
@@ -18,6 +19,7 @@ from friezes import (
     pattern_from_columns,
     row_products,
     type_profile,
+    verify_pattern,
 )
 from friezes.formats import bounds_payload
 
@@ -254,3 +256,61 @@ def test_entry_caps_match_profile():
         rep = bounds_report(t, 3)
         assert rep.b == prof.b
         assert rep.d == prof.d
+
+
+def _conway_coxeter_pattern(quiddity):
+    """The A_n frieze of a triangulated ``(n+3)``-gon with this quiddity:
+    ``F[i,k]`` is the continuant of ``a[1-k], ..., a[i-k]``, indices mod
+    ``n+3`` (Conway-Coxeter)."""
+    size = len(quiddity)
+    n = size - 3
+
+    def continuant(seq):
+        prev, cur = 0, 1
+        for a in seq:
+            prev, cur = cur, a * cur - prev
+        return cur
+
+    columns = [
+        [continuant(quiddity[(x - k) % size] for x in range(1, i + 1)) for i in range(1, n + 1)]
+        for k in range(size)
+    ]
+    return pattern_from_columns(DynkinType("A", n), columns)
+
+
+# triangles (0,1,2) (0,2,5) (2,3,5) (3,4,5) (0,5,8) (5,6,8) (6,7,8) of a 9-gon
+CONWAY_COXETER_A6 = _conway_coxeter_pattern([3, 1, 3, 2, 1, 5, 2, 1, 3])
+
+READ_PATH = (
+    lambda f, p: f.rows(),
+    row_products,
+    a_vector,
+    interval_certificate,
+    check_pattern_against_bounds,
+)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["rows-first", "caps-first"])
+@pytest.mark.parametrize("name", ["E8", "A6"])
+def test_cached_pattern_reads_like_a_fresh_one(name, order, e8_pattern):
+    pattern = e8_pattern if name == "E8" else CONWAY_COXETER_A6
+    assert verify_pattern(pattern) == []
+
+    def fresh():
+        return pattern_from_columns(pattern.dynkin, [list(c.values) for c in pattern.columns])
+
+    warm = fresh()
+    periods = [m * pattern.period for m in (1, 2, 7)][::order]
+    for p in periods:
+        for read in READ_PATH[::order]:
+            # each fresh pattern starts with empty caches
+            assert read(warm, p) == read(fresh(), p), (p, read)
+        unrolled = pattern.columns * (p // pattern.period)
+        assert row_products(warm, p) == tuple(
+            math.prod(c.values[i] for c in unrolled) for i in range(pattern.dynkin.rank)
+        )
+    assert warm == fresh() and hash(warm) == hash(fresh()) and repr(warm) == repr(fresh())
+    for p in periods:
+        caps = tuple(floor_pow2(p * b) for b in type_profile(pattern.dynkin).b)
+        assert entry_caps(pattern.dynkin, p) == caps
+        assert entry_caps(pattern.dynkin, p) == caps  # read again from the cache

@@ -107,6 +107,23 @@ def test_parse_errors_are_line_addressed(doc, fragment):
     assert exc.value.line >= 1
 
 
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("1 2 0", "line 3, token 4: entry '0' is not a positive integer"),
+        ("1 \u00b2 2", "line 3, token 3: entry '\u00b2' is not a positive integer"),
+        ("1 2 -2", "line 3, token 4: entry '-2' is not a positive integer"),
+        # the first bad token is named even when a later one is over-long
+        ("1 0 " + "9" * 5000, "line 3, token 3: entry '0' is not a positive integer"),
+    ],
+    ids=["zero-last", "superscript-mid-row", "negative-last", "zero-before-long"],
+)
+def test_parse_error_names_first_bad_token_after_good_ones(row, message):
+    with pytest.raises(FriezeFormatError) as exc:
+        parse_frieze(f"dynkin A1\nperiod 3\nrow {row}\n")
+    assert str(exc.value) == message
+
+
 def test_parse_error_reports_token_position():
     with pytest.raises(FriezeFormatError) as exc:
         parse_frieze("dynkin A1\nperiod 3\nrow 1 x 2\n")

@@ -109,6 +109,13 @@ def test_detect_period_a2():
     assert len(set(c.values for c in columns)) == q
 
 
+def test_list_valued_slice_is_stored_as_a_tuple_and_recurs():
+    s = FriezeSlice(A2, [1, 1])
+    assert s.values == (1, 1) and s == FriezeSlice(A2, (1, 1))
+    q, _ = detect_period(s, 10)
+    assert q == 5
+
+
 def test_detect_period_a1():
     q, columns = detect_period(FriezeSlice(A1, (1,)), 4)
     assert q == 2

@@ -69,19 +69,30 @@ Soundness of the pruning:
   and ``den`` are already fixed and ``b`` is the new cell of the row
   above (``v`` itself for the top forced row).  Read as real numbers, every
   new cell and every running row product are therefore non-decreasing in
-  ``v``, and an exact cell equals its real value.  The stuck-mesh product
-  ``(x[k] * x[k+1] - 1) / y[k+1]`` of the first divide step (the product
-  of its two unsolved neighbour cells) is non-decreasing too: ``x[k+1]``
-  is the stuck row's new cell, and ``y[k+1]``, its known neighbour cell,
-  was fixed at an earlier step (an earlier seed cell in type D, a row-5
-  cell in type E).  Candidates for ``t_j`` are generated in ascending
-  order, so the first candidate that exceeds an entry, product or
-  stuck-mesh cap ends the candidate loop: every larger candidate that
-  survives the same exact divisions exceeds that cap too.  Inexact
-  divisions, non-perfect powers, a zero numerator and the vertex-1 mesh
-  are not monotone and only skip the candidate.  The top forced row's caps give the closed form
-  ``v <= (L**m + 1) // t_{j-1}`` with ``L`` the least of its entry cap
-  and its product cap over the running product;
+  ``v``, and an exact cell equals its real value.  So is the product of
+  the first divide step's two unsolved stuck-mesh cells,
+  ``(x[k] * x[k+1] - 1) / y[k+1]``: ``x[k+1]`` is the stuck row's new
+  cell, and its known neighbour cell ``y[k+1]`` was fixed earlier.
+  Candidates for ``t_j`` are generated in ascending order, so the first
+  candidate that exceeds an entry, product or stuck-mesh cap ends the
+  candidate loop: every larger candidate that survives the same exact
+  divisions exceeds that cap too.  Inexact divisions, non-perfect powers,
+  a zero numerator and the vertex-1 mesh are not monotone and only skip
+  the candidate.  The top forced row's caps give the closed form
+  ``v <= (L**m + 1) // t_{j-1}``, ``L`` the least of its entry cap and its
+  product cap over the running product; for ``m > 1`` its new cell ``x``
+  solves ``x**m = -1 (mod t_{j-1})`` in ``_congruence_candidates``;
+* row seeding, bounds that need no test: ``_start_values`` keeps ``start``
+  within the row-``n`` cap and ``floor(2**b_n)``, so ``start**p`` is within
+  the product cap ``floor(2**(p*b_n))``; ``t_{j-1}`` keeps
+  ``t_1 ... t_{j-1} * start**(p-j+1)`` within it, so the least product
+  reachable at position ``j`` is at most ``prodcap / start``;
+* row seeding, stuck-mesh exactness: the stuck vertex ``x`` was forced by
+  its known neighbour ``s``, and ``s`` by ``z`` (factor 1 when ``s`` is
+  the seed).  Modulo ``F[s,k+1]``, the meshes of ``s`` give
+  ``F[x,k]*F[z,k+1] = F[x,k+1]*F[z,k+2] = -1`` and the mesh of ``z`` gives
+  ``F[z,k+1]*F[z,k+2] = 1``, so ``F[x,k]*F[x,k+1] = 1``: the wavefront's
+  stuck-mesh division is exact;
 * row seeding, pinned tail: mesh relations are invertible (Conway-Coxeter:
   a frieze is fixed by a few consecutive entries).  When the plan has no
   divide step (types A, B, C, F, G), the wavefront forces every row down
@@ -304,7 +315,9 @@ def _column_plan(t: DynkinType, caps):
 
 def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
     """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)`` whose
-    cell ``(x**m * y + 1) / modulus`` lies in ``[cell_floor, cell_cap]``.
+    cell ``(x**m * y + 1) / modulus`` lies in ``[cell_floor, cell_cap]``,
+    ``cell_cap >= 1``: the column search's generator cells, and the
+    row-seeded top forced row's cells (``y = 1``, modulus ``t_{j-1}``).
 
     For ``m > 1`` it scans x from ``first`` over at most ``modulus``
     consecutive values, each residue once, and merges the ascending range
@@ -621,7 +634,6 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     # the leading force steps are solved on the wavefront, the rest at leaves
     lead = next((i for i, step in enumerate(steps) if step[0] == "divide"), len(steps))
     wave, rest = steps[:lead], steps[lead:]
-    seed_cap = caps[seed]
     seed_prodcap = prodcaps[seed]
     orbits: dict = {}
     notes: list[str] = []
@@ -629,8 +641,6 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     tally.nodes += 1
     if tally.nodes >= tally.next_stride:
         tally.stride()
-    if start > seed_cap or start**p > seed_prodcap:
-        return orbits, notes
 
     # cols[c][i] is F[i+1, c+1] for the seed row and the forced rows alike;
     # prods[i][c] is the product of row i's first c cells.  Cells beyond
@@ -666,9 +676,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         stuck = ()
     else:
         # the first divide step's stuck mesh pins the product of its two
-        # unsolved neighbour rows; only its divisibility and cap are
-        # checked here, and its quotients at the non-wrap columns are kept
-        # for the leaf's divide step
+        # unsolved neighbour rows; only its cap is checked here (the
+        # division is exact), and its quotients at the non-wrap columns are
+        # kept for the leaf's divide step
         _, _, _, x, ((ku, kmu, ko),), _ = rest[0]
         branch_from = levels[x] + 2
         branch_cap = math.prod(caps[j] ** m for j, m, _ in _mesh_factors(t)[x] if j != ku)
@@ -705,30 +715,21 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                     return
         base = seed_prods[j - 1]
         scaled = base * start ** (p - j)
-        if scaled > seed_prodcap:
-            return
         prev = cols[j - 2][seed]
         # the top forced row's new cell (prev*v - 1)**(1/m_top) is at most xcap
         xcap = min(top_cap, top_prodcap // top_prods[j - 2])
-        limit = min(seed_prodcap // scaled, seed_cap, (xcap**m_top + 1) // prev)
+        limit = min(seed_prodcap // scaled, caps[seed], (xcap**m_top + 1) // prev)
+        if limit < start:
+            return  # also keeps the generator's cell cap at 1 or more
         if pinned:
             candidates = (q,) if start <= q <= limit else ()
         elif m_top == 1:
             candidates = range(start, limit + 1)
-        else:
-            if prev * limit < 2:
-                return
-            xmax = integer_root(prev * limit - 1, m_top)
-
-            def roots():
-                for x in range(1, xmax + 1):
-                    pw = x**m_top + 1
-                    if pw % prev == 0:
-                        v = pw // prev
-                        if v >= start:
-                            yield v
-
-            candidates = roots()
+        else:  # v = (x**m_top + 1) / prev for the top forced row's cell x
+            candidates = (
+                (x**m_top + 1) // prev
+                for x in _congruence_candidates(m_top, 1, prev, xcap, limit, start)
+            )
         # Candidates ascend and every forced cell of this step is
         # non-decreasing in t_j, so a cap failure ends the loop (stop = 2);
         # any other failure skips the candidate (stop = 1).
@@ -776,18 +777,14 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                 stop = 1
             if not stop and not pinned_tail and j >= branch_from:
                 k = j - branch_from
-                num = cols[k][x] * cols[k + 1][x] - 1
-                if num < 1:
+                den = cols[k + ko][ku]  # divides exactly: see the module docstring
+                q = (cols[k][x] * cols[k + 1][x] - 1) // (den if kmu == 1 else den**kmu)
+                if q < 1:
                     stop = 1
+                elif q > branch_cap:
+                    stop = 2
                 else:
-                    den = cols[k + ko][ku]
-                    q, rem = divmod(num, den if kmu == 1 else den**kmu)
-                    if rem:
-                        stop = 1
-                    elif q > branch_cap:
-                        stop = 2
-                    else:
-                        stuck[k] = q
+                    stuck[k] = q
             if stop == 2:
                 break
             if stop:

@@ -28,6 +28,7 @@ from friezes.search import (
     _column_partition,
     _column_plan,
     _congruence_candidates,
+    _force,
     _reconstruct,
     _solvable_coordinates,
     _solve_plan,
@@ -301,6 +302,20 @@ def test_type_d_counts_match_fontaine_plamondon(name, cap, count):
     assert not out.complete
 
 
+@pytest.mark.parametrize("n,cap", [(2, None), (3, None), (4, 64)], ids=["C2", "C3", "C4@64"])
+def test_type_c_counts_match_the_central_binomial(n, cap):
+    # type C_n has C(2n, n) friezes; every C4 frieze fits under an entry
+    # cap of 64, so that run is uncertified but must still find all 70.
+    # Certified C3 runs the row-seeded doubled-edge congruence at every
+    # partition, including ones whose limits leave no candidate.
+    col = outcome(f"C{n}", "column_dfs", entry_cap_override=cap)
+    row = outcome(f"C{n}", "row_seeded", entry_cap_override=cap)
+    for out in (col, row):
+        assert out.frieze_count == math.comb(2 * n, n)
+        assert out.complete is (cap is None) and out.notes == ()
+    assert orbit_keys(col) == orbit_keys(row)
+
+
 @pytest.mark.parametrize("name,cap", [("A3", None), ("C3", None), ("D4", 16), ("E6", 12)])
 def test_column_partitions_hold_their_row_minimum(name, cap):
     # partition `start` returns exactly the orbits whose row-n minimum is
@@ -317,6 +332,19 @@ def test_column_partitions_hold_their_row_minimum(name, cap):
         assert not seen & orbits.keys()
         seen |= orbits.keys()
     assert seen == set(orbit_keys(outcome(name, "column_dfs", entry_cap_override=cap)))
+
+
+@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+def test_start_values_fit_the_row_n_caps(t):
+    # the row-seeded partition tests no start value against row n's caps:
+    # every start is within the entry cap, and start**p within the
+    # product cap, at either period and under any override
+    for p in (search_period(t), type_profile(t).period_cap):
+        for override in (None, 1, 8):
+            caps = entry_caps(t, p, override)
+            top = _start_values(t, caps)[-1]  # the range's largest value
+            assert top <= caps[-1]
+            assert top**p <= entry_caps(t, p)[-1]
 
 
 # A verified period-7 frieze of type E6, rows in index order.
@@ -344,6 +372,41 @@ def test_e6_reconstruction_from_seed_row():
     assert len(cols) == 14
     expected = [tuple(E6_ROWS[i][k] for i in range(6)) for k in range(7)]
     assert cols[:7] == expected and cols[7:] == expected
+
+
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "E6", "E7", "E8"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stuck_mesh_division_is_exact(name, data):
+    # the row-seeded wavefront divides the first divide step's stuck mesh
+    # F[x,k] * F[x,k+1] - 1 by its known factor without a remainder test.
+    # Draw seed rows t_1, t_2, ... from 1..50, each t_j among the values
+    # for which every leading force step solves its new cell, and check
+    # that division at every column where its cells are solved.
+    t = DynkinType.from_name(name)
+    n = t.rank
+    steps, _ = _solve_plan(t)
+    lead = next(i for i, step in enumerate(steps) if step[0] == "divide")
+    wave, (_, _, _, x, known, _) = steps[:lead], steps[lead]
+    caps = (10**40,) * n
+    cols = [[0] * n for _ in range(lead + 6)]  # column-major, as the search
+    cols[0][n - 1] = data.draw(st.integers(1, 50))
+
+    def solve(cols, j):  # the new cells of seed position j, step i at column j - i - 1
+        return all(_force(cols, step, caps, [j - i - 1]) for i, step in enumerate(wave) if j > i)
+
+    for j in range(1, len(cols)):
+        values = []
+        for v in range(1, 51):
+            trial = [list(col) for col in cols]
+            trial[j][n - 1] = v
+            if solve(trial, j):
+                values.append(v)
+        cols[j][n - 1] = data.draw(st.sampled_from(values))
+        assert solve(cols, j)
+    for k in range(len(cols) - lead - 1):  # row x is solved at columns 0 .. len - lead - 1
+        pair = (cols[k], cols[k + 1])
+        assert (cols[k][x] * cols[k + 1][x] - 1) % _product(pair, known) == 0, (k, cols)
 
 
 def test_e6_column_search_finds_the_period_seven_orbit():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 
 from .catalog import DynkinType, repetition_arrows
-from .mesh import FriezePattern, pattern_from_columns
+from .mesh import FriezePattern, FriezeSlice
 from .search import SearchOutcome
 
 __all__ = [
@@ -100,7 +100,9 @@ def parse_frieze(text: str) -> FriezePattern:
         last = meaningful[-1][0]
         raise FriezeFormatError(last, f"missing rows: got {len(rows)}, {dynkin} needs {dynkin.rank}")
 
-    return pattern_from_columns(dynkin, zip(*rows))
+    # every entry was checked above, so the columns skip re-validation
+    columns = tuple(FriezeSlice._unchecked(dynkin, col) for col in zip(*rows))
+    return FriezePattern(dynkin, period, columns)
 
 
 def emit_frieze(f: FriezePattern) -> str:

@@ -1,6 +1,12 @@
 import pytest
 
-from friezes import DynkinType, a2_orbit_pattern, e8_example_pattern, emit_frieze
+from friezes import (
+    DynkinType,
+    a2_orbit_pattern,
+    e8_example_pattern,
+    emit_frieze,
+    pattern_from_columns,
+)
 
 
 @pytest.fixture(scope="session")
@@ -29,3 +35,30 @@ def a2_file(tmp_path, a2_pattern):
 
 def t(name: str) -> DynkinType:
     return DynkinType.from_name(name)
+
+
+def continuant(seq) -> int:
+    """``K(a_1, ..., a_m)``: ``K() = 1``, ``K(a_1) = a_1`` and
+    ``K(a_1..a_m) = a_m K(a_1..a_{m-1}) - K(a_1..a_{m-2})``."""
+    prev, cur = 0, 1
+    for a in seq:
+        prev, cur = cur, a * cur - prev
+    return cur
+
+
+def conway_coxeter_columns(quiddity) -> list[tuple[int, ...]]:
+    """Columns ``0 .. size-1`` of the A_n frieze of a triangulated
+    ``(n+3)``-gon with this quiddity (triangles per polygon vertex):
+    ``F[i,k]`` is the continuant of ``a[1-k], ..., a[i-k]``, indices mod
+    ``n+3`` (Conway-Coxeter)."""
+    size = len(quiddity)
+    return [
+        tuple(continuant(quiddity[(x - k) % size] for x in range(1, i + 1)) for i in range(1, size - 2))
+        for k in range(size)
+    ]
+
+
+@pytest.fixture(scope="session")
+def a6_pattern():
+    # triangles (0,1,2) (0,2,5) (2,3,5) (3,4,5) (0,5,8) (5,6,8) (6,7,8) of a 9-gon
+    return pattern_from_columns(DynkinType("A", 6), conway_coxeter_columns([3, 1, 3, 2, 1, 5, 2, 1, 3]))

@@ -258,29 +258,6 @@ def test_entry_caps_match_profile():
         assert rep.d == prof.d
 
 
-def _conway_coxeter_pattern(quiddity):
-    """The A_n frieze of a triangulated ``(n+3)``-gon with this quiddity:
-    ``F[i,k]`` is the continuant of ``a[1-k], ..., a[i-k]``, indices mod
-    ``n+3`` (Conway-Coxeter)."""
-    size = len(quiddity)
-    n = size - 3
-
-    def continuant(seq):
-        prev, cur = 0, 1
-        for a in seq:
-            prev, cur = cur, a * cur - prev
-        return cur
-
-    columns = [
-        [continuant(quiddity[(x - k) % size] for x in range(1, i + 1)) for i in range(1, n + 1)]
-        for k in range(size)
-    ]
-    return pattern_from_columns(DynkinType("A", n), columns)
-
-
-# triangles (0,1,2) (0,2,5) (2,3,5) (3,4,5) (0,5,8) (5,6,8) (6,7,8) of a 9-gon
-CONWAY_COXETER_A6 = _conway_coxeter_pattern([3, 1, 3, 2, 1, 5, 2, 1, 3])
-
 READ_PATH = (
     lambda f, p: f.rows(),
     row_products,
@@ -292,8 +269,8 @@ READ_PATH = (
 
 @pytest.mark.parametrize("order", [1, -1], ids=["rows-first", "caps-first"])
 @pytest.mark.parametrize("name", ["E8", "A6"])
-def test_cached_pattern_reads_like_a_fresh_one(name, order, e8_pattern):
-    pattern = e8_pattern if name == "E8" else CONWAY_COXETER_A6
+def test_cached_pattern_reads_like_a_fresh_one(name, order, e8_pattern, a6_pattern):
+    pattern = e8_pattern if name == "E8" else a6_pattern
     assert verify_pattern(pattern) == []
 
     def fresh():

@@ -9,6 +9,7 @@ from friezes import (
     FriezeSlice,
     IndivisibleError,
     NoRecurrenceError,
+    cartan_matrix,
     detect_period,
     mesh_product,
     pattern_from_columns,
@@ -16,6 +17,7 @@ from friezes import (
     propagate_forward,
     verify_pattern,
 )
+from friezes.mesh import MeshViolation, backward_values, forward_values
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -129,6 +131,19 @@ def test_detect_period_e8_fixture(e8_pattern):
     assert tuple(c.values for c in columns) == tuple(c.values for c in e8_pattern.columns)
 
 
+@pytest.mark.parametrize("name", ["A2", "E8", "A6"])
+def test_detect_period_columns_read_like_validated_slices(name, a2_pattern, e8_pattern, a6_pattern):
+    pattern = {"A2": a2_pattern, "E8": e8_pattern, "A6": a6_pattern}[name]
+    t = pattern.dynkin
+    q, columns = detect_period(pattern.columns[0], 2 * pattern.period)
+    assert q == len(columns)
+    for c in columns:
+        assert type(c.values) is tuple and len(c.values) == t.rank
+        assert all(type(v) is int and v >= 1 for v in c.values)
+        checked = FriezeSlice(t, list(c.values))
+        assert c == checked and hash(c) == hash(checked) and repr(c) == repr(checked)
+
+
 def test_detect_period_dead_end():
     with pytest.raises(DeadEndError) as exc:
         detect_period(FriezeSlice(A2, (2, 2)), 10)
@@ -175,23 +190,12 @@ def test_verify_rotation_invariance(e8_pattern):
         assert verify_pattern(rotated) == []
 
 
-def test_perturbing_any_fixture_entry_breaks_verification(e8_pattern):
-    cols = [list(c.values) for c in e8_pattern.columns]
-    for k in range(len(cols)):
-        for i in range(8):
-            bumped = [col[:] for col in cols]
-            bumped[k][i] += 1
-            pattern = pattern_from_columns(E8, [tuple(c) for c in bumped])
-            assert verify_pattern(pattern), f"perturbation at ({i + 1}, {k}) went unnoticed"
-
-
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
 def test_propagation_never_reads_unwritten_entries(t):
-    # the in-progress column is seeded with None, so walking the vertices
-    # in the wrong order would raise immediately; the all-ones column
-    # propagates one step in every type (divisions by 1 are always exact)
-    from friezes.mesh import backward_values, forward_values
-
+    # each entry of the in-progress column is a kernel local, so walking
+    # the vertices in the wrong order would raise UnboundLocalError; the
+    # all-ones column propagates one step in every type (divisions by 1
+    # are always exact)
     ones = tuple([1] * t.rank)
     assert all(v >= 1 for v in forward_values(t, ones))
     assert all(v >= 1 for v in backward_values(t, ones))
@@ -208,3 +212,72 @@ def test_pattern_validation():
         from friezes import FriezePattern
 
         FriezePattern(A2, 1, (FriezeSlice(A1, (1,)),))
+
+
+# A plain reading of the mesh relation straight from the Cartan matrix,
+# independent of the mesh table and of the generated kernels.
+def _reference_rhs(t, i, col_k, col_k1):
+    rhs = 1
+    for j, c in enumerate(cartan_matrix(t).entries[i]):
+        if j != i and c:
+            rhs *= (col_k[j] if j < i else col_k1[j]) ** -c
+    return 1 + rhs
+
+
+def _reference_step(t, values, forward):
+    n = t.rank
+    out = [None] * n
+    for i in range(n - 1, -1, -1) if forward else range(n):
+        cols = (values, out) if forward else (out, values)
+        q, r = divmod(_reference_rhs(t, i, *cols), values[i])
+        if r:
+            return i + 1
+        out[i] = q
+    return tuple(out)
+
+
+def _reference_violations(pattern):
+    cols = [c.values for c in pattern.columns]
+    out = []
+    for k, (col_k, col_k1) in enumerate(zip(cols, cols[1:] + cols[:1])):
+        for i in range(pattern.dynkin.rank):
+            lhs = col_k[i] * col_k1[i]
+            rhs = _reference_rhs(pattern.dynkin, i, col_k, col_k1)
+            if lhs != rhs:
+                out.append(MeshViolation(i + 1, k, lhs, rhs))
+    return out
+
+
+@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernels_match_the_cartan_reference(t, data):
+    # small entries so that many draws propagate several vertices deep;
+    # a draw that propagates is stepped again from its result
+    values = tuple(data.draw(st.lists(st.integers(1, 6), min_size=t.rank, max_size=t.rank)))
+    for step, forward in ((forward_values, True), (backward_values, False)):
+        cur = values
+        for _ in range(3):
+            expected = _reference_step(t, cur, forward)
+            if isinstance(expected, int):
+                with pytest.raises(IndivisibleError) as exc:
+                    step(t, cur)
+                assert exc.value.vertex == expected
+                break
+            cur = step(t, cur)
+            assert cur == expected
+
+
+def test_perturbing_any_fixture_entry_breaks_verification(e8_pattern, a6_pattern):
+    # the same violations, in the same order, as the Cartan reference
+    for pattern in (e8_pattern, a6_pattern):
+        cols = [list(c.values) for c in pattern.columns]
+        for k, col in enumerate(cols):
+            for i in range(len(col)):
+                for delta in (1, -1) if col[i] > 1 else (1,):
+                    bumped = [c[:] for c in cols]
+                    bumped[k][i] += delta
+                    perturbed = pattern_from_columns(pattern.dynkin, bumped)
+                    got = verify_pattern(perturbed)
+                    assert got, f"perturbation at ({i + 1}, {k}) went unnoticed"
+                    assert got == _reference_violations(perturbed), (i + 1, k, delta)

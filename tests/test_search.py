@@ -20,6 +20,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
+from conftest import conway_coxeter_columns
 from friezes.catalog import search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
@@ -119,25 +120,27 @@ def _triangulations(vertices):
     return out
 
 
-def _continuant(seq):
-    prev, cur = 0, 1
-    for a in seq:
-        prev, cur = cur, a * cur - prev
-    return cur
-
-
 @pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
 @pytest.mark.parametrize(
     "n,cap,count",
-    [(1, None, 2), (2, None, 5), (3, None, 14), (4, 16, 42), (5, 16, 132)],
-    ids=["A1", "A2", "A3", "A4@16", "A5@16"],
+    [
+        (1, None, 2),
+        (2, None, 5),
+        (3, None, 14),
+        (4, 16, 42),
+        (5, 16, 132),
+        (6, 32, 429),
+        (7, 64, 1430),
+        (8, 64, 4862),
+    ],
+    ids=["A1", "A2", "A3", "A4@16", "A5@16", "A6@32", "A7@64", "A8@64"],
 )
 def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
     # Conway-Coxeter: the A_n friezes are the triangulations of an
     # (n+3)-gon.  With quiddity a (triangles per polygon vertex), the
     # frieze has F[i,k] = K(a[1-k], ..., a[i-k]) for the continuant K,
-    # indices mod n+3; independent of both search strategies.  Every A4
-    # and A5 frieze fits under an entry cap of 16, so those runs are
+    # indices mod n+3; independent of both search strategies.  Every
+    # A4-A8 frieze fits under the entry cap given, so those runs are
     # uncertified but must still find every orbit.
     size = n + 3
     triangulations = _triangulations(list(range(size)))
@@ -146,10 +149,7 @@ def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
     columns = set()
     for tri in triangulations:
         a = [sum(v in t for t in tri) for v in range(size)]
-        cols = [
-            tuple(_continuant(a[(x - k) % size] for x in range(1, i + 1)) for i in range(1, n + 1))
-            for k in range(size)
-        ]
+        cols = conway_coxeter_columns(a)
         columns.add(cols[0])
         q = next(d for d in range(1, size + 1) if cols[d:] + cols[:d] == cols)
         rotations = [tuple(cols[(r + x) % q] for x in range(q)) for r in range(q)]

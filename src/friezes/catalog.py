@@ -326,8 +326,8 @@ def leading_principal_minors(cm: CartanMatrix) -> tuple[Fraction, ...]:
 
 
 def _catalog_sample() -> tuple[DynkinType, ...]:
-    """A finite slice of the infinite catalog, used by tests and the CLI
-    to sweep "every type" style checks."""
+    """A finite slice of the infinite catalog, used by tests to sweep
+    "every type" style checks."""
     names = [
         "A1", "A2", "A3", "A4", "A5",
         "B2", "B3", "B4",

@@ -18,11 +18,11 @@ against each other:
 Both read every mesh product from the factor table ``catalog._mesh_factors``
 through one loop, ``mesh._product`` on a pair of columns: the row-seeded
 search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
-only its wavefront reads its single-factor meshes inline.  Both walk every
-orbit with ``mesh._orbit``: the column search to trace a candidate seed,
-the row-seeded search to cut a reconstructed frieze down to its minimal
-period.  Keeping the strategies apart is what makes their agreement an
-oracle; a fault in the shared table would hit both alike.
+only its wavefront reads its single-factor meshes inline.  Only the
+column search walks orbits (``mesh._orbit``); a frieze being fixed by one
+column, the row-seeded search cuts each frieze where its column 0 recurs.
+So the strategies share only the table and the final ``verify_pattern``
+gate: a fault there would hit both alike, and their agreement checks the rest.
 
 Soundness of the pruning:
 
@@ -64,29 +64,29 @@ Soundness of the pruning:
   the floor holds exactly when ``x**m * y >= start*den - 1``, a closed-form
   lower limit below which no candidate is generated; at ranks 1 and 2
   it is checked with the cell's other constraints;
-* row seeding, monotone cut-off: setting seed entry ``t_j = v`` gives
-  each forced row one new cell ``((a*b - 1)/den)**(1/m)``, where ``a``
-  and ``den`` are already fixed and ``b`` is the new cell of the row
-  above (``v`` itself for the top forced row).  Read as real numbers, every
-  new cell and every running row product are therefore non-decreasing in
-  ``v``, and an exact cell equals its real value.  So is the product of
-  the first divide step's two unsolved stuck-mesh cells,
-  ``(x[k] * x[k+1] - 1) / y[k+1]``: ``x[k+1]`` is the stuck row's new
-  cell, and its known neighbour cell ``y[k+1]`` was fixed earlier.
-  Candidates for ``t_j`` are generated in ascending order, so the first
-  candidate that exceeds an entry, product or stuck-mesh cap ends the
-  candidate loop: every larger candidate that survives the same exact
-  divisions exceeds that cap too.  Inexact divisions, non-perfect powers,
-  a zero numerator and the vertex-1 mesh are not monotone and only skip
-  the candidate.  The top forced row's caps give the closed form
-  ``v <= (L**m + 1) // t_{j-1}``, ``L`` the least of its entry cap and its
-  product cap over the running product; for ``m > 1`` its new cell ``x``
-  solves ``x**m = -1 (mod t_{j-1})`` in ``_congruence_candidates``;
-* row seeding, bounds that need no test: ``_start_values`` keeps ``start``
-  within the row-``n`` cap and ``floor(2**b_n)``, so ``start**p`` is within
-  the product cap ``floor(2**(p*b_n))``; ``t_{j-1}`` keeps
-  ``t_1 ... t_{j-1} * start**(p-j+1)`` within it, so the least product
-  reachable at position ``j`` is at most ``prodcap / start``;
+* row seeding, generated top cell: ``t_j`` enters only the top forced
+  row's new cell ``x = (t_{j-1} * t_j - 1)**(1/m)`` (the seed row's mesh
+  has no other factor), so ``x`` is the candidate.  It comes ascending
+  from ``_congruence_candidates``: ``x <= X``, ``x**m = -1 (mod t_{j-1})``
+  and ``t_j = (x**m + 1) / t_{j-1}`` in ``[start, L]``, or in ``[q, q]``
+  where the tail pins ``t_j = q``.  ``X`` is the least of the top row's
+  entry cap and its product cap over the running product, ``L`` the same
+  for the seed row with every later entry at ``start``, so no candidate
+  tests either cell.  ``start**p`` (``_start_values``) and, by
+  ``t_{j-1}``, ``t_1 ... t_{j-1} * start**(p-j+1)`` are within the seed
+  row's product cap, so that cap alone never puts ``L`` below ``start``;
+* row seeding, monotone cut-off: ``t_j`` grows with ``x``, and each lower
+  forced row gets one new cell ``((a*b - 1)/den)**(1/m)``, ``a`` and
+  ``den`` fixed already and ``b`` the new cell of the row above.  As real
+  numbers, every new cell and running row product are thus
+  non-decreasing in ``x``, and an exact cell equals its real value; so
+  is the product ``(x[k] * x[k+1] - 1) / y[k+1]`` of the first divide
+  step's two unsolved stuck-mesh cells, ``x[k+1]`` being the stuck row's
+  new cell and ``y[k+1]`` fixed earlier.  So the first candidate that
+  exceeds an entry, product or stuck-mesh cap ends the candidate loop:
+  every larger one that survives the same exact divisions exceeds it
+  too.  Inexact divisions, non-perfect powers, a zero numerator and the
+  vertex-1 mesh are not monotone and only skip the candidate;
 * row seeding, stuck-mesh exactness: the stuck vertex ``x`` was forced by
   its known neighbour ``s``, and ``s`` by ``z`` (factor 1 when ``s`` is
   the seed).  Modulo ``F[s,k+1]``, the meshes of ``s`` give
@@ -231,11 +231,13 @@ def _canonical_columns(cols) -> tuple[tuple[int, ...], ...]:
 class _Tally:
     """Node counter; emits a progress line every ``PROGRESS_STRIDE`` nodes.
     Each search counts inline: ``nodes += 1``, then ``stride()`` once
-    ``nodes`` reaches ``next_stride``."""
+    ``nodes`` reaches ``next_stride``.  ``budget`` holds the divisor-branch
+    nodes a row-seeded partition has left."""
 
     def __init__(self, progress=None):
         self.nodes = 0
         self.found = 0
+        self.budget = _FACTORIZATION_BUDGET
         self._progress = progress
         self.next_stride = PROGRESS_STRIDE
 
@@ -559,7 +561,7 @@ def _force(cols, step, caps, columns) -> bool:
     return True
 
 
-def _divisor_rows(cols, step, caps, tally, budget, stuck=()):
+def _divisor_rows(cols, step, caps, tally, stuck=()):
     """Cyclic solutions ``w`` of a divide step; one budgeted node per
     candidate ``w[0]``.  ``stuck`` holds the stuck-mesh quotients of the
     first columns when the caller has them already.  Each ``w`` holds
@@ -577,9 +579,9 @@ def _divisor_rows(cols, step, caps, tally, budget, stuck=()):
     for u in _divisors(math.gcd(products[0], divides[0])):
         if u > cap:
             break
-        if budget[0] <= 0:
+        if tally.budget <= 0:
             return
-        budget[0] -= 1
+        tally.budget -= 1
         tally.nodes += 1
         if tally.nodes >= tally.next_stride:
             tally.stride()
@@ -596,7 +598,7 @@ def _divisor_rows(cols, step, caps, tally, budget, stuck=()):
                 yield w
 
 
-def _reconstruct(t, cols, steps, caps, tally, budget, stuck=(), first=0):
+def _reconstruct(t, cols, steps, caps, tally, stuck=(), first=0):
     """Yield the columns of every frieze that completes ``cols``.
 
     ``cols[c][i]`` holds ``F[i+1, c+1]`` for the seed row and the rows of
@@ -615,13 +617,13 @@ def _reconstruct(t, cols, steps, caps, tally, budget, stuck=(), first=0):
         yield [tuple(col) for col in cols]
     elif steps[first][0] == "force":
         if _force(cols, steps[first], caps, range(p)):
-            yield from _reconstruct(t, cols, steps, caps, tally, budget, (), first + 1)
+            yield from _reconstruct(t, cols, steps, caps, tally, (), first + 1)
     else:
         d = steps[first][1]
-        for w in _divisor_rows(cols, steps[first], caps, tally, budget, stuck):
+        for w in _divisor_rows(cols, steps[first], caps, tally, stuck):
             for col, v in zip(cols, w):
                 col[d] = v
-            yield from _reconstruct(t, cols, steps, caps, tally, budget, (), first + 1)
+            yield from _reconstruct(t, cols, steps, caps, tally, (), first + 1)
 
 
 def _row_partition(t, caps, prodcaps, period_cap, start, tally):
@@ -637,7 +639,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     seed_prodcap = prodcaps[seed]
     orbits: dict = {}
     notes: list[str] = []
-    budget = [_FACTORIZATION_BUDGET]
+    tally.budget = _FACTORIZATION_BUDGET  # one tally may serve several partitions
     tally.nodes += 1
     if tally.nodes >= tally.next_stride:
         tally.stride()
@@ -661,7 +663,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         ((u, mu, _),) = others or ((s, 0, 1),)
         plan.append((s, r, prods[r], levels[r], m, u, mu, caps[r], prodcaps[r]))
     back_plan = plan[::-1]
-    _, _, top_prods, _, m_top, _, _, top_cap, top_prodcap = plan[0]
+    (_, top_row, top_prods, _, m_top, _, _, top_cap, top_prodcap), *lower = plan
 
     pinned_tail = not rest
     if pinned_tail:
@@ -689,12 +691,12 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         for step in wave:  # the wavefront left only the wrap-around cells
             if not _force(cols, step, caps, range(max(p - levels[step[2]], 0), p)):
                 return
-        for found in _reconstruct(t, cols, rest, caps, tally, budget, stuck):
-            # a verified frieze recurs within p: no exception is expected
-            orbit = _orbit(t, found[0], p)
-            key = _canonical_columns(orbit)
+        for found in _reconstruct(t, cols, rest, caps, tally, stuck):
+            # a frieze is fixed by one column: its orbit ends where column 0 recurs
+            q = next(k for k in range(1, p + 1) if found[k % p] == found[0])
+            key = _canonical_columns(found[:q])
             if key not in orbits:
-                orbits[key] = len(orbit)
+                orbits[key] = q
                 tally.found += 1
 
     def descend(j) -> None:  # choose position j (1-based) of the seed row
@@ -715,33 +717,30 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                     return
         base = seed_prods[j - 1]
         scaled = base * start ** (p - j)
-        prev = cols[j - 2][seed]
-        # the top forced row's new cell (prev*v - 1)**(1/m_top) is at most xcap
-        xcap = min(top_cap, top_prodcap // top_prods[j - 2])
-        limit = min(seed_prodcap // scaled, caps[seed], (xcap**m_top + 1) // prev)
-        if limit < start:
+        limit = min(seed_prodcap // scaled, caps[seed])
+        lo, hi = (q, q) if pinned else (start, limit)  # the window of t_j
+        if not start <= lo <= hi <= limit:
             return  # also keeps the generator's cell cap at 1 or more
-        if pinned:
-            candidates = (q,) if start <= q <= limit else ()
-        elif m_top == 1:
-            candidates = range(start, limit + 1)
-        else:  # v = (x**m_top + 1) / prev for the top forced row's cell x
-            candidates = (
-                (x**m_top + 1) // prev
-                for x in _congruence_candidates(m_top, 1, prev, xcap, limit, start)
-            )
-        # Candidates ascend and every forced cell of this step is
-        # non-decreasing in t_j, so a cap failure ends the loop (stop = 2);
-        # any other failure skips the candidate (stop = 1).
-        for v in candidates:
+        # the top forced row's new cell is the candidate: t_j = (top**m + 1) / prev
+        top_col = cols[j - 2]
+        prev = top_col[seed]
+        top_base = top_prods[j - 2]
+        xcap = min(top_cap, top_prodcap // top_base)
+        # Candidates ascend, t_j and every lower forced cell of this step
+        # are non-decreasing in them, so a cap failure ends the loop
+        # (stop = 2); any other failure skips the candidate (stop = 1).
+        for top in _congruence_candidates(m_top, 1, prev, xcap, hi, lo):
             tally.nodes += 1
             if tally.nodes >= tally.next_stride:
                 tally.stride()
-            nxt = cols[j - 1]
-            nxt[seed] = v
+            v = (top + 1 if m_top == 1 else top**m_top + 1) // prev
+            cols[j - 1][seed] = v
             seed_prods[j] = base * v
+            top_col[top_row] = top
+            top_prods[j - 1] = top_base * top
+            nxt = top_col
             stop = 0
-            for s, r, r_prods, level, m, u, mu, cap, prodcap in plan:
+            for s, r, r_prods, level, m, u, mu, cap, prodcap in lower:
                 c = j - level - 1
                 if c < 0:
                     break
@@ -750,13 +749,11 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                 if num < 1:
                     stop = 1
                     break
-                q = num
-                if mu:  # the seed row's mesh has no denominator (mu = 0)
-                    den = nxt[u]
-                    q, rem = divmod(num, den if mu == 1 else den**mu)
-                    if rem:
-                        stop = 1
-                        break
+                den = nxt[u]
+                q, rem = divmod(num, den if mu == 1 else den**mu)
+                if rem:
+                    stop = 1
+                    break
                 if m > 1:
                     root = integer_root(q, m)
                     if root**m != q:
@@ -801,7 +798,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     else:
         descend(2)
     descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
-    if rest and budget[0] <= 0:
+    if rest and tally.budget <= 0:
         notes.append("factorization budget exhausted")
     return orbits, notes
 

@@ -266,6 +266,9 @@ def test_override_marks_incomplete():
         # under an entry cap of 16; row_seeded reaches them through the
         # divide-step leaf
         ("D4", 16, 51),
+        # the doubled-edge top row's generator where its cell cap binds
+        ("C4", 4096, 70),
+        ("C5", 256, 252),
     ],
 )
 def test_cross_strategy_under_override(name, cap, expected):
@@ -366,7 +369,7 @@ def test_e6_reconstruction_from_seed_row():
     tally = _Tally()
     cols = [[0] * 5 + [v] for v in trow]  # column-major: cols[c][i] = F[i+1, c+1]
     steps, _ = _solve_plan(t)
-    results = list(_reconstruct(t, cols, steps, caps, tally, [10**6]))
+    results = list(_reconstruct(t, cols, steps, caps, tally))
     assert len(results) == 1
     cols = results[0]
     assert len(cols) == 14
@@ -549,24 +552,24 @@ def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
 # their sizes, the completeness claim and the nodes explored by
 # (column_dfs, row_seeded) at the full period h+2, then at the default
 # search period (h+2)/2 where the Nakayama twist is the identity.  Both
-# strategies read the same mesh-factor table and orbit walk, so a fault
-# there would keep them in agreement with each other; these fixed values
-# catch it.  The node totals also pin the budgeted divisor-node counting
-# of the row-seeded divide step.
+# strategies read the same mesh-factor table, so a fault there would keep
+# them in agreement with each other; these fixed values catch it.  The
+# node totals also pin the budgeted divisor-node counting of the
+# row-seeded divide step.
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
-    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 41), (6, 41)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 1904), (5619, 1904)),
-    ("B2", None, 6, "4dbd41d47196a995", True, (6, 537), (6, 30)),
+    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 40), (6, 40)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 1903), (5619, 1903)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (6, 536), (6, 29)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (118, 292), (118, 268)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (118, 291), (118, 267)),
     ("C3", 32, 20, "9f41c9d0dc4a6237", False, (88, 101), (88, 81)),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (191, 18981), (191, 230)),
-    ("F4", 16, 7, "4df6259b33d2e253", False, (141, 262), (141, 248)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (203, 7744), (203, 417)),
-    ("E8", 4, 0, "4f53cda18c2baa0c", False, (50, 29), (50, 29)),
-    ("B4", 12, 15, "7105166c0046b3d0", False, (68, 138), (68, 108)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (191, 18334), (191, 223)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (141, 247), (141, 233)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (203, 6863), (203, 372)),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False, (50, 26), (50, 26)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (68, 137), (68, 107)),
     ("C4", 12, 10, "db6af63233c3f324", False, (57, 48), (57, 38)),
 ]
 
@@ -587,6 +590,30 @@ def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_node
         assert out.complete is complete
         assert out.notes == ()
         assert out.nodes_explored == expected_nodes[strategy == "row_seeded"]
+
+
+@pytest.mark.parametrize(
+    "name,cap,count,digest",
+    [
+        ("A4", None, 42, "e9693cd3f02f409e"),
+        ("D4", 16, 51, "6933e0b3234e361b"),
+        ("C3", None, 20, "9f41c9d0dc4a6237"),
+        ("G2", None, 9, "762f2b48aa268770"),
+    ],
+    ids=["A4", "D4@16", "C3", "G2"],
+)
+def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
+    # the row-seeded search cuts each orbit from its reconstructed columns,
+    # so a fault in the orbit walk of the column search cannot reach it
+    def walk(*args, **kwargs):
+        raise AssertionError("row_seeded walked an orbit")
+
+    monkeypatch.setattr("friezes.search._orbit", walk)
+    out = outcome(name, "row_seeded", entry_cap_override=cap)
+    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    assert out.frieze_count == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert out.complete is (cap is None) and out.notes == ()
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """Finite-type Dynkin diagram catalog.
 
-Cartan matrices under a fixed vertex numbering with their mesh-factor
-table and exact rational inverses, the derived bound vectors used
-elsewhere, and repetition-quiver arrow generation.
+One mesh-factor table per type, built in linear time from the edge list,
+owns the diagram: mesh readings, weighted degrees and quiver arrows read
+it.  The dense Cartan matrix is only a view of it for the exact rational
+inverse (and the public API), which gives the bound vectors ``b``.
 
 Vertex numbering (1-based, fixed per family):
 
@@ -149,25 +150,30 @@ def coxeter_number(t: DynkinType) -> int:
 
 
 @lru_cache(maxsize=None)
-def cartan_matrix(t: DynkinType) -> CartanMatrix:
-    """Cartan matrix of ``t`` under the fixed numbering above."""
-    n = t.rank
-    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i, j, mij, mji in _edges(t):
-        rows[i - 1][j - 1] = -mij
-        rows[j - 1][i - 1] = -mji
-    return CartanMatrix(n, tuple(tuple(r) for r in rows))
-
-
-@lru_cache(maxsize=None)
 def _mesh_factors(t: DynkinType):
     """Per vertex ``i`` (0-based): the factors ``(j, m, o)`` of its mesh
     product at column ``k``, each standing for ``F[j, k+o]**m`` with
-    ``m = -C[i,j]`` and ``o = int(j > i)``."""
-    return tuple(
-        tuple((j, -c, int(j > i)) for j, c in enumerate(row) if c < 0)
-        for i, row in enumerate(cartan_matrix(t).entries)
-    )
+    ``m = -C[i,j]`` and ``o = int(j > i)``, sorted by ``j``."""
+    table = [[] for _ in range(t.rank)]
+    for i, j, mij, mji in _edges(t):
+        table[i - 1].append((j - 1, mij, 1))
+        table[j - 1].append((i - 1, mji, 0))
+    return tuple(tuple(sorted(factors)) for factors in table)
+
+
+@lru_cache(maxsize=None)
+def cartan_matrix(t: DynkinType) -> CartanMatrix:
+    """Cartan matrix of ``t`` under the fixed numbering above, filled in
+    from the mesh table."""
+    n = t.rank
+    rows = []
+    for i, factors in enumerate(_mesh_factors(t)):
+        row = [0] * n
+        row[i] = 2
+        for j, m, _ in factors:
+            row[j] = -m
+        rows.append(tuple(row))
+    return CartanMatrix(n, tuple(rows))
 
 
 def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -205,16 +211,15 @@ def inverse_cartan(t: DynkinType) -> InverseCartan:
 
     Before returning, the integer identity ``C * adj == det * I`` is
     re-checked entry by entry, summing only over the nonzero ``C[i][k]``
-    (at most three per row).  With ``det != 0`` this is exactly
-    ``C * C**-1 == I``.
+    (at most three per row, read from the mesh table).  With ``det != 0``
+    this is exactly ``C * C**-1 == I``.
     """
-    cm = cartan_matrix(t)
-    det, adj = _invert_exact(cm.entries)
+    det, adj = _invert_exact(cartan_matrix(t).entries)
     if det == 0:
         raise ArithmeticError("inverse check failed: zero determinant")
     n = t.rank
-    for i in range(n):
-        nonzero = [(k, c) for k, c in enumerate(cm.entries[i]) if c]
+    for i, factors in enumerate(_mesh_factors(t)):
+        nonzero = [(i, 2)] + [(k, -m) for k, m, _ in factors]
         for j in range(n):
             acc = sum(c * adj[k][j] for k, c in nonzero)
             if acc != (det if i == j else 0):
@@ -226,10 +231,8 @@ def inverse_cartan(t: DynkinType) -> InverseCartan:
 def type_profile(t: DynkinType) -> TypeProfile:
     """Row sums ``b`` of the inverse, weighted degrees ``d``, and the
     period cap ``h + 2`` (Coxeter number plus two)."""
-    cm = cartan_matrix(t)
-    inv = inverse_cartan(t)
-    b = tuple(sum(row, Fraction(0)) for row in inv.entries)
-    d = tuple(sum(-x for x in row if x < 0) for row in cm.entries)
+    b = tuple(sum(row, Fraction(0)) for row in inverse_cartan(t).entries)
+    d = tuple(sum(m for _, m, _ in factors) for factors in _mesh_factors(t))
     return TypeProfile(t, b, d, coxeter_number(t) + 2)
 
 
@@ -292,7 +295,7 @@ def repetition_arrows(
     then ``(i, j)``."""
     if k_lo > k_hi:
         raise ValueError(f"empty column range: {k_lo} > {k_hi}")
-    pairs = sorted((i, j) for i, j, _, _ in _edges(t))
+    pairs = [(i + 1, j + 1) for i, row in enumerate(_mesh_factors(t)) for j, _, o in row if o]
     arrows = []
     for k in range(k_lo, k_hi + 1):
         for i, j in pairs:
@@ -302,26 +305,16 @@ def repetition_arrows(
 
 
 def leading_principal_minors(cm: CartanMatrix) -> tuple[Fraction, ...]:
-    """Determinants of the leading principal submatrices, exactly."""
+    """Determinants of the leading principal submatrices, exactly: each
+    from the integer elimination above on the leading block, 0 where
+    that block is singular."""
     minors = []
     for m in range(1, cm.rank + 1):
-        sub = [[Fraction(cm.entries[i][j]) for j in range(m)] for i in range(m)]
-        det = Fraction(1)
-        for col in range(m):
-            pivot = next((r for r in range(col, m) if sub[r][col] != 0), None)
-            if pivot is None:
-                det = Fraction(0)
-                break
-            if pivot != col:
-                sub[col], sub[pivot] = sub[pivot], sub[col]
-                det = -det
-            det *= sub[col][col]
-            inv_p = 1 / sub[col][col]
-            for r in range(col + 1, m):
-                if sub[r][col] != 0:
-                    f = sub[r][col] * inv_p
-                    sub[r] = [x - f * y for x, y in zip(sub[r], sub[col])]
-        minors.append(det)
+        try:
+            det, _ = _invert_exact(tuple(row[:m] for row in cm.entries[:m]))
+        except ArithmeticError:
+            det = 0
+        minors.append(Fraction(det))
     return tuple(minors)
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .catalog import DynkinType, search_period, type_profile
+from .catalog import DynkinType, coxeter_number, search_period, type_profile
 from .formats import (
     FriezeFormatError,
     analyze_payload,
@@ -35,10 +35,6 @@ from .search import (
     enumerate_friezes,
     stderr_progress,
 )
-
-# Full enumeration of branch types at the exact caps is far beyond desk
-# scale; require an explicit --cap so no uncertified count is implied.
-_BRANCH_FAMILIES = ("D", "E")
 
 
 def _read_pattern(path: str):
@@ -132,7 +128,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
-    if t.family in _BRANCH_FAMILIES and args.cap is None:
+    default = default_strategy(t)
+    # Where the solve plan needs divisor branching the exact caps are far beyond
+    # desk scale; require --cap so no uncertified count is implied.
+    if t.rank > 1 and default == "column_dfs" and args.cap is None:
         p = search_period(t)
         caps = bounds_mod.entry_caps(t, p)
         exps = " ".join(f"2^{p * bi}" for bi in type_profile(t).b)
@@ -143,7 +142,7 @@ def cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    strategy = args.strategy if args.strategy else default_strategy(t)
+    strategy = args.strategy if args.strategy else default
     cfg = SearchConfig(
         dynkin=t,
         strategy=strategy,
@@ -186,7 +185,7 @@ def cmd_period(args) -> int:
             print(f"error: bad seed {args.seed!r}", file=sys.stderr)
             return 2
         seed = FriezeSlice(t, values)
-    cap = args.cap if args.cap is not None else type_profile(t).period_cap
+    cap = args.cap if args.cap is not None else coxeter_number(t) + 2
     try:
         q, columns = detect_period(seed, cap)
     except DeadEndError as exc:

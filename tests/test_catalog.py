@@ -109,6 +109,69 @@ def test_small_inverses():
     )
 
 
+def test_small_mesh_tables():
+    # per vertex: (neighbour j, exponent m = -C[i,j], column offset o = int(j > i))
+    assert catalog._mesh_factors(DynkinType("G", 2)) == (((1, 1, 1),), ((0, 3, 0),))
+    assert catalog._mesh_factors(DynkinType("B", 2)) == (((1, 2, 1),), ((0, 1, 0),))
+    assert catalog._mesh_factors(DynkinType("C", 2)) == (((1, 1, 1),), ((0, 2, 0),))
+    assert catalog._mesh_factors(DynkinType("D", 4)) == (
+        ((1, 1, 1),),
+        ((0, 1, 0), (2, 1, 1), (3, 1, 1)),
+        ((1, 1, 0),),
+        ((1, 1, 0),),
+    )
+
+
+def _path_cartan(t):
+    """Cartan matrix of A_n, B_n, C_n or D_n built by hand: the tridiagonal
+    path, with B's and C's doubled last edge and D's last vertex moved
+    from ``n-1`` to the branch vertex ``n-2``."""
+    n = t.rank
+    rows = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+    if t.family == "B":
+        rows[n - 2][n - 1] = -2
+    elif t.family == "C":
+        rows[n - 1][n - 2] = -2
+    elif t.family == "D":
+        rows[n - 2][n - 1] = rows[n - 1][n - 2] = 0
+        rows[n - 3][n - 1] = rows[n - 1][n - 3] = -1
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("name", ["A200", "B200", "C200", "D200"])
+def test_large_cartan_matrices_match_the_path_builder(name):
+    t = DynkinType.from_name(name)
+    assert cartan_matrix(t) == catalog.CartanMatrix(200, _path_cartan(t))
+
+
+def _known_minors(t):
+    n = t.rank
+    if t.family == "A":
+        return tuple(range(2, n + 2))
+    if t.family in "BC":
+        return tuple(range(2, n + 1)) + (2,)
+    if t.family == "D":
+        return tuple(range(2, n + 1)) + (4,)
+    return {
+        "E6": (2, 4, 6, 5, 4, 3),
+        "E7": (2, 4, 6, 5, 4, 3, 2),
+        "E8": (2, 4, 6, 5, 4, 3, 2, 1),
+        "F4": (2, 3, 2, 1),
+        "G2": (2, 1),
+    }[str(t)]
+
+
+@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+def test_leading_principal_minors_exact(t):
+    assert leading_principal_minors(cartan_matrix(t)) == _known_minors(t)
+
+
+def test_leading_principal_minors_of_non_cartan_matrices():
+    # a zero leading entry gives minor 0 and a swapped pivot the sign
+    assert leading_principal_minors(catalog.CartanMatrix(2, ((0, 1), (1, 0)))) == (0, -1)
+    assert leading_principal_minors(catalog.CartanMatrix(2, ((1, 2), (2, 4)))) == (1, 0)
+
+
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
 def test_cartan_invariants_hold_across_catalog(t):
     cm = cartan_matrix(t)

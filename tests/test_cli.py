@@ -3,7 +3,9 @@ import json
 import jsonschema
 import pytest
 
-from friezes import JSON_SCHEMAS
+import friezes.cli
+from conftest import conway_coxeter_columns
+from friezes import JSON_SCHEMAS, DynkinType, emit_frieze, pattern_from_columns
 from friezes.cli import main
 
 A2_DOC = "dynkin A2\nperiod 5\nrow 1 3 1 2 2\nrow 1 2 2 1 3\n"
@@ -142,6 +144,21 @@ def test_enumerate_refuses_branch_types_without_cap(capsys):
     assert "2^464" in err or "2^928" in err  # prints the caps it would need
 
 
+@pytest.mark.parametrize("name", ["D4", "D5", "D6", "E6", "E7", "E8"])
+def test_enumerate_refuses_divisor_branching_without_cap(capsys, name):
+    code, out, err = run(capsys, "enumerate", name)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: full enumeration of {name} needs entry caps 2^")
+
+
+@pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 5)])
+def test_enumerate_runs_forced_types_without_cap(capsys, name, count):
+    # A1 defaults to column_dfs at rank 1, yet needs no divisor branching.
+    code, out, _ = run(capsys, "enumerate", name)
+    assert code == 0
+    assert f"friezes {count} " in out
+
+
 def test_enumerate_with_cap_is_incomplete(capsys):
     code, out, _ = run(capsys, "enumerate", "D4", "--cap", "8")
     assert code == 1
@@ -190,6 +207,21 @@ def test_period_e8_seed(capsys):
     code, out, _ = run(capsys, "period", "--type", "E8", "--seed", "4,6,11,29,21,13,5,2")
     assert code == 0
     assert "minimal period 4" in out
+
+
+def test_period_default_cap_skips_the_type_profile(capsys, monkeypatch, tmp_path):
+    # The default cap is h + 2 from the Coxeter number alone: no exact
+    # inverse is computed.  Fan triangulation of the 63-gon from vertex 0.
+    def no_profile(t):
+        raise AssertionError("period must not compute the type profile")
+
+    monkeypatch.setattr(friezes.cli, "type_profile", no_profile)
+    columns = conway_coxeter_columns([61, 1] + [2] * 60 + [1])
+    path = tmp_path / "a60.frieze"
+    path.write_text(emit_frieze(pattern_from_columns(DynkinType("A", 60), columns)), encoding="utf-8")
+    code, out, _ = run(capsys, "period", str(path))
+    assert code == 0
+    assert out.startswith("dynkin A60  minimal period 63\n")
 
 
 def test_period_dead_end(capsys):

@@ -67,9 +67,10 @@ Soundness of the pruning:
 * row seeding, generated top cell: ``t_j`` enters only the top forced
   row's new cell ``x = (t_{j-1} * t_j - 1)**(1/m)`` (the seed row's mesh
   has no other factor), so ``x`` is the candidate.  It comes ascending
-  from ``_congruence_candidates``: ``x <= X``, ``x**m = -1 (mod t_{j-1})``
-  and ``t_j = (x**m + 1) / t_{j-1}`` in ``[start, L]``, or in ``[q, q]``
-  where the tail pins ``t_j = q``.  ``X`` is the least of the top row's
+  from ``_congruence_candidates`` (or the closing solve below):
+  ``x <= X``, ``x**m = -1 (mod t_{j-1})`` and ``t_j = (x**m + 1) /
+  t_{j-1}`` in ``[start, L]``, or in ``[q, q]`` where the tail pins
+  ``t_j = q``.  ``X`` is the least of the top row's
   entry cap and its product cap over the running product, ``L`` the same
   for the seed row with every later entry at ``start``, so no candidate
   tests either cell.  ``start**p`` (``_start_values``) and, by
@@ -101,7 +102,23 @@ Soundness of the pruning:
   next cell by one exact division.  So ``t_j`` has at most one value from
   then on, and it still passes every forward check.  That cell's
   vertex-1 mesh needs no test: the wave inverts each exact back-solve
-  step, so it recomputes the very cell that mesh fixed.
+  step, so it recomputes the very cell that mesh fixed;
+* row seeding, closing solve: on a linear plan (pinned tail, every wave
+  step with ``m = 1`` and denominator exponent at most 1, check exponent
+  1) the pin test's position ``j`` draws its candidates from
+  ``_closing_candidates`` instead of the scan.  There the seed cell is
+  ``t = t_j``, the top cell ``prev*t - 1`` and each lower new cell
+  ``(a*above - 1) / den``, ``a`` and ``den`` fixed earlier, so each new
+  cell is ``(A*t + B) / D`` with ``A, D > 0``.  The test asks that the
+  bottom cell ``P`` divide ``1 + R``, ``R`` the cell above it.  Where
+  ``P > 0`` (a smaller ``P`` fails at a cell below 1 anyway), the
+  quotient ``q = (1 + R) / P`` is a Moebius function of
+  ``t``, hence monotone, so a passing ``t`` solves ``1 + R = q*P`` for an
+  integer ``q >= 1`` between its values at the window's ends; solving for
+  each such ``q`` finds every passing ``t``.  With more ``q`` than ``t`` in
+  the window, or a zero slope, the scan runs instead.  The solved ``t``
+  ascend into the unchanged per-candidate body, which still checks every
+  division, cap and the pin test: the solve only filters.
 
 Counts treat each of the ``q`` distinct columns of a minimal-period-``q``
 orbit as a distinct frieze (a frieze and its translates are different
@@ -342,9 +359,12 @@ def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
     if modulus == 1:
         return range(first, cap + 1)
     if m == 1:
-        if math.gcd(y, modulus) != 1:
+        if y == 1:  # the row-seeded top row: x = -1 (mod modulus)
+            x0 = modulus - 1
+        elif math.gcd(y, modulus) != 1:
             return ()
-        x0 = -pow(y, -1, modulus) % modulus
+        else:
+            x0 = -pow(y, -1, modulus) % modulus
         return range(first + (x0 - first) % modulus, cap + 1, modulus)
     from heapq import merge  # imported here: only a doubled or tripled edge needs it
 
@@ -356,6 +376,49 @@ def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
             if (pow(x, m, modulus) * y + 1) % modulus == 0
         )
     )
+
+
+def _closing_candidates(prev, cols, closing, lo, hi, xcap):
+    """The row-seeded pin test's candidates on a linear plan: ascending
+    ``x = prev*t - 1`` with ``t`` in ``[lo, hi]`` and ``x <= xcap`` (the top
+    row's ``_congruence_candidates`` window) whose bottom row's new cell
+    ``P`` is positive and divides ``1 + R``, ``R`` the new cell of the row
+    above it.  ``closing`` holds ``(c, s, u)`` per row below the top forced
+    row: its new cell is ``(cols[c][s] * above - 1) / cols[c + 1][u]``.
+    Returns the plain scan when the quotient range outgrows the window or
+    the solve degenerates."""
+    # each new cell as (A*t + B) / D, from the seed and top rows down to R, P
+    ra, rb, rd, pa, pb, pd = 1, 0, 1, prev, -1, 1
+    for c, s, u in closing:
+        a = cols[c][s]
+        ra, rb, rd, pa, pb, pd = pa, pb, pd, a * pa, a * pb - pd, pd * cols[c + 1][u]
+    tlo = -pb // pa + 1  # P > 0
+    if tlo < lo:
+        tlo = lo
+    thi = (xcap + 1) // prev
+    if thi > hi:
+        thi = hi
+    if tlo > thi:
+        return ()
+    # on [tlo, thi], q = (1 + R) / P = pd*(ra*t + rb) / (rd*(pa*t + pb)) is monotone
+    rb += rd
+    n1, d1 = pd * (ra * tlo + rb), rd * (pa * tlo + pb)
+    n2, d2 = pd * (ra * thi + rb), rd * (pa * thi + pb)
+    qlo = max(1, min(-(-n1 // d1), -(-n2 // d2)))
+    qhi = max(n1 // d1, n2 // d2)
+    if qhi - qlo <= thi - tlo:
+        ts = []
+        for q in range(qlo, qhi + 1):  # solve (1 + R) = q*P for t
+            coef = pd * ra - q * rd * pa
+            if not coef:
+                break
+            t, rem = divmod(q * rd * pb - pd * rb, coef)
+            if not rem and tlo <= t <= thi:
+                ts.append(t)
+        else:
+            ts.sort()
+            return [prev * t - 1 for t in ts]
+    return _congruence_candidates(1, 1, prev, xcap, hi, lo)
 
 
 @lru_cache(maxsize=_INVERSE_TABLE_LIMIT)
@@ -666,6 +729,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     (_, top_row, top_prods, _, m_top, _, _, top_cap, top_prodcap), *lower = plan
 
     pinned_tail = not rest
+    closing = None
     if pinned_tail:
         # the wave solves every row; the last one's mesh, the only check,
         # pins it once it holds a cell: t_j is pinned from j = pin_from on
@@ -676,6 +740,11 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         # j = pin_from - 1: run it there, per candidate, instead of in a call
         pin_test = pin_from - 1 if pin_from <= p else 0
         stuck = ()
+        # a linear plan (no root, no power) solves that test for t_j instead
+        # (module docstring); each lower row's new cell reads these cells
+        linear = all(st[4] == 1 for st in plan) and all(st[6] == 1 for st in lower)
+        if pin_test and linear and mu1 == 1 and plan[-1][:2] == (u1, f):
+            closing = [(pin_test - lv - 1, s, u) for s, _, _, lv, _, u, _, _, _ in lower]
     else:
         # the first divide step's stuck mesh pins the product of its two
         # unsolved neighbour rows; only its cap is checked here (the
@@ -729,7 +798,11 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         # Candidates ascend, t_j and every lower forced cell of this step
         # are non-decreasing in them, so a cap failure ends the loop
         # (stop = 2); any other failure skips the candidate (stop = 1).
-        for top in _congruence_candidates(m_top, 1, prev, xcap, hi, lo):
+        if j == pin_test and closing is not None:
+            candidates = _closing_candidates(prev, cols, closing, lo, hi, xcap)
+        else:
+            candidates = _congruence_candidates(m_top, 1, prev, xcap, hi, lo)
+        for top in candidates:
             tally.nodes += 1
             if tally.nodes >= tally.next_stride:
                 tally.stride()

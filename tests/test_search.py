@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +21,13 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
-from conftest import conway_coxeter_columns
+from conftest import continuant, conway_coxeter_columns
 from friezes.catalog import search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
     _INVERSE_TABLE_LIMIT,
     _canonical_columns,
+    _closing_candidates,
     _column_partition,
     _column_plan,
     _congruence_candidates,
@@ -558,8 +560,8 @@ def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
 # row-seeded divide step.
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
-    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 40), (6, 40)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 1903), (5619, 1903)),
+    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 11), (6, 11)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 549), (5619, 549)),
     ("B2", None, 6, "4dbd41d47196a995", True, (6, 536), (6, 29)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
@@ -620,7 +622,7 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
     "name,strategy,cap,stride",
     [
         ("A3", "column_dfs", None, 100),
-        ("A3", "row_seeded", None, 100),
+        ("A3", "row_seeded", None, 50),
         # E6 has a free depth: its nodes come from the lookahead's candidates
         ("E6", "column_dfs", 12, 50),
     ],
@@ -774,6 +776,86 @@ def test_congruence_candidates_clip_matches_brute_force(m, y, modulus, cap):
     for cell_floor in sorted({1, *cells, *(c + 1 for c in cells)}):
         got = list(_congruence_candidates(m, y, modulus, cap, cells[-1], cell_floor))
         assert got == [x for x, c in zip(solutions, cells) if c >= cell_floor], cell_floor
+
+
+def _a_wavefront(prefix):
+    """The row-seeded A_n wavefront once the seed row holds ``prefix``
+    (``n = len(prefix) + 1``), column-major as the search keeps it:
+    ``F[n-k, c+1] = K(t_{c+1}, ..., t_{c+k+1})`` (Conway-Coxeter).  Also
+    the ``(c, s, u)`` that the closing solve at position ``n`` reads per
+    row below the top forced row: row ``n-k`` at level ``k``."""
+    n = len(prefix) + 1
+    cols = [[0] * n for _ in range(n)]
+    for c in range(n - 1):
+        for k in range(n - 1 - c):
+            cols[c][n - 1 - k] = continuant(prefix[c : c + k + 1])
+    return cols, [(n - k - 1, n - k, n - k + 1) for k in range(2, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closing_solve_matches_the_continuant_oracle(n):
+    # t passes the pin test of A_n exactly when K(t_1..t_n) > 0 divides
+    # 1 + K(t_2..t_n); the solve must yield exactly those t, as ascending
+    # x = t_{n-1} * t - 1, in the window the top row's scan covers
+    rng = random.Random(n)
+    nonpositive_low_end = several = 0
+    for _ in range(400):
+        prefix = [rng.randint(1, 6) for _ in range(n - 1)]
+        if any(continuant(prefix[a:b]) < 1 for a in range(n - 1) for b in range(a + 1, n)):
+            continue  # no wavefront holds a cell below 1
+        cols, closing = _a_wavefront(prefix)
+        prev = prefix[-1]
+        lo = rng.randint(1, 4)
+        hi = lo + rng.choice([0, 2, 40])
+        xcap = prev * hi - 1 - rng.randint(0, 2 * prev)
+        passing = [
+            prev * t - 1
+            for t in range(lo, hi + 1)
+            if 1 <= prev * t - 1 <= xcap
+            and (p := continuant(prefix + [t])) > 0
+            and (1 + continuant(prefix[1:] + [t])) % p == 0
+        ]
+        assert list(_closing_candidates(prev, cols, closing, lo, hi, xcap)) == passing
+        nonpositive_low_end += continuant(prefix + [lo]) < 1
+        several += len(passing) > 1
+    assert nonpositive_low_end and several
+
+
+def test_closing_solve_falls_back_to_the_scan():
+    # On a frieze wavefront the quotient q = (1 + R) / P moves by about one
+    # per step of t, so only cells that no frieze holds make its range
+    # outgrow the window.  Here P = (t - 2) / 7 and 1 + R = t: q runs from
+    # 21 down to 9 over t = 3 .. 9, so all seven candidates are scanned,
+    # although q is an integer only at t = 3, 4 and 9.
+    cols = [[0, 1, 1], [0, 0, 7], [0, 0, 0]]
+    got = list(_closing_candidates(1, cols, [(0, 1, 2)], 3, 9, 8))
+    assert got == list(_congruence_candidates(1, 1, 1, 8, 9, 3)) == list(range(2, 9))
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [("A2", None), ("A3", None), ("A5", 8), ("B2", None), ("C2", None),
+     ("G2", None), ("B3", 32), ("C3", 32), ("F4", 16), ("D4", 8)],
+)
+def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
+    # the solve is keyed on the plan (pinned tail, no root, no power), not
+    # on the family letter: today only A_n qualifies
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return _closing_candidates(*args)
+
+    monkeypatch.setattr("friezes.search._closing_candidates", record)
+    outcome(name, "row_seeded", entry_cap_override=cap)
+    assert bool(calls) == name.startswith("A")
+
+
+def test_certified_a4_row_seeded_nodes():
+    # at A4's pin-test position only the solved candidates count as nodes
+    out = outcome("A4", "row_seeded")
+    assert out.frieze_count == 42 and out.complete
+    assert out.nodes_explored == 105_997
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,11 @@ against each other:
   one unsolved neighbour forces that row; when none does, a vertex whose
   neighbours are all solved branches over the divisor factorizations of
   its own mesh, each entry also dividing the quotient of the stuck mesh
-  that has two unsolved neighbours; unused meshes are checked last.
+  that has two unsolved neighbours; the unused mesh is checked last.  A
+  Dynkin diagram being a tree with at most one branch vertex, every plan
+  has one shape: a chain of force steps down from the seed row (the
+  wave), at most one divide step (types D and E), more force steps (the
+  tail) and one check, the mesh at vertex 1.
 
 Both read every mesh product from the factor table ``catalog._mesh_factors``
 through one loop, ``mesh._product`` on a pair of columns: the row-seeded
@@ -81,8 +85,8 @@ Soundness of the pruning:
   ``den`` fixed already and ``b`` the new cell of the row above.  As real
   numbers, every new cell and running row product are thus
   non-decreasing in ``x``, and an exact cell equals its real value; so
-  is the product ``(x[k] * x[k+1] - 1) / y[k+1]`` of the first divide
-  step's two unsolved stuck-mesh cells, ``x[k+1]`` being the stuck row's
+  is the product ``(x[k] * x[k+1] - 1) / y[k+1]`` of the divide step's
+  two unsolved stuck-mesh cells, ``x[k+1]`` being the stuck row's
   new cell and ``y[k+1]`` fixed earlier.  So the first candidate that
   exceeds an entry, product or stuck-mesh cap ends the candidate loop:
   every larger one that survives the same exact divisions exceeds it
@@ -200,8 +204,7 @@ class SearchOutcome:
 def default_strategy(t: DynkinType) -> str:
     """Row seeding at rank >= 2 when the solve plan forces every row (no
     divisor branching), column search otherwise."""
-    steps, _ = _solve_plan(t)
-    if t.rank >= 2 and all(step[0] == "force" for step in steps):
+    if t.rank >= 2 and _solve_plan(t)[1] is None:
         return "row_seeded"
     return "column_dfs"
 
@@ -236,13 +239,7 @@ def _divisors(x: int) -> list[int]:
 
 def _canonical_columns(cols) -> tuple[tuple[int, ...], ...]:
     """Lexicographically least rotation of the column sequence."""
-    q = len(cols)
-    best = tuple(cols)
-    for r in range(1, q):
-        rot = tuple(cols[(r + m) % q] for m in range(q))
-        if rot < best:
-            best = rot
-    return best
+    return min(tuple(cols[r:]) + tuple(cols[:r]) for r in range(len(cols)))
 
 
 class _Tally:
@@ -557,20 +554,22 @@ def _column_partition(t, caps, period_cap, start, tally):
 def _solve_plan(t: DynkinType):
     """Row-seeded solve order, derived from the Cartan matrix.
 
-    Starting from the solved seed row ``n``, returns ``(steps, checks)``
-    over 0-based vertices.  Mesh terms are factors ``(j, m, o)`` of the
-    mesh table, each ``F[j, k + o]**m`` in a mesh product at column ``k``.
+    Starting from the solved seed row ``n``, returns ``(wave, divide, tail,
+    check)`` over 0-based vertices.  Mesh terms are factors ``(j, m, o)`` of
+    the mesh table, each ``F[j, k + o]**m`` in a mesh product at column ``k``.
 
-    * ``("force", s, r, m, o, others)``: the mesh at the solved vertex
-      ``s`` has one unsolved neighbour ``r``, with exponent ``m`` and
-      column offset ``o``; ``others`` are its remaining terms.
-    * ``("divide", d, terms, x, known, o)``: no mesh forces a row, so the
-      highest unsolved vertex ``d`` whose neighbours are all solved takes
-      a divisor row ``w[k] * w[k+1] = 1 + product(terms)``.  The stuck
-      mesh at ``x`` has ``d`` and one more unsolved neighbour, so each
-      ``w[k + o]`` divides ``(F[x,k] * F[x,k+1] - 1) / product(known)``.
-
-    ``checks`` pairs each vertex whose mesh no step used with its terms.
+    * ``wave`` and ``tail`` hold force steps ``(s, r, m, o, others)``: the
+      mesh at the solved vertex ``s`` has one unsolved neighbour ``r``, with
+      exponent ``m`` and column offset ``o``; ``others`` are its remaining
+      terms.  ``wave`` runs before the divide step, ``tail`` after it.
+    * ``divide`` is ``(d, terms, x, known, o)``, or None when the force
+      steps solve every row: no mesh forces a row, so the highest unsolved
+      vertex ``d`` whose neighbours are all solved takes a divisor row
+      ``w[k] * w[k+1] = 1 + product(terms)``.  The stuck mesh at ``x`` has
+      ``d`` and one more unsolved neighbour, so each ``w[k + o]`` divides
+      ``(F[x,k] * F[x,k+1] - 1) / product(known)``.
+    * ``check`` pairs the one vertex whose mesh no step used with its terms:
+      ``n - 1`` steps use ``n - 1`` meshes.
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -578,7 +577,7 @@ def _solve_plan(t: DynkinType):
     def terms(i, skip):
         return tuple(f for f in factors[i] if f[0] not in skip)
 
-    solved, used, steps = {n - 1}, set(), []
+    solved, used, wave, tail, divide = {n - 1}, set(), [], [], None
 
     def unsolved(i):
         return [j for j, _, _ in factors[i] if j not in solved]
@@ -587,15 +586,16 @@ def _solve_plan(t: DynkinType):
         s = next((s for s in sorted(solved - used, reverse=True) if len(unsolved(s)) == 1), None)
         if s is not None:
             ((r, m, o),) = terms(s, solved)
-            steps.append(("force", s, r, m, o, terms(s, (r,))))
+            (wave if divide is None else tail).append((s, r, m, o, terms(s, (r,))))
         else:  # a divide step uses the divided vertex's own mesh
+            assert divide is None, f"{t} needs a second divide step"
             r = s = max(i for i in range(n) if i not in solved and not unsolved(i))
             x = next(x for x in solved - used if len(unsolved(x)) == 2 and r in unsolved(x))
-            steps.append(("divide", r, factors[r], x, terms(x, unsolved(x)), int(r > x)))
+            divide = (r, factors[r], x, terms(x, unsolved(x)), int(r > x))
         used.add(s)
         solved.add(r)
-    checks = tuple((i, factors[i]) for i in range(n) if i not in used)
-    return tuple(steps), checks
+    (check,) = ((i, factors[i]) for i in range(n) if i not in used)
+    return tuple(wave), divide, tuple(tail), check
 
 
 def _quotient(pair, v, terms) -> int:
@@ -608,7 +608,7 @@ def _quotient(pair, v, terms) -> int:
 def _force(cols, step, caps, columns) -> bool:
     """Solve the forced row's cells at ``columns`` in place; False when a
     cell is not a positive integer within its cap."""
-    _, s, r, m, o, others = step
+    s, r, m, o, others = step
     p, cap = len(cols), caps[r]
     for k in columns:
         pair = (cols[k], cols[(k + 1) % p])
@@ -629,7 +629,7 @@ def _divisor_rows(cols, step, caps, tally, stuck=()):
     candidate ``w[0]``.  ``stuck`` holds the stuck-mesh quotients of the
     first columns when the caller has them already.  Each ``w`` holds
     ``p + 1`` entries, the last equal to the first."""
-    _, d, terms, x, known, o = step
+    d, terms, x, known, o = step
     p, cap = len(cols), caps[d]
     quotients = list(stuck)
     for k in range(len(stuck), p):
@@ -661,32 +661,29 @@ def _divisor_rows(cols, step, caps, tally, stuck=()):
                 yield w
 
 
-def _reconstruct(t, cols, steps, caps, tally, stuck=(), first=0):
-    """Yield the columns of every frieze that completes ``cols``.
+def _reconstruct(cols, solve_plan, caps, tally, stuck=()):
+    """Yield the columns of every frieze that completes ``cols`` under
+    ``solve_plan``, the type's ``_solve_plan``.
 
-    ``cols[c][i]`` holds ``F[i+1, c+1]`` for the seed row and the rows of
-    the plan steps before ``steps[first:]``; the rest are solved in place,
-    in plan order, branching at divide steps.  ``stuck`` goes to
-    ``_divisor_rows`` when ``steps[first]`` is a divide step.  The plan's
-    final checks gate every frieze: a mesh holds exactly when its quotient
-    is 1.  Each step recurses on ``first + 1``; no closure is built, so a
-    leaf leaves no reference cycle behind.
+    ``cols[c][i]`` holds ``F[i+1, c+1]`` for the seed row and, but for
+    their wrap-around cells, the wave rows.  The rest is solved in place,
+    in plan order: the wrap-around cells, then each divisor row of the
+    divide step, if any (``stuck`` goes to ``_divisor_rows``), then the
+    tail.  The check gates every frieze: a mesh holds exactly when its
+    quotient is 1.
     """
     p = len(cols)
-    if first == len(steps):
-        for v, terms in _solve_plan(t)[1]:
-            if any(_quotient((cols[k], cols[(k + 1) % p]), v, terms) != 1 for k in range(p)):
-                return
-        yield [tuple(col) for col in cols]
-    elif steps[first][0] == "force":
-        if _force(cols, steps[first], caps, range(p)):
-            yield from _reconstruct(t, cols, steps, caps, tally, (), first + 1)
-    else:
-        d = steps[first][1]
-        for w in _divisor_rows(cols, steps[first], caps, tally, stuck):
-            for col, v in zip(cols, w):
-                col[d] = v
-            yield from _reconstruct(t, cols, steps, caps, tally, (), first + 1)
+    wave, divide, tail, (v, terms) = solve_plan
+    for level, step in enumerate(wave, 1):  # the wavefront left its last level cells
+        if not _force(cols, step, caps, range(max(p - level, 0), p)):
+            return
+    for w in _divisor_rows(cols, divide, caps, tally, stuck) if divide else [()]:
+        for col, c in zip(cols, w):
+            col[divide[0]] = c
+        if all(_force(cols, step, caps, range(p)) for step in tail) and all(
+            _quotient((cols[k], cols[(k + 1) % p]), v, terms) == 1 for k in range(p)
+        ):
+            yield [tuple(col) for col in cols]
 
 
 def _row_partition(t, caps, prodcaps, period_cap, start, tally):
@@ -695,10 +692,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     n = t.rank
     p = period_cap
     seed = n - 1
-    steps, checks = _solve_plan(t)
-    # the leading force steps are solved on the wavefront, the rest at leaves
-    lead = next((i for i, step in enumerate(steps) if step[0] == "divide"), len(steps))
-    wave, rest = steps[:lead], steps[lead:]
+    # the wave's force steps are solved on the wavefront, the rest at leaves
+    solve_plan = _solve_plan(t)
+    wave, divide, _, (f, f_terms) = solve_plan
     seed_prodcap = prodcaps[seed]
     orbits: dict = {}
     notes: list[str] = []
@@ -717,25 +713,24 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     # its prefix products, its level, root degree, denominator vertex and
     # exponent, entry and product caps.  The wave is a chain: each step
     # forces the row below its source, whose other neighbour, if any, is
-    # the row above, read one column later.
-    levels = {seed: 0}
+    # the row above, read one column later.  Wave row i sits at level i + 1,
+    # below the seed row's level 0.
     plan = []
-    for _, s, r, m, _, others in wave:
-        levels[r] = levels[s] + 1
+    for level, (s, r, m, _, others) in enumerate(wave, 1):
         # the seed row's mesh has no upper neighbour: mu = 0, denominator 1
         ((u, mu, _),) = others or ((s, 0, 1),)
-        plan.append((s, r, prods[r], levels[r], m, u, mu, caps[r], prodcaps[r]))
+        plan.append((s, r, prods[r], level, m, u, mu, caps[r], prodcaps[r]))
     back_plan = plan[::-1]
     (_, top_row, top_prods, _, m_top, _, _, top_cap, top_prodcap), *lower = plan
 
-    pinned_tail = not rest
+    pinned_tail = divide is None
     closing = None
     if pinned_tail:
-        # the wave solves every row; the last one's mesh, the only check,
-        # pins it once it holds a cell: t_j is pinned from j = pin_from on
-        ((f, f_terms),) = checks
+        # the wave solves every row; the check vertex f is the last wave row,
+        # and its mesh pins it once it holds a cell: t_j is pinned from
+        # j = pin_from on
         ((u1, mu1, _),) = f_terms
-        pin_from = levels[f] + 2
+        pin_from = len(wave) + 2
         # its first test, at column 0, reads cells the wave has finished by
         # j = pin_from - 1: run it there, per candidate, instead of in a call
         pin_test = pin_from - 1 if pin_from <= p else 0
@@ -743,24 +738,22 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         # a linear plan (no root, no power) solves that test for t_j instead
         # (module docstring); each lower row's new cell reads these cells
         linear = all(st[4] == 1 for st in plan) and all(st[6] == 1 for st in lower)
-        if pin_test and linear and mu1 == 1 and plan[-1][:2] == (u1, f):
+        if pin_test and linear and mu1 == 1:
             closing = [(pin_test - lv - 1, s, u) for s, _, _, lv, _, u, _, _, _ in lower]
     else:
-        # the first divide step's stuck mesh pins the product of its two
-        # unsolved neighbour rows; only its cap is checked here (the
-        # division is exact), and its quotients at the non-wrap columns are
-        # kept for the leaf's divide step
-        _, _, _, x, ((ku, kmu, ko),), _ = rest[0]
-        branch_from = levels[x] + 2
+        # the divide step's stuck mesh pins the product of its two unsolved
+        # neighbour rows; only its cap is checked here (the division is
+        # exact), and its quotients at the non-wrap columns are kept for the
+        # leaf's divide step.  The stuck vertex x is the last wave row, so
+        # its cells at columns k and k + 1 are solved from j = branch_from on
+        _, _, x, ((ku, kmu, ko),), _ = divide
+        branch_from = len(wave) + 2
         branch_cap = math.prod(caps[j] ** m for j, m, _ in _mesh_factors(t)[x] if j != ku)
         stuck = [0] * max(p - branch_from + 1, 0)
         pin_test = 0
 
     def leaf() -> None:
-        for step in wave:  # the wavefront left only the wrap-around cells
-            if not _force(cols, step, caps, range(max(p - levels[step[2]], 0), p)):
-                return
-        for found in _reconstruct(t, cols, rest, caps, tally, stuck):
+        for found in _reconstruct(cols, solve_plan, caps, tally, stuck):
             # a frieze is fixed by one column: its orbit ends where column 0 recurs
             q = next(k for k in range(1, p + 1) if found[k % p] == found[0])
             key = _canonical_columns(found[:q])
@@ -871,7 +864,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     else:
         descend(2)
     descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
-    if rest and tally.budget <= 0:
+    if divide and tally.budget <= 0:
         notes.append("factorization budget exhausted")
     return orbits, notes
 

@@ -15,6 +15,7 @@ from friezes import (
     default_strategy,
     enumerate_friezes,
     interval_certificate,
+    pattern_from_columns,
     propagate_backward,
     propagate_forward,
     entry_caps,
@@ -352,7 +353,8 @@ def test_start_values_fit_the_row_n_caps(t):
             assert top**p <= entry_caps(t, p)[-1]
 
 
-# A verified period-7 frieze of type E6, rows in index order.
+# Verified friezes, rows in index order: E6 of period 7, D4 and B3 of
+# period 4.  Both D4 friezes share row 4: the divide step branches.
 E6_ROWS = (
     (1, 4, 2, 2, 4, 1, 5),
     (2, 6, 1, 11, 1, 6, 2),
@@ -361,38 +363,47 @@ E6_ROWS = (
     (4, 4, 3, 7, 3, 7, 3),
     (1, 5, 1, 4, 2, 2, 4),
 )
+D4_FRIEZES = (
+    ((1, 4, 3, 2), (1, 3, 11, 5), (1, 2, 2, 6), (2, 1, 4, 3)),
+    ((2, 2, 6, 1), (1, 3, 11, 5), (2, 1, 4, 3), (2, 1, 4, 3)),
+)
+B3_ROWS = ((1, 6, 2, 2), (1, 5, 11, 3), (1, 2, 3, 4))
 
 
 def test_e6_reconstruction_from_seed_row():
-    t = DynkinType("E", 6)
-    p = type_profile(t).period_cap  # 14
-    trow = E6_ROWS[5] * 2
-    caps = entry_caps(t, p)
-    tally = _Tally()
-    cols = [[0] * 5 + [v] for v in trow]  # column-major: cols[c][i] = F[i+1, c+1]
-    steps, _ = _solve_plan(t)
-    results = list(_reconstruct(t, cols, steps, caps, tally))
-    assert len(results) == 1
-    cols = results[0]
-    assert len(cols) == 14
-    expected = [tuple(E6_ROWS[i][k] for i in range(6)) for k in range(7)]
-    assert cols[:7] == expected and cols[7:] == expected
+    # the leaf completes a seed row whose wave rows the wavefront solved but
+    # for their wrap-around cells: E6 at its full period 14 and D4 (divide
+    # step and tail) at 4, and B3 (pinned plan, no divide step) at 4
+    for name, friezes, p in (("E6", [E6_ROWS], 14), ("D4", D4_FRIEZES, 4), ("B3", [B3_ROWS], 4)):
+        t = DynkinType.from_name(name)
+        expected = []
+        for rows in friezes:
+            q = len(rows[0])
+            columns = [tuple(row[k] for row in rows) for k in range(q)]
+            assert verify_pattern(pattern_from_columns(t, columns)) == [], name
+            expected.append(columns * (p // q))
+        caps = entry_caps(t, p)
+        # column-major: cols[c][i] = F[i+1, c+1]
+        cols = [[0] * (t.rank - 1) + [col[-1]] for col in expected[0]]
+        solve_plan = _solve_plan(t)
+        for level, step in enumerate(solve_plan[0], 1):
+            assert _force(cols, step, caps, range(p - level)), name
+        assert list(_reconstruct(cols, solve_plan, caps, _Tally())) == expected, name
 
 
 @pytest.mark.parametrize("name", ["D4", "D5", "D6", "D7", "E6", "E7", "E8"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_stuck_mesh_division_is_exact(name, data):
-    # the row-seeded wavefront divides the first divide step's stuck mesh
+    # the row-seeded wavefront divides the divide step's stuck mesh
     # F[x,k] * F[x,k+1] - 1 by its known factor without a remainder test.
     # Draw seed rows t_1, t_2, ... from 1..50, each t_j among the values
-    # for which every leading force step solves its new cell, and check
-    # that division at every column where its cells are solved.
+    # for which every wave step solves its new cell, and check that
+    # division at every column where its cells are solved.
     t = DynkinType.from_name(name)
     n = t.rank
-    steps, _ = _solve_plan(t)
-    lead = next(i for i, step in enumerate(steps) if step[0] == "divide")
-    wave, (_, _, _, x, known, _) = steps[:lead], steps[lead]
+    wave, (_, _, x, known, _), _, _ = _solve_plan(t)
+    lead = len(wave)
     caps = (10**40,) * n
     cols = [[0] * n for _ in range(lead + 6)]  # column-major, as the search
     cols[0][n - 1] = data.draw(st.integers(1, 50))
@@ -885,14 +896,34 @@ def test_row_seeded_rank_one_degenerates_to_column_walk():
     assert outcome("A1", "row_seeded") == outcome("A1", "column_dfs")
 
 
-@pytest.mark.parametrize("t", [t for t in CATALOG_SAMPLE if t.rank >= 2], ids=str)
+PLAN_TYPES = [
+    DynkinType(family, n)
+    for family, low in (("A", 2), ("B", 2), ("C", 2), ("D", 4))
+    for n in range(low, 13)
+] + [DynkinType("E", n) for n in (6, 7, 8)] + [DynkinType("F", 4), DynkinType("G", 2)]
+
+
+@pytest.mark.parametrize("t", PLAN_TYPES, ids=str)
 def test_solve_plan_shape(t):
-    steps, checks = _solve_plan(t)
-    solved = [step[2] if step[0] == "force" else step[1] for step in steps]
+    # the row-seeded wavefront and leaf rely on this shape
+    wave, divide, tail, (v, _) = _solve_plan(t)
+    solved = [r for _, r, _, _, _ in wave + tail] + ([divide[0]] if divide else [])
     assert sorted(solved) == list(range(t.rank - 1))  # every row but n, once
-    divides = [step for step in steps if step[0] == "divide"]
-    assert len(divides) == (1 if t.family in "DE" else 0)
-    assert [v for v, _ in checks] == [0]
+    assert v == 0  # one check, at vertex 1
+    assert (divide is not None) == (t.family in "DE")
+    if divide is None:
+        assert tail == ()
+    # a chain from the seed row: each step forces from the row the last
+    # one forced, whose other neighbour, if any, is the row above, read
+    # one column later
+    sources = [t.rank - 1] + [r for _, r, _, _, _ in wave]
+    assert [s for s, _, _, _, _ in wave] == sources[:-1]
+    assert wave[0][4] == ()
+    assert [[(u, o) for u, _, o in others] for _, _, _, _, others in wave[1:]] == [
+        [(u, 1)] for u in sources[:-2]
+    ]
+    # the check vertex (pinned plans) or the stuck vertex is the last wave row
+    assert sources[-1] == (v if divide is None else divide[2])
 
 
 def test_default_strategy_choice():

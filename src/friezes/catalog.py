@@ -305,11 +305,25 @@ def repetition_arrows(
 
 
 def leading_principal_minors(cm: CartanMatrix) -> tuple[Fraction, ...]:
-    """Determinants of the leading principal submatrices, exactly: each
-    from the integer elimination above on the leading block, 0 where
-    that block is singular."""
+    """Determinants of the leading principal submatrices, exactly.  The
+    integer elimination above, run on ``C`` without row swaps and below
+    the pivot only, has the ``k``-th leading minor as its ``k``-th pivot.
+    From a zero pivot on, each leading block is eliminated on its own, 0
+    where it is singular."""
+    n = cm.rank
+    rows = [list(row) for row in cm.entries]
     minors = []
-    for m in range(1, cm.rank + 1):
+    prev = 1
+    for k in range(n):
+        akk = rows[k][k]
+        if not akk:
+            break
+        minors.append(Fraction(akk))
+        for i in range(k + 1, n):
+            aik = rows[i][k]
+            rows[i] = [(akk * x - aik * y) // prev for x, y in zip(rows[i], rows[k])]
+        prev = akk
+    for m in range(len(minors) + 1, n + 1):
         try:
             det, _ = _invert_exact(tuple(row[:m] for row in cm.entries[:m]))
         except ArithmeticError:

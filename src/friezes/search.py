@@ -80,6 +80,19 @@ Soundness of the pruning:
   tests either cell.  ``start**p`` (``_start_values``) and, by
   ``t_{j-1}``, ``t_1 ... t_{j-1} * start**(p-j+1)`` are within the seed
   row's product cap, so that cap alone never puts ``L`` below ``start``;
+* row seeding, next-position product cap: where ``m = 1``, a top cell
+  ``top`` at position ``j`` gives ``t_j = (top + 1) / prev`` and leaves
+  the top row's product cap ``R = top_prodcap // top_base`` the room
+  ``top * x <= R`` for the row's next cell ``x = t_j * t_{j+1} - 1``.
+  ``t_{j+1} >= start``, the row minimum, also where the tail pins
+  ``t_{j+1} = q`` (a pinned ``q`` below ``start`` is rejected); at ``j =
+  p``, ``x`` is the wrap-around cell ``t_p * t_1 - 1``, ``t_1 = start``,
+  within the same cap over ``p`` columns.  So ``x >= start*t_j - 1``, and
+  a ``top`` that can complete has ``top*(start*(top + 1) - prev) <=
+  R*prev``.  The left side is a convex quadratic in ``top``, 0 at ``top =
+  0``, so these ``top`` form a prefix.  Where ``X`` fails the test, the
+  prefix's end (``_next_top_cap``) replaces it, once per call, and every
+  candidate cut holds no frieze;
 * row seeding, monotone cut-off: ``t_j`` grows with ``x``, and each lower
   forced row gets one new cell ``((a*b - 1)/den)**(1/m)``, ``a`` and
   ``den`` fixed already and ``b`` the new cell of the row above.  As real
@@ -418,6 +431,19 @@ def _closing_candidates(prev, cols, closing, lo, hi, xcap):
     return _congruence_candidates(1, 1, prev, xcap, hi, lo)
 
 
+def _next_top_cap(start, prev, room):
+    """Largest ``top >= 0`` with ``top*(start*(top + 1) - prev) <=
+    room*prev``: the row-seeded top cells ``top = prev*t - 1`` that leave
+    the row's next cell ``x >= start*t - 1`` the room ``top*x <= room``.
+    The left side, ``start*top**2 - b*top`` with ``b = prev - start``, is a
+    convex quadratic that is 0 at ``top = 0``, so the solutions run from 0
+    to its larger root ``(b + sqrt(D)) / (2*start)``, ``D = b*b +
+    4*start*room*prev``.  ``isqrt`` loses nothing: for integers ``b`` and
+    ``k``, ``b + sqrt(D) >= k`` exactly when ``b + isqrt(D) >= k``."""
+    b = prev - start
+    return (b + math.isqrt(b * b + 4 * start * room * prev)) // (2 * start)
+
+
 @lru_cache(maxsize=_INVERSE_TABLE_LIMIT)
 def _inverses(modulus):
     """``u**-1 mod modulus`` at index ``u``, or 0 where ``u`` has none."""
@@ -722,6 +748,10 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         plan.append((s, r, prods[r], level, m, u, mu, caps[r], prodcaps[r]))
     back_plan = plan[::-1]
     (_, top_row, top_prods, _, m_top, _, _, top_cap, top_prodcap), *lower = plan
+    # the next-position product cap (module docstring) can cut a top cell
+    # only where the room is below start*top_cap*(top_cap + 1), which
+    # bounds its test's left side; a top row with m > 1 goes without it
+    cut_below = start * top_cap * (top_cap + 1) if m_top == 1 else 0
 
     pinned_tail = divide is None
     closing = None
@@ -787,7 +817,10 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         top_col = cols[j - 2]
         prev = top_col[seed]
         top_base = top_prods[j - 2]
-        xcap = min(top_cap, top_prodcap // top_base)
+        room = top_prodcap // top_base
+        xcap = min(top_cap, room)
+        if room < cut_below and xcap * (start * (xcap + 1) - prev) > room * prev:
+            xcap = _next_top_cap(start, prev, room)  # leave the row's next top cell room
         # Candidates ascend, t_j and every lower forced cell of this step
         # are non-decreasing in them, so a cap failure ends the loop
         # (stop = 2); any other failure skips the candidate (stop = 1).

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 import types
 from fractions import Fraction
 
@@ -170,6 +173,27 @@ def test_leading_principal_minors_of_non_cartan_matrices():
     # a zero leading entry gives minor 0 and a swapped pivot the sign
     assert leading_principal_minors(catalog.CartanMatrix(2, ((0, 1), (1, 0)))) == (0, -1)
     assert leading_principal_minors(catalog.CartanMatrix(2, ((1, 2), (2, 4)))) == (1, 0)
+
+
+def test_leading_principal_minors_match_the_permutation_expansion():
+    # seeded random integer matrices, zero pivots included, against the
+    # Leibniz formula on every leading block
+    def det(rows):
+        total = 0
+        for perm in itertools.permutations(range(len(rows))):
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
+        return total
+
+    rng = random.Random(7)
+    zero_pivots = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        entries = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        expected = tuple(det([row[:m] for row in entries[:m]]) for m in range(1, n + 1))
+        assert leading_principal_minors(catalog.CartanMatrix(n, entries)) == expected
+        zero_pivots += 0 in expected[:-1]
+    assert zero_pivots
 
 
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)

@@ -33,6 +33,7 @@ from friezes.search import (
     _column_plan,
     _congruence_candidates,
     _force,
+    _next_top_cap,
     _reconstruct,
     _solvable_coordinates,
     _solve_plan,
@@ -572,8 +573,8 @@ def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
     ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 11), (6, 11)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 549), (5619, 549)),
-    ("B2", None, 6, "4dbd41d47196a995", True, (6, 536), (6, 29)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 102), (5619, 102)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (6, 89), (6, 15)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
     ("B3", 32, 21, "a7b31165b01b9e09", False, (118, 291), (118, 267)),
@@ -633,7 +634,7 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
     "name,strategy,cap,stride",
     [
         ("A3", "column_dfs", None, 100),
-        ("A3", "row_seeded", None, 50),
+        ("A3", "row_seeded", None, 10),
         # E6 has a free depth: its nodes come from the lookahead's candidates
         ("E6", "column_dfs", 12, 50),
     ],
@@ -862,11 +863,44 @@ def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
     assert bool(calls) == name.startswith("A")
 
 
-def test_certified_a4_row_seeded_nodes():
-    # at A4's pin-test position only the solved candidates count as nodes
-    out = outcome("A4", "row_seeded")
-    assert out.frieze_count == 42 and out.complete
-    assert out.nodes_explored == 105_997
+@pytest.mark.parametrize(
+    "name,count,nodes",
+    [("A4", 42, 14_744), ("B3", 21, 13_284), ("D4", 51, 93_685)],
+    ids=["A4", "B3", "D4"],
+)
+def test_certified_row_seeded_nodes(name, count, nodes):
+    # only top cells that leave the row's next top cell room within its
+    # product cap count as nodes (on D4 mostly at the last position, whose
+    # next cell wraps around), and at A4's pin-test position only the
+    # solved candidates
+    out = outcome(name, "row_seeded")
+    assert out.frieze_count == count and out.complete
+    assert out.nodes_explored == nodes
+
+
+def test_next_top_cap_matches_the_scan():
+    # the closed form equals the largest top that a scan finds, the scan's
+    # solutions form a prefix, and on the tops that give an integer t it
+    # keeps exactly those that leave the row's next cell x = start*t - 1
+    # (every seed entry is at least start) within the product cap
+    rng = random.Random(21)
+    binding = 0
+    for _ in range(300):
+        start, prev = rng.randint(1, 6), rng.randint(1, 40)
+        top_base, top_prodcap = rng.randint(1, 20), rng.randint(1, 6000)
+        room = top_prodcap // top_base
+        c = room * prev
+        passing = [
+            top for top in range(max(prev, c) + 2) if top * (start * (top + 1) - prev) <= c
+        ]
+        assert passing == list(range(len(passing)))
+        cap = _next_top_cap(start, prev, room)
+        assert cap == passing[-1]
+        for top in range(prev - 1, room + 1, prev):
+            x = max(1, start * (top + 1) // prev - 1)
+            assert (top_base * top * x <= top_prodcap) == (top <= cap)
+        binding += 0 < cap < room
+    assert binding
 
 
 @settings(max_examples=100, deadline=None)

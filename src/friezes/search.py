@@ -94,17 +94,15 @@ Soundness of the pruning:
   prefix's end (``_next_top_cap``) replaces it, once per call, and every
   candidate cut holds no frieze;
 * row seeding, monotone cut-off: ``t_j`` grows with ``x``, and each lower
-  forced row gets one new cell ``((a*b - 1)/den)**(1/m)``, ``a`` and
-  ``den`` fixed already and ``b`` the new cell of the row above.  As real
-  numbers, every new cell and running row product are thus
-  non-decreasing in ``x``, and an exact cell equals its real value; so
-  is the product ``(x[k] * x[k+1] - 1) / y[k+1]`` of the divide step's
-  two unsolved stuck-mesh cells, ``x[k+1]`` being the stuck row's
-  new cell and ``y[k+1]`` fixed earlier.  So the first candidate that
-  exceeds an entry, product or stuck-mesh cap ends the candidate loop:
+  forced row gets one new cell ``(a*b - 1)/den`` (no root: see
+  ``_solve_plan``), ``a`` and ``den`` fixed already and ``b`` the new cell
+  of the row above.  As real numbers, every new cell is thus
+  non-decreasing in ``x``, and an exact cell equals its real value.  So
+  the first candidate that exceeds an entry cap ends the candidate loop:
   every larger one that survives the same exact divisions exceeds it
-  too.  Inexact divisions, non-perfect powers, a zero numerator and the
-  vertex-1 mesh are not monotone and only skip the candidate;
+  too.  Inexact divisions, a zero numerator and the vertex-1 mesh are not
+  monotone and only skip the candidate.  Product caps bind only on the
+  seed and top rows (``L`` and ``X``), and only those are tested;
 * row seeding, stuck-mesh exactness: the stuck vertex ``x`` was forced by
   its known neighbour ``s``, and ``s`` by ``z`` (factor 1 when ``s`` is
   the seed).  Modulo ``F[s,k+1]``, the meshes of ``s`` give
@@ -116,10 +114,16 @@ Soundness of the pruning:
   divide step (types A, B, C, F, G), the wavefront forces every row down
   to row 1.  Once it holds a row-1 cell, the vertex-1 mesh fixes the next
   row-1 cell, and each forced mesh, read upwards, fixes its source row's
-  next cell by one exact division.  So ``t_j`` has at most one value from
-  then on, and it still passes every forward check.  That cell's
-  vertex-1 mesh needs no test: the wave inverts each exact back-solve
-  step, so it recomputes the very cell that mesh fixed;
+  next cell by one division.  So ``t_j`` has at most one value from then
+  on, and it still passes every forward check.  That cell's vertex-1
+  mesh needs no test: the wave inverts each back-solve step, so it
+  recomputes the very cell that mesh fixed.  Each division is exact.  The
+  vertex-1 mesh's at column 0 is the pin test's.  Every other one solves
+  the mesh at ``s`` for ``F[s,c+1]``, ``c >= 1``; with lower neighbour
+  ``r`` and upper ``u`` (either may be absent), modulo ``F[s,c]`` the mesh
+  at ``s`` one column earlier gives ``F[r,c-1]**m * F[u,c]**mu = -1`` and
+  those at ``r`` and ``u`` give ``F[r,c-1]*F[r,c] = F[u,c]*F[u,c+1] = 1``,
+  so the numerator ``F[r,c]**m * F[u,c+1]**mu + 1`` is 0;
 * row seeding, closing solve: on a linear plan (pinned tail, every wave
   step with ``m = 1`` and denominator exponent at most 1, check exponent
   1) the pin test's position ``j`` draws its candidates from
@@ -621,6 +625,9 @@ def _solve_plan(t: DynkinType):
         used.add(s)
         solved.add(r)
     (check,) = ((i, factors[i]) for i in range(n) if i not in used)
+    # only the top step may take a root (C_n, G2); every other doubled or
+    # tripled edge enters the wave as a denominator exponent
+    assert all(m == 1 for _, _, m, _, _ in wave[1:] + tail), f"{t} forces a lower row by a power"
     return tuple(wave), divide, tuple(tail), check
 
 
@@ -730,24 +737,26 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         tally.stride()
 
     # cols[c][i] is F[i+1, c+1] for the seed row and the forced rows alike;
-    # prods[i][c] is the product of row i's first c cells.  Cells beyond
-    # the current wavefront are stale and never read.
+    # seed_prods[c] and top_prods[c] are the products of the first c cells
+    # of the seed row and the top forced row, the rows whose product caps
+    # bind.  Cells beyond the current wavefront are stale and never read.
     cols = [[0] * n for _ in range(p)]
-    prods = [[1] * (p + 1) for _ in range(n)]
-    seed_prods = prods[seed]
+    seed_prods = [1] * (p + 1)
+    top_prods = [1] * (p + 1)
     # One tuple per wave step, top row first: source vertex, forced vertex,
-    # its prefix products, its level, root degree, denominator vertex and
-    # exponent, entry and product caps.  The wave is a chain: each step
-    # forces the row below its source, whose other neighbour, if any, is
-    # the row above, read one column later.  Wave row i sits at level i + 1,
-    # below the seed row's level 0.
+    # its level, root degree (1 below the top row, see _solve_plan),
+    # denominator vertex and exponent, and entry cap.  The wave is a chain:
+    # each step forces the row below its source, whose other neighbour, if
+    # any, is the row above, read one column later.  Wave row i sits at
+    # level i + 1, below the seed row's level 0.
     plan = []
     for level, (s, r, m, _, others) in enumerate(wave, 1):
         # the seed row's mesh has no upper neighbour: mu = 0, denominator 1
         ((u, mu, _),) = others or ((s, 0, 1),)
-        plan.append((s, r, prods[r], level, m, u, mu, caps[r], prodcaps[r]))
+        plan.append((s, r, level, m, u, mu, caps[r]))
     back_plan = plan[::-1]
-    (_, top_row, top_prods, _, m_top, _, _, top_cap, top_prodcap), *lower = plan
+    (_, top_row, _, m_top, _, _, top_cap), *lower = plan
+    top_prodcap = prodcaps[top_row]
     # the next-position product cap (module docstring) can cut a top cell
     # only where the room is below start*top_cap*(top_cap + 1), which
     # bounds its test's left side; a top row with m > 1 goes without it
@@ -767,18 +776,17 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         stuck = ()
         # a linear plan (no root, no power) solves that test for t_j instead
         # (module docstring); each lower row's new cell reads these cells
-        linear = all(st[4] == 1 for st in plan) and all(st[6] == 1 for st in lower)
+        linear = m_top == 1 and all(st[5] == 1 for st in lower)
         if pin_test and linear and mu1 == 1:
-            closing = [(pin_test - lv - 1, s, u) for s, _, _, lv, _, u, _, _, _ in lower]
+            closing = [(pin_test - lv - 1, s, u) for s, _, lv, _, u, _, _ in lower]
     else:
         # the divide step's stuck mesh pins the product of its two unsolved
-        # neighbour rows; only its cap is checked here (the division is
-        # exact), and its quotients at the non-wrap columns are kept for the
-        # leaf's divide step.  The stuck vertex x is the last wave row, so
-        # its cells at columns k and k + 1 are solved from j = branch_from on
+        # neighbour rows; its quotients at the non-wrap columns (the
+        # division is exact) are kept for the leaf's divide step.  The stuck
+        # vertex x is the last wave row, so its cells at columns k and k + 1
+        # are solved from j = branch_from on
         _, _, x, ((ku, kmu, ko),), _ = divide
         branch_from = len(wave) + 2
-        branch_cap = math.prod(caps[j] ** m for j, m, _ in _mesh_factors(t)[x] if j != ku)
         stuck = [0] * max(p - branch_from + 1, 0)
         pin_test = 0
 
@@ -794,19 +802,16 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     def descend(j) -> None:  # choose position j (1-based) of the seed row
         pinned = pinned_tail and j >= pin_from
         if pinned:
-            # back-solve the wave meshes from the pinned cell up to t_j
+            # back-solve the wave meshes from the pinned cell up to t_j;
+            # every division is exact (module docstring)
             c = j - pin_from
             nxt = cols[c + 1]
-            q, rem = divmod(1 + nxt[u1] ** mu1, cols[c][f])
-            if rem:
-                return
-            for s, _, _, _, m, u, mu, _, _ in back_plan:
+            q = (1 + nxt[u1] ** mu1) // cols[c][f]
+            for s, _, _, m, u, mu, _ in back_plan:
                 col = nxt
                 c += 1
                 nxt = cols[c + 1]
-                q, rem = divmod(q**m * nxt[u] ** mu + 1, col[s])
-                if rem:
-                    return
+                q = (q**m * nxt[u] ** mu + 1) // col[s]
         base = seed_prods[j - 1]
         scaled = base * start ** (p - j)
         limit = min(seed_prodcap // scaled, caps[seed])
@@ -839,7 +844,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
             top_prods[j - 1] = top_base * top
             nxt = top_col
             stop = 0
-            for s, r, r_prods, level, m, u, mu, cap, prodcap in lower:
+            for s, r, level, _, u, mu, cap in lower:
                 c = j - level - 1
                 if c < 0:
                     break
@@ -853,21 +858,10 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                 if rem:
                     stop = 1
                     break
-                if m > 1:
-                    root = integer_root(q, m)
-                    if root**m != q:
-                        stop = 1
-                        break
-                    q = root
                 if q > cap:
                     stop = 2
                     break
-                prod = r_prods[c] * q
-                if prod > prodcap:
-                    stop = 2
-                    break
                 col[r] = q
-                r_prods[c + 1] = prod
                 nxt = col
             if not stop and j == pin_test and (1 + cols[1][u1] ** mu1) % cols[0][f]:
                 stop = 1
@@ -877,8 +871,6 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                 q = (cols[k][x] * cols[k + 1][x] - 1) // (den if kmu == 1 else den**kmu)
                 if q < 1:
                     stop = 1
-                elif q > branch_cap:
-                    stop = 2
                 else:
                     stuck[k] = q
             if stop == 2:

@@ -958,6 +958,8 @@ def test_solve_plan_shape(t):
     ]
     # the check vertex (pinned plans) or the stuck vertex is the last wave row
     assert sources[-1] == (v if divide is None else divide[2])
+    # only the top step forces by a power: the wavefront takes no root below it
+    assert all(m == 1 for _, _, m, _, _ in wave[1:] + tail)
 
 
 def test_default_strategy_choice():

@@ -25,8 +25,13 @@ search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
 only its wavefront reads its single-factor meshes inline.  Only the
 column search walks orbits (``mesh._orbit``); a frieze being fixed by one
 column, the row-seeded search cuts each frieze where its column 0 recurs.
-So the strategies share only the table and the final ``verify_pattern``
-gate: a fault there would hit both alike, and their agreement checks the rest.
+The strategies also share ``_congruence_candidates`` (column generator
+cells, the row-seeded top row), ``_canonical_columns``, ``_start_values``,
+``_divisors``, ``integer_root``, ``entry_caps``, ``_Tally`` and the final
+``verify_pattern`` gate.  A fault there hits both alike, so each has its own
+tests: ``test_congruence_candidates_*``, ``test_divisors_match_brute_force``,
+``test_canonical_rotation_is_rotation_invariant``, ``test_integer_root_*``,
+``test_start_values_fit_the_row_n_caps``, the Catalan and D_n counts.
 
 Soundness of the pruning:
 
@@ -185,6 +190,7 @@ _INVERSE_TABLE_LIMIT = 1 << 10
 class SearchConfig:
     dynkin: DynkinType
     strategy: str = "column_dfs"
+    # caps are taken at the period cap: above search_period, the same friezes cost far more
     period_cap: int | None = None  # default: catalog.search_period
     entry_cap_override: int | None = None
     jobs: int = 1
@@ -260,14 +266,16 @@ def _canonical_columns(cols) -> tuple[tuple[int, ...], ...]:
 
 
 class _Tally:
-    """Node counter; emits a progress line every ``PROGRESS_STRIDE`` nodes.
-    Each search counts inline: ``nodes += 1``, then ``stride()`` once
-    ``nodes`` reaches ``next_stride``.  ``budget`` holds the divisor-branch
-    nodes a row-seeded partition has left."""
+    """The record of a run: its nodes, the orbits it found (canonical column
+    tuples) and its notes.  Emits a progress line every ``PROGRESS_STRIDE``
+    nodes.  Each search counts inline: ``nodes += 1``, then ``stride()``
+    once ``nodes`` reaches ``next_stride``.  ``budget`` holds the
+    divisor-branch nodes a row-seeded partition has left."""
 
     def __init__(self, progress=None):
         self.nodes = 0
-        self.found = 0
+        self.orbits: set = set()
+        self.notes: list[str] = []
         self.budget = _FACTORIZATION_BUDGET
         self._progress = progress
         self.next_stride = PROGRESS_STRIDE
@@ -275,7 +283,7 @@ class _Tally:
     def stride(self) -> None:
         self.next_stride += PROGRESS_STRIDE
         if self._progress is not None:
-            self._progress(self.nodes, self.found)
+            self._progress(self.nodes, len(self.orbits))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +336,8 @@ def _column_plan(t: DynkinType, caps):
         due = [j for j in range(n - 1, -1, -1) if cell_depth[j] == d]
         gen = None
         for j in due if n > 2 else ():
-            if j == x or any(o and cell_depth[u] >= d for u, _, o in factors[j]):
-                continue  # own denominator, or transitive dependence on x
+            # x enters the cell as a mesh factor only: not as its denominator or via a due cell
+            assert j != x and not any(o and cell_depth[u] >= d for u, _, o in factors[j]), f"{t}"
             mult = next((m for l, m, _ in factors[j] if l == x), None)
             if mult is not None:
                 others = tuple(f for f in factors[j] if f[0] != x)
@@ -506,9 +514,7 @@ def _column_partition(t, caps, period_cap, start, tally):
     vals = [0] * n
     cells1 = [0] * n
     cols = (vals, cells1)  # the seed column and its forward cells
-    orbits: dict = {}
     visited: set = set()
-    notes: list[str] = []
 
     def leaf() -> None:
         seed = tuple(vals)
@@ -519,17 +525,14 @@ def _column_partition(t, caps, period_cap, start, tally):
         except DeadEndError:
             return
         except NoRecurrenceError:
-            notes.append(f"cap exceeded: seed {seed} did not recur within {period_cap} steps")
+            tally.notes.append(f"cap exceeded: seed {seed} did not recur within {period_cap} steps")
             return
         if traced is None:
             return
         visited.update(traced)
         if min(col[n - 1] for col in traced) < start:
             return  # found in the partition of its row-n minimum
-        key = _canonical_columns(traced)
-        if key not in orbits:
-            orbits[key] = len(traced)
-            tally.found += 1
+        tally.orbits.add(_canonical_columns(traced))
 
     def descend(d) -> None:
         i, cap, gen, due, look = plan[d]
@@ -572,7 +575,6 @@ def _column_partition(t, caps, period_cap, start, tally):
 
     descend(1)
     descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
-    return orbits, notes
 
 
 # ---------------------------------------------------------------------------
@@ -729,8 +731,6 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     solve_plan = _solve_plan(t)
     wave, divide, _, (f, f_terms) = solve_plan
     seed_prodcap = prodcaps[seed]
-    orbits: dict = {}
-    notes: list[str] = []
     tally.budget = _FACTORIZATION_BUDGET  # one tally may serve several partitions
     tally.nodes += 1
     if tally.nodes >= tally.next_stride:
@@ -794,10 +794,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         for found in _reconstruct(cols, solve_plan, caps, tally, stuck):
             # a frieze is fixed by one column: its orbit ends where column 0 recurs
             q = next(k for k in range(1, p + 1) if found[k % p] == found[0])
-            key = _canonical_columns(found[:q])
-            if key not in orbits:
-                orbits[key] = q
-                tally.found += 1
+            tally.orbits.add(_canonical_columns(found[:q]))
 
     def descend(j) -> None:  # choose position j (1-based) of the seed row
         pinned = pinned_tail and j >= pin_from
@@ -890,8 +887,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         descend(2)
     descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
     if divide and tally.budget <= 0:
-        notes.append("factorization budget exhausted")
-    return orbits, notes
+        tally.notes.append("factorization budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -905,28 +901,31 @@ def _start_values(t: DynkinType, caps) -> range:
 
 
 def _partition_job(args, tally=None):
+    """Run one partition into ``tally`` (a fresh one by default); return it."""
     t, strategy, period_cap, caps, prodcaps, start = args
     if tally is None:
         tally = _Tally()
-    before = tally.nodes
     if strategy == "column_dfs" or t.rank == 1:
-        orbits, notes = _column_partition(t, caps, period_cap, start, tally)
+        _column_partition(t, caps, period_cap, start, tally)
     else:
-        orbits, notes = _row_partition(t, caps, prodcaps, period_cap, start, tally)
-    return orbits, tally.nodes - before, notes
+        _row_partition(t, caps, prodcaps, period_cap, start, tally)
+    return tally
 
 
 def _partition_results(jobs, workers, progress):
-    """``(orbits, nodes, notes)`` per partition job, in ``jobs`` order."""
+    """The partition jobs' tallies: one per job, in ``jobs`` order, from a
+    pool; else every job in one tally, so that progress lines count across
+    partitions."""
     if workers > 1 and len(jobs) > 1:
         import multiprocessing  # imported here: only a pool needs it
 
         with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             yield from pool.imap(_partition_job, jobs, chunksize=1)
     else:
-        tally = _Tally(progress)  # one tally: progress lines count across partitions
+        tally = _Tally(progress)
         for job in jobs:
-            yield _partition_job(job, tally)
+            _partition_job(job, tally)
+        yield tally
 
 
 def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
@@ -939,25 +938,24 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
         (t, cfg.strategy, period_cap, caps, prodcaps, start)
         for start in _start_values(t, caps)
     ]
-    merged: dict = {}
     notes: list[str] = []
     if cfg.strategy == "row_seeded" and t.rank >= 2 and period_cap % search_period(t):
         # cyclic seed rows of length p hold only friezes whose period divides p
         notes.append(f"period cap {period_cap} is not a multiple of {search_period(t)}")
+    orbits: set = set()
     total_nodes = 0
-    for orbits, nodes, part_notes in _partition_results(jobs, cfg.jobs, progress):
-        total_nodes += nodes
-        notes.extend(part_notes)
-        for key, q in orbits.items():
-            merged.setdefault(key, q)
+    for tally in _partition_results(jobs, cfg.jobs, progress):
+        total_nodes += tally.nodes
+        notes.extend(tally.notes)
+        orbits |= tally.orbits
 
     orbit_list = []
-    for key in sorted(merged):
+    for key in sorted(orbits):
         pattern = pattern_from_columns(t, key)
         violations = verify_pattern(pattern)
         if violations:
             raise AssertionError(f"search produced a non-frieze pattern: {violations[0]}")
-        orbit_list.append(Orbit(pattern, merged[key]))
+        orbit_list.append(Orbit(pattern, len(key)))
     complete = _certified(cfg) and not notes
     if progress is not None:
         progress(total_nodes, len(orbit_list))

@@ -179,6 +179,10 @@ def test_enumerate_jobs_flag(capsys):
     code, out, _ = run(capsys, "enumerate", "A2", "--jobs", "2")
     assert code == 0
     assert "friezes 5" in out
+    # B3 has 8 partitions, so the pool merges 8 tallies
+    serial = run(capsys, "enumerate", "B3", "--json", "--jobs", "1")
+    pooled = run(capsys, "enumerate", "B3", "--json", "--jobs", "2")
+    assert serial[0] == 0 and pooled[:2] == serial[:2]
 
 
 def test_enumerate_progress_lines_are_machine_parsable(capsys):

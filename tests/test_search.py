@@ -32,6 +32,7 @@ from friezes.search import (
     _column_partition,
     _column_plan,
     _congruence_candidates,
+    _divisors,
     _force,
     _next_top_cap,
     _reconstruct,
@@ -44,6 +45,12 @@ from friezes.search import (
 
 DESK_TYPES = ["A1", "A2", "A3", "B2", "C2", "G2"]
 KNOWN_COUNTS = {"A1": 2, "A2": 5, "A3": 14, "B2": 6, "C2": 6, "G2": 9}
+
+PLAN_TYPES = [
+    DynkinType(family, n)
+    for family, low in (("A", 2), ("B", 2), ("C", 2), ("D", 4))
+    for n in range(low, 13)
+] + [DynkinType("E", n) for n in (6, 7, 8)] + [DynkinType("F", 4), DynkinType("G", 2)]
 
 
 def outcome(name, strategy, **kw):
@@ -217,21 +224,24 @@ def test_orbit_is_canonical_rotation():
 
 
 @pytest.mark.parametrize(
-    "name,strategy,cap",
+    "name,strategy,kw",
     [
-        pytest.param("A3", "column_dfs", None, id="A3-column_dfs"),
-        pytest.param("G2", "row_seeded", None, id="G2-row_seeded"),
-        pytest.param("A3", "row_seeded", None, id="A3-row_seeded"),
+        pytest.param("A3", "column_dfs", {}, id="A3-column_dfs"),
+        pytest.param("G2", "row_seeded", {}, id="G2-row_seeded"),
+        pytest.param("A3", "row_seeded", {}, id="A3-row_seeded"),
         # doubled edge under override: cut-off and pinned tail at rank 3
-        pytest.param("B3", "row_seeded", 32, id="B3-row_seeded-32"),
+        pytest.param("B3", "row_seeded", {"entry_cap_override": 32}, id="B3-row_seeded-32"),
         # divide step: stuck-mesh pruning and leaf branching
-        pytest.param("D4", "row_seeded", 8, id="D4-row_seeded-8"),
+        pytest.param("D4", "row_seeded", {"entry_cap_override": 8}, id="D4-row_seeded-8"),
+        # partitions 1 and 2 each note a seed that does not recur: the
+        # merge keeps every job's notes, in job order
+        pytest.param("A2", "column_dfs", {"period_cap": 3}, id="A2-column_dfs-period3"),
     ],
 )
-def test_outcome_deterministic_and_parallel_invariant(name, strategy, cap):
-    first = outcome(name, strategy, entry_cap_override=cap)
-    second = outcome(name, strategy, entry_cap_override=cap)
-    parallel = outcome(name, strategy, entry_cap_override=cap, jobs=3)
+def test_outcome_deterministic_and_parallel_invariant(name, strategy, kw):
+    first = outcome(name, strategy, **kw)
+    second = outcome(name, strategy, **kw)
+    parallel = outcome(name, strategy, jobs=3, **kw)
     assert first == second == parallel
     assert first.nodes_explored > 0
 
@@ -333,11 +343,12 @@ def test_column_partitions_hold_their_row_minimum(name, cap):
     caps = entry_caps(t, p, cap)
     seen = set()
     for start in _start_values(t, caps):
-        orbits, _ = _column_partition(t, caps, p, start, _Tally())
-        for key in orbits:
+        tally = _Tally()
+        _column_partition(t, caps, p, start, tally)
+        for key in tally.orbits:
             assert min(col[-1] for col in key) == start, (start, key)
-        assert not seen & orbits.keys()
-        seen |= orbits.keys()
+        assert not seen & tally.orbits
+        seen |= tally.orbits
     assert seen == set(orbit_keys(outcome(name, "column_dfs", entry_cap_override=cap)))
 
 
@@ -433,10 +444,11 @@ def test_e6_column_search_finds_the_period_seven_orbit():
     assert verify_pattern(out.orbits[0].pattern) == []
 
 
-@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+@pytest.mark.parametrize("t", [DynkinType("A", 1), *PLAN_TYPES], ids=str)
 def test_column_plan_free_depths(t):
     # a depth with no generator and no due cell whose coordinate the next
-    # generator multiplies in: the branch vertex's free neighbour in type E
+    # generator multiplies in: the branch vertex's free neighbour in type E.
+    # Each plan built here also runs _column_plan's generator assertion.
     caps = entry_caps(t, search_period(t), 64)
     free = [d for d in range(1, t.rank + 1) if _column_plan(t, caps)[d][4] is not None]
     assert free == ([t.rank - 2] if t.family == "E" else [])
@@ -903,6 +915,11 @@ def test_next_top_cap_matches_the_scan():
     assert binding
 
 
+def test_divisors_match_brute_force():
+    for x in range(1, 2001):
+        assert _divisors(x) == [f for f in range(1, x + 1) if x % f == 0], x
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=6))
 def test_canonical_rotation_is_rotation_invariant(cols):
@@ -928,13 +945,6 @@ def test_config_validation():
 
 def test_row_seeded_rank_one_degenerates_to_column_walk():
     assert outcome("A1", "row_seeded") == outcome("A1", "column_dfs")
-
-
-PLAN_TYPES = [
-    DynkinType(family, n)
-    for family, low in (("A", 2), ("B", 2), ("C", 2), ("D", 4))
-    for n in range(low, 13)
-] + [DynkinType("E", n) for n in (6, 7, 8)] + [DynkinType("F", 4), DynkinType("G", 2)]
 
 
 @pytest.mark.parametrize("t", PLAN_TYPES, ids=str)

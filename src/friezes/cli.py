@@ -128,10 +128,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
-    default = default_strategy(t)
     # Where the solve plan needs divisor branching the exact caps are far beyond
     # desk scale; require --cap so no uncertified count is implied.
-    if t.rank > 1 and default == "column_dfs" and args.cap is None:
+    if t.rank > 1 and default_strategy(t) == "column_dfs" and args.cap is None:
         p = search_period(t)
         caps = bounds_mod.entry_caps(t, p)
         exps = " ".join(f"2^{p * bi}" for bi in type_profile(t).b)
@@ -142,21 +141,15 @@ def cmd_enumerate(args) -> int:
             file=sys.stderr,
         )
         return 2
-    strategy = args.strategy if args.strategy else default
-    cfg = SearchConfig(
-        dynkin=t,
-        strategy=strategy,
-        entry_cap_override=args.cap,
-        jobs=args.jobs,
-    )
+    cfg = SearchConfig(t, args.strategy, entry_cap_override=args.cap, jobs=args.jobs)
     outcome = enumerate_friezes(cfg, progress=stderr_progress)
     for note in outcome.notes:
         print(f"note: {note}", file=sys.stderr)
     if args.json:
-        print(json.dumps(enumerate_payload(outcome, t, strategy), indent=2))
+        print(json.dumps(enumerate_payload(outcome, t, cfg.strategy), indent=2))
     else:
         print(
-            f"dynkin {t}  strategy {strategy}  "
+            f"dynkin {t}  strategy {cfg.strategy}  "
             f"complete {'yes' if outcome.complete else 'NO'}"
         )
         print(

@@ -65,7 +65,11 @@ Soundness of the pruning:
   cap and gives a cell within the cell's cap; every other solution is
   larger and gives a larger cell.  An ``x`` that fails this has no
   descendant, so dropping it changes only the node count.  The next
-  depth's row-``n`` floor is not applied: skipping it keeps more ``x``;
+  depth's row-``n`` floor is not applied: skipping it keeps more ``x``.
+  ``r`` is a unit: the plan asserts that it multiplies forward cells
+  ``F[l,k+1]`` only, each of an upper neighbour ``l`` of the generator
+  vertex ``g``, whose mesh ``F[l,k]*F[l,k+1] = 1 + F[g,k]**m*...`` makes
+  it coprime to ``M = F[g,k]``;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -114,6 +118,12 @@ Soundness of the pruning:
   ``F[x,k]*F[z,k+1] = F[x,k+1]*F[z,k+2] = -1`` and the mesh of ``z`` gives
   ``F[z,k+1]*F[z,k+2] = 1``, so ``F[x,k]*F[x,k+1] = 1``: the wavefront's
   stuck-mesh division is exact;
+* row seeding, divisor-walk exactness: the divided row ``d`` is a leaf on
+  the stuck vertex ``x`` (the plan asserts it), so ``w[k]*w[k+1] = 1 +
+  F[x,k+1-o]``.  Modulo ``w[k]``, ``w[k-1]*w[k]`` gives ``F[x,k-o] = -1``,
+  and ``w[k]`` dividing its stuck quotient gives ``F[x,k-o]*F[x,k+1-o] =
+  1``, so ``w[k]`` divides ``1 + F[x,k+1-o]``; ``w[0]`` divides it by its
+  choice;
 * row seeding, pinned tail: mesh relations are invertible (Conway-Coxeter:
   a frieze is fixed by a few consecutive entries).  When the plan has no
   divide step (types A, B, C, F, G), the wavefront forces every row down
@@ -189,13 +199,15 @@ _INVERSE_TABLE_LIMIT = 1 << 10
 @dataclass(frozen=True)
 class SearchConfig:
     dynkin: DynkinType
-    strategy: str = "column_dfs"
+    strategy: str | None = None  # default: default_strategy(dynkin)
     # caps are taken at the period cap: above search_period, the same friezes cost far more
     period_cap: int | None = None  # default: catalog.search_period
     entry_cap_override: int | None = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if self.strategy is None:
+            object.__setattr__(self, "strategy", default_strategy(self.dynkin))
         if self.strategy not in ("column_dfs", "row_seeded"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.period_cap is not None and self.period_cap < 1:
@@ -230,20 +242,6 @@ def default_strategy(t: DynkinType) -> str:
     if t.rank >= 2 and _solve_plan(t)[1] is None:
         return "row_seeded"
     return "column_dfs"
-
-
-def _effective_period_cap(cfg: SearchConfig) -> int:
-    return cfg.period_cap if cfg.period_cap is not None else search_period(cfg.dynkin)
-
-
-def _certified(cfg: SearchConfig) -> bool:
-    """True when no configuration choice truncated the certified space."""
-    p = _effective_period_cap(cfg)
-    if p < search_period(cfg.dynkin):
-        return False
-    if cfg.entry_cap_override is None:
-        return True
-    return all(cfg.entry_cap_override >= c for c in entry_caps(cfg.dynkin, p))
 
 
 def _divisors(x: int) -> list[int]:
@@ -319,8 +317,8 @@ def _column_plan(t: DynkinType, caps):
     depth keeps only the ``x`` for which the next congruence has a
     solution (``_solvable_coordinates``).  Today these are the branch
     vertex's free neighbour in type E (E6 depth 4, E7 depth 5, E8 depth 6).
-    A coordinate that entered with a higher exponent would only go
-    unpruned.
+    The plan asserts that no generator has any other column-``k``
+    cofactor, so ``rest`` holds forward cells only.
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -350,6 +348,9 @@ def _column_plan(t: DynkinType, caps):
             if fgen is None and not fcells and (fx, 1, 0) in gen[2] and gen[0] != fx:
                 rest = tuple(f for f in gen[2] if f != (fx, 1, 0))
                 plan[d - 1] = (fx, fcap, fgen, fcells, (rest, gen[0], caps[x], gen[3]))
+        free = plan[d - 1][0] if d > 1 and plan[d - 1][4] else None  # a free depth's coordinate
+        # it is a generator's only column-k cofactor: look's r is a unit (module docstring)
+        assert not gen or all(o or l == free for l, _, o in gen[2]), f"{t}"
         plan.append((x, caps[x], gen, cells, None))
     return tuple(plan)
 
@@ -489,8 +490,6 @@ def _solvable_coordinates(look, cols, cap):
     top = min(bound // r, cap)  # x1 >= 1
     if modulus == 1:  # x1 = 1
         return range(1, top + 1)
-    if math.gcd(r, modulus) != 1:
-        return ()
     s = -pow(r, -1, modulus) % modulus  # x1 = x**-1 * s mod modulus
     if modulus > _INVERSE_TABLE_LIMIT:
         inverses = _PowInverses(modulus)
@@ -590,16 +589,17 @@ def _solve_plan(t: DynkinType):
     check)`` over 0-based vertices.  Mesh terms are factors ``(j, m, o)`` of
     the mesh table, each ``F[j, k + o]**m`` in a mesh product at column ``k``.
 
-    * ``wave`` and ``tail`` hold force steps ``(s, r, m, o, others)``: the
-      mesh at the solved vertex ``s`` has one unsolved neighbour ``r``, with
-      exponent ``m`` and column offset ``o``; ``others`` are its remaining
+    * ``wave`` and ``tail`` hold force steps ``(s, r, m, others)``: the
+      mesh at the solved vertex ``s`` has one unsolved neighbour ``r < s``,
+      with exponent ``m`` and column offset 0; ``others`` are its remaining
       terms.  ``wave`` runs before the divide step, ``tail`` after it.
     * ``divide`` is ``(d, terms, x, known, o)``, or None when the force
       steps solve every row: no mesh forces a row, so the highest unsolved
       vertex ``d`` whose neighbours are all solved takes a divisor row
       ``w[k] * w[k+1] = 1 + product(terms)``.  The stuck mesh at ``x`` has
       ``d`` and one more unsolved neighbour, so each ``w[k + o]`` divides
-      ``(F[x,k] * F[x,k+1] - 1) / product(known)``.
+      ``(F[x,k] * F[x,k+1] - 1) / product(known)``.  ``d`` is a leaf on
+      ``x``: its mesh has the one term ``F[x, k + 1 - o]``.
     * ``check`` pairs the one vertex whose mesh no step used with its terms:
       ``n - 1`` steps use ``n - 1`` meshes.
     """
@@ -617,19 +617,22 @@ def _solve_plan(t: DynkinType):
     while len(solved) < n:  # each step uses the mesh at s to solve row r
         s = next((s for s in sorted(solved - used, reverse=True) if len(unsolved(s)) == 1), None)
         if s is not None:
-            ((r, m, o),) = terms(s, solved)
-            (wave if divide is None else tail).append((s, r, m, o, terms(s, (r,))))
+            ((r, m, _),) = terms(s, solved)
+            assert r < s, f"{t} forces a row above its source"  # column offset 0
+            (wave if divide is None else tail).append((s, r, m, terms(s, (r,))))
         else:  # a divide step uses the divided vertex's own mesh
             assert divide is None, f"{t} needs a second divide step"
             r = s = max(i for i in range(n) if i not in solved and not unsolved(i))
             x = next(x for x in solved - used if len(unsolved(x)) == 2 and r in unsolved(x))
             divide = (r, factors[r], x, terms(x, unsolved(x)), int(r > x))
+            # the divisor walk's divisions are exact on a leaf (module docstring)
+            assert factors[r] == ((x, 1, int(x > r)),), f"{t} divides a non-leaf row"
         used.add(s)
         solved.add(r)
     (check,) = ((i, factors[i]) for i in range(n) if i not in used)
     # only the top step may take a root (C_n, G2); every other doubled or
     # tripled edge enters the wave as a denominator exponent
-    assert all(m == 1 for _, _, m, _, _ in wave[1:] + tail), f"{t} forces a lower row by a power"
+    assert all(m == 1 for _, _, m, _ in wave[1:] + tail), f"{t} forces a lower row by a power"
     return tuple(wave), divide, tuple(tail), check
 
 
@@ -643,11 +646,10 @@ def _quotient(pair, v, terms) -> int:
 def _force(cols, step, caps, columns) -> bool:
     """Solve the forced row's cells at ``columns`` in place; False when a
     cell is not a positive integer within its cap."""
-    s, r, m, o, others = step
+    s, r, m, others = step
     p, cap = len(cols), caps[r]
     for k in columns:
-        pair = (cols[k], cols[(k + 1) % p])
-        q = _quotient(pair, s, others)
+        q = _quotient((cols[k], cols[(k + 1) % p]), s, others)
         if m > 1:
             root = integer_root(q, m)
             if root**m != q:
@@ -655,7 +657,7 @@ def _force(cols, step, caps, columns) -> bool:
             q = root
         if not 0 < q <= cap:
             return False
-        pair[o][r] = q
+        cols[k][r] = q
     return True
 
 
@@ -687,8 +689,8 @@ def _divisor_rows(cols, step, caps, tally, stuck=()):
         for k in range(p):
             if k == len(products):  # formed once the walk reaches column k
                 products.append(1 + _product((cols[k], cols[(k + 1) % p]), terms))
-            q, rem = divmod(products[k], w[k])
-            if rem or q > cap or divides[k + 1] % q:
+            q = products[k] // w[k]  # exact (module docstring)
+            if q > cap or divides[k + 1] % q:
                 break
             w.append(q)
         else:
@@ -750,7 +752,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     # any, is the row above, read one column later.  Wave row i sits at
     # level i + 1, below the seed row's level 0.
     plan = []
-    for level, (s, r, m, _, others) in enumerate(wave, 1):
+    for level, (s, r, m, others) in enumerate(wave, 1):
         # the seed row's mesh has no upper neighbour: mu = 0, denominator 1
         ((u, mu, _),) = others or ((s, 0, 1),)
         plan.append((s, r, level, m, u, mu, caps[r]))
@@ -931,7 +933,7 @@ def _partition_results(jobs, workers, progress):
 def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
     """Run the configured strategy; rank 1 degenerates to the column walk."""
     t = cfg.dynkin
-    period_cap = _effective_period_cap(cfg)
+    period_cap = cfg.period_cap or search_period(t)
     caps = entry_caps(t, period_cap, cfg.entry_cap_override)
     prodcaps = entry_caps(t, period_cap)  # row products ignore the override
     jobs = [
@@ -956,7 +958,8 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
         if violations:
             raise AssertionError(f"search produced a non-frieze pattern: {violations[0]}")
         orbit_list.append(Orbit(pattern, len(key)))
-    complete = _certified(cfg) and not notes
+    # an override truncates nothing exactly when it leaves every cap unchanged
+    complete = period_cap >= search_period(t) and caps == prodcaps and not notes
     if progress is not None:
         progress(total_nodes, len(orbit_list))
     return SearchOutcome(

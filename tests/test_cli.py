@@ -159,6 +159,17 @@ def test_enumerate_runs_forced_types_without_cap(capsys, name, count):
     assert f"friezes {count} " in out
 
 
+@pytest.mark.parametrize("args", [(), ("--json",)], ids=["text", "json"])
+def test_enumerate_reports_the_config_default_strategy(capsys, args):
+    # without --strategy the CLI leaves the choice to SearchConfig
+    code, out, _ = run(capsys, "enumerate", "A2", *args)
+    assert code == 0
+    if args:
+        assert json.loads(out)["strategy"] == "row_seeded"
+    else:
+        assert out.startswith("dynkin A2  strategy row_seeded  complete yes\n")
+
+
 def test_enumerate_with_cap_is_incomplete(capsys):
     code, out, _ = run(capsys, "enumerate", "D4", "--cap", "8")
     assert code == 1

@@ -574,6 +574,25 @@ def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
     assert doubled.complete and doubled.notes == () and doubled.frieze_count == 5
 
 
+@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
+@pytest.mark.parametrize(
+    "name,columns", [("G2", [(2, 3)]), ("D4", [(2, 3, 2, 2)]), ("A2", []), ("B2", [])]
+)
+def test_period_cap_one_finds_the_constant_friezes(name, columns, strategy):
+    # a seed row of one cell: the row-seeded search goes straight to its
+    # leaf.  Only constant friezes have period 1, and the period cap below
+    # the search period leaves the outcome incomplete
+    out = outcome(name, strategy, period_cap=1)
+    assert [[c.values for c in o.pattern.columns] for o in out.orbits] == [[c] for c in columns]
+    assert out.frieze_count == len(columns) and not out.complete
+
+
+def test_period_cap_below_the_search_period_alone_marks_incomplete():
+    # no note and no override: only the period cap can mark this incomplete
+    out = outcome("A2", "column_dfs", period_cap=1)
+    assert out.notes == () and out.frieze_count == 0 and not out.complete
+
+
 # Outcomes pinned per case: frieze count, a digest of the orbits and
 # their sizes, the completeness claim and the nodes explored by
 # (column_dfs, row_seeded) at the full period h+2, then at the default
@@ -951,7 +970,7 @@ def test_row_seeded_rank_one_degenerates_to_column_walk():
 def test_solve_plan_shape(t):
     # the row-seeded wavefront and leaf rely on this shape
     wave, divide, tail, (v, _) = _solve_plan(t)
-    solved = [r for _, r, _, _, _ in wave + tail] + ([divide[0]] if divide else [])
+    solved = [r for _, r, _, _ in wave + tail] + ([divide[0]] if divide else [])
     assert sorted(solved) == list(range(t.rank - 1))  # every row but n, once
     assert v == 0  # one check, at vertex 1
     assert (divide is not None) == (t.family in "DE")
@@ -960,16 +979,16 @@ def test_solve_plan_shape(t):
     # a chain from the seed row: each step forces from the row the last
     # one forced, whose other neighbour, if any, is the row above, read
     # one column later
-    sources = [t.rank - 1] + [r for _, r, _, _, _ in wave]
-    assert [s for s, _, _, _, _ in wave] == sources[:-1]
-    assert wave[0][4] == ()
-    assert [[(u, o) for u, _, o in others] for _, _, _, _, others in wave[1:]] == [
+    sources = [t.rank - 1] + [r for _, r, _, _ in wave]
+    assert [s for s, _, _, _ in wave] == sources[:-1]
+    assert wave[0][3] == ()
+    assert [[(u, o) for u, _, o in others] for _, _, _, others in wave[1:]] == [
         [(u, 1)] for u in sources[:-2]
     ]
     # the check vertex (pinned plans) or the stuck vertex is the last wave row
     assert sources[-1] == (v if divide is None else divide[2])
     # only the top step forces by a power: the wavefront takes no root below it
-    assert all(m == 1 for _, _, m, _, _ in wave[1:] + tail)
+    assert all(m == 1 for _, _, m, _ in wave[1:] + tail)
 
 
 def test_default_strategy_choice():
@@ -978,6 +997,18 @@ def test_default_strategy_choice():
     assert default_strategy(DynkinType("A", 1)) == "column_dfs"
     assert default_strategy(DynkinType("D", 4)) == "column_dfs"
     assert default_strategy(DynkinType("E", 6)) == "column_dfs"
+
+
+@pytest.mark.parametrize("t", [DynkinType("A", 1), *PLAN_TYPES], ids=str)
+def test_config_strategy_defaults_to_the_type_default(t):
+    assert SearchConfig(t).strategy == default_strategy(t)
+
+
+def test_config_without_strategy_runs_the_default():
+    cfg = SearchConfig(DynkinType("A", 4))
+    assert cfg.strategy == "row_seeded"  # column_dfs walks 41,967,939 nodes here
+    out = enumerate_friezes(cfg)
+    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 14_744
 
 
 @pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15), ("D4", 10)])

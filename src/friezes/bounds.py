@@ -41,41 +41,33 @@ def integer_root(x: int, k: int) -> int:
         return x
     if k == 2:
         return math.isqrt(x)
+    # Newton's method from above never undershoots the floor root s: by
+    # AM-GM, ((k-1)*r + x/r**(k-1))/k >= x**(1/k), and flooring keeps the
+    # step nr >= s.  While r > s, r**k > x forces nr < r, so the loop
+    # stops at r = s exactly.
     r = 1 << -((-x.bit_length()) // k)  # >= true root
     while True:
         nr = ((k - 1) * r + x // r ** (k - 1)) // k
         if nr >= r:
-            break
+            return r
         r = nr
-    while r**k > x:
-        r -= 1
-    return r
 
 
 def floor_pow2(e: Fraction) -> int:
     """``floor(2**e)`` for a positive rational exponent, exactly."""
     if e <= 0:
         raise ValueError("exponent must be positive")
-    num, den = e.numerator, e.denominator
-    if den == 1:
-        return 1 << num
-    return integer_root(1 << num, den)
+    return integer_root(1 << e.numerator, e.denominator)
 
 
 @lru_cache(maxsize=64)
-def entry_caps(
-    t: DynkinType, period_cap: int, override: int | None = None
-) -> tuple[int, ...]:
-    """Exact per-entry caps ``floor(2**(p*b_i))``, clipped by an override.
+def entry_caps(t: DynkinType, period_cap: int) -> tuple[int, ...]:
+    """Exact per-entry caps ``floor(2**(p*b_i))``.
 
-    Cached per ``(t, p, override)``: the caps check of every stored frieze
-    of one type and period reads the same roots.  The cache is bounded
-    because a cap at a large period has thousands of digits."""
-    b = type_profile(t).b
-    caps = [floor_pow2(period_cap * bi) for bi in b]
-    if override is not None:
-        caps = [min(c, override) for c in caps]
-    return tuple(caps)
+    Cached per ``(t, p)``: the caps check of every stored frieze of one
+    type and period reads the same roots.  The cache is bounded because a
+    cap at a large period has thousands of digits."""
+    return tuple(floor_pow2(period_cap * bi) for bi in type_profile(t).b)
 
 
 @dataclass(frozen=True)

@@ -134,13 +134,11 @@ def cmd_enumerate(args) -> int:
         p = search_period(t)
         caps = bounds_mod.entry_caps(t, p)
         exps = " ".join(f"2^{p * bi}" for bi in type_profile(t).b)
-        print(
-            f"error: full enumeration of {t} needs entry caps {exps} "
+        raise ValueError(
+            f"full enumeration of {t} needs entry caps {exps} "
             f"(about {max(caps).bit_length()} bit entries), far beyond desk scale; "
-            "pass --cap to search a truncated space (the result is marked incomplete)",
-            file=sys.stderr,
+            "pass --cap to search a truncated space (the result is marked incomplete)"
         )
-        return 2
     cfg = SearchConfig(t, args.strategy, entry_cap_override=args.cap, jobs=args.jobs)
     outcome = enumerate_friezes(cfg, progress=stderr_progress)
     for note in outcome.notes:
@@ -169,14 +167,12 @@ def cmd_period(args) -> int:
         t = pattern.dynkin
     else:
         if args.type is None or args.seed is None:
-            print("error: need either FILE or both --type and --seed", file=sys.stderr)
-            return 2
+            raise ValueError("need either FILE or both --type and --seed")
         t = DynkinType.from_name(args.type)
         try:
             values = tuple(int(tok) for tok in args.seed.replace(",", " ").split())
         except ValueError:
-            print(f"error: bad seed {args.seed!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad seed {args.seed!r}") from None
         seed = FriezeSlice(t, values)
     cap = args.cap if args.cap is not None else coxeter_number(t) + 2
     try:
@@ -260,7 +256,7 @@ def main(argv=None) -> int:
     except FriezeFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

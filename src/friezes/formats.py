@@ -16,10 +16,8 @@ byte-exact on re-emission.
 
 from __future__ import annotations
 
-
 from .catalog import DynkinType, repetition_arrows
 from .mesh import FriezePattern, FriezeSlice
-from .search import SearchOutcome
 
 __all__ = [
     "FriezeFormatError",
@@ -186,7 +184,7 @@ def bounds_payload(report, include_refined: bool) -> dict:
     return payload
 
 
-def enumerate_payload(outcome: SearchOutcome, t, strategy: str) -> dict:
+def enumerate_payload(outcome, t, strategy: str) -> dict:
     return {
         "dynkin": str(t),
         "strategy": strategy,

@@ -99,9 +99,9 @@ Soundness of the pruning:
   within the same cap over ``p`` columns.  So ``x >= start*t_j - 1``, and
   a ``top`` that can complete has ``top*(start*(top + 1) - prev) <=
   R*prev``.  The left side is a convex quadratic in ``top``, 0 at ``top =
-  0``, so these ``top`` form a prefix.  Where ``X`` fails the test, the
-  prefix's end (``_next_top_cap``) replaces it, once per call, and every
-  candidate cut holds no frieze;
+  0``, so these ``top`` form a prefix.  Every call with ``m = 1`` tests
+  ``X``; where it fails, the prefix's end (``_next_top_cap``) replaces it,
+  and every candidate cut holds no frieze;
 * row seeding, monotone cut-off: ``t_j`` grows with ``x``, and each lower
   forced row gets one new cell ``(a*b - 1)/den`` (no root: see
   ``_solve_plan``), ``a`` and ``den`` fixed already and ``b`` the new cell
@@ -379,15 +379,10 @@ def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
             first = integer_root(low - 1, m) + 1
     if cap < first:
         return ()
-    if modulus == 1:
-        return range(first, cap + 1)
-    if m == 1:
-        if y == 1:  # the row-seeded top row: x = -1 (mod modulus)
-            x0 = modulus - 1
-        elif math.gcd(y, modulus) != 1:
+    if m == 1:  # modulus 1 needs no case: pow(y, -1, 1) is 0, and every x solves
+        if math.gcd(y, modulus) != 1:
             return ()
-        else:
-            x0 = -pow(y, -1, modulus) % modulus
+        x0 = -pow(y, -1, modulus) % modulus
         return range(first + (x0 - first) % modulus, cap + 1, modulus)
     from heapq import merge  # imported here: only a doubled or tripled edge needs it
 
@@ -759,22 +754,20 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
     back_plan = plan[::-1]
     (_, top_row, _, m_top, _, _, top_cap), *lower = plan
     top_prodcap = prodcaps[top_row]
-    # the next-position product cap (module docstring) can cut a top cell
-    # only where the room is below start*top_cap*(top_cap + 1), which
-    # bounds its test's left side; a top row with m > 1 goes without it
-    cut_below = start * top_cap * (top_cap + 1) if m_top == 1 else 0
 
+    # from j = pair_from on, position j fixes the last wave row's cell at
+    # column c + 1, c = j - pair_from, its cell at column c being known
+    pair_from = len(wave) + 2
     pinned_tail = divide is None
     closing = None
     if pinned_tail:
         # the wave solves every row; the check vertex f is the last wave row,
         # and its mesh pins it once it holds a cell: t_j is pinned from
-        # j = pin_from on
+        # j = pair_from on
         ((u1, mu1, _),) = f_terms
-        pin_from = len(wave) + 2
         # its first test, at column 0, reads cells the wave has finished by
-        # j = pin_from - 1: run it there, per candidate, instead of in a call
-        pin_test = pin_from - 1 if pin_from <= p else 0
+        # j = pair_from - 1: run it there, per candidate, instead of in a call
+        pin_test = pair_from - 1 if pair_from <= p else 0
         stuck = ()
         # a linear plan (no root, no power) solves that test for t_j instead
         # (module docstring); each lower row's new cell reads these cells
@@ -786,10 +779,9 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         # neighbour rows; its quotients at the non-wrap columns (the
         # division is exact) are kept for the leaf's divide step.  The stuck
         # vertex x is the last wave row, so its cells at columns k and k + 1
-        # are solved from j = branch_from on
+        # are solved from j = pair_from on
         _, _, x, ((ku, kmu, ko),), _ = divide
-        branch_from = len(wave) + 2
-        stuck = [0] * max(p - branch_from + 1, 0)
+        stuck = [0] * max(p - pair_from + 1, 0)
         pin_test = 0
 
     def leaf() -> None:
@@ -799,11 +791,11 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
             tally.orbits.add(_canonical_columns(found[:q]))
 
     def descend(j) -> None:  # choose position j (1-based) of the seed row
-        pinned = pinned_tail and j >= pin_from
+        pinned = pinned_tail and j >= pair_from
         if pinned:
             # back-solve the wave meshes from the pinned cell up to t_j;
             # every division is exact (module docstring)
-            c = j - pin_from
+            c = j - pair_from
             nxt = cols[c + 1]
             q = (1 + nxt[u1] ** mu1) // cols[c][f]
             for s, _, _, m, u, mu, _ in back_plan:
@@ -823,7 +815,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         top_base = top_prods[j - 2]
         room = top_prodcap // top_base
         xcap = min(top_cap, room)
-        if room < cut_below and xcap * (start * (xcap + 1) - prev) > room * prev:
+        if m_top == 1 and xcap * (start * (xcap + 1) - prev) > room * prev:
             xcap = _next_top_cap(start, prev, room)  # leave the row's next top cell room
         # Candidates ascend, t_j and every lower forced cell of this step
         # are non-decreasing in them, so a cap failure ends the loop
@@ -864,8 +856,8 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
                 nxt = col
             if not stop and j == pin_test and (1 + cols[1][u1] ** mu1) % cols[0][f]:
                 stop = 1
-            if not stop and not pinned_tail and j >= branch_from:
-                k = j - branch_from
+            if not stop and not pinned_tail and j >= pair_from:
+                k = j - pair_from
                 den = cols[k + ko][ku]  # divides exactly: see the module docstring
                 q = (cols[k][x] * cols[k + 1][x] - 1) // (den if kmu == 1 else den**kmu)
                 if q < 1:
@@ -934,8 +926,9 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
     """Run the configured strategy; rank 1 degenerates to the column walk."""
     t = cfg.dynkin
     period_cap = cfg.period_cap or search_period(t)
-    caps = entry_caps(t, period_cap, cfg.entry_cap_override)
     prodcaps = entry_caps(t, period_cap)  # row products ignore the override
+    cap = cfg.entry_cap_override
+    caps = prodcaps if cap is None else tuple(min(c, cap) for c in prodcaps)
     jobs = [
         (t, cfg.strategy, period_cap, caps, prodcaps, start)
         for start in _start_values(t, caps)

@@ -78,6 +78,11 @@ def test_bad_tokens_rejected(name):
         DynkinType.from_name(name)
 
 
+def test_unknown_family_rejected():
+    with pytest.raises(ValueError, match="unknown family 'X'"):
+        DynkinType("X", 3)
+
+
 def test_parse_and_str_round_trip():
     for t in CATALOG_SAMPLE:
         assert DynkinType.from_name(str(t)) == t

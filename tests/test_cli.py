@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 import friezes.cli
+import friezes.search
 from conftest import conway_coxeter_columns
 from friezes import JSON_SCHEMAS, DynkinType, emit_frieze, pattern_from_columns
 from friezes.cli import main
@@ -43,6 +44,14 @@ def test_verify_parse_error_is_usage_failure(capsys, tmp_path):
 def test_verify_missing_file(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/file.frieze")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "analyze", "period"])
+def test_unreadable_path_is_usage_failure(capsys, tmp_path, command):
+    # a directory raises IsADirectoryError, an OSError but no FileNotFoundError
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:")
 
 
 def test_analyze_fixture_matches_reference_numbers(capsys, e8_file):
@@ -168,6 +177,14 @@ def test_enumerate_reports_the_config_default_strategy(capsys, args):
         assert json.loads(out)["strategy"] == "row_seeded"
     else:
         assert out.startswith("dynkin A2  strategy row_seeded  complete yes\n")
+
+
+def test_enumerate_prints_each_note(capsys, monkeypatch):
+    # one divisor-branch node per partition: each D4 partition runs out
+    monkeypatch.setattr(friezes.search, "_FACTORIZATION_BUDGET", 1)
+    code, _, err = run(capsys, "enumerate", "D4", "--cap", "16", "--strategy", "row_seeded")
+    assert code == 1
+    assert "note: factorization budget exhausted" in err.splitlines()
 
 
 def test_enumerate_with_cap_is_incomplete(capsys):

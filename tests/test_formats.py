@@ -98,6 +98,8 @@ def test_round_trip_arbitrary_positive_documents(name, period, data):
         ("dynkin A1\nperiod 2\nrow 1 2\nrow 3 4\n", "too many rows"),
         ("dynkin A1\nrow 1 2\n", "period"),
         ("dynkin A1\nperiod 2\ncolumn 1 2\n", "row"),
+        ("row 1 2\ndynkin A1\nperiod 2\n", "expected `dynkin <type>`"),
+        ("dynkin A1\n", "missing `period` line"),
     ],
 )
 def test_parse_errors_are_line_addressed(doc, fragment):

@@ -62,6 +62,12 @@ def orbit_keys(out):
     return [tuple(c.values for c in o.pattern.columns) for o in out.orbits]
 
 
+def clipped_caps(t, p, cap):
+    """The search's entry caps: the theorem's caps, clipped by an override."""
+    caps = entry_caps(t, p)
+    return caps if cap is None else tuple(min(c, cap) for c in caps)
+
+
 def test_a1_brute_force_oracle():
     # independent check: scan the whole cap box with inline mesh relations
     valid = set()
@@ -340,7 +346,7 @@ def test_column_partitions_hold_their_row_minimum(name, cap):
     # every orbit of the whole search
     t = DynkinType.from_name(name)
     p = search_period(t)
-    caps = entry_caps(t, p, cap)
+    caps = clipped_caps(t, p, cap)
     seen = set()
     for start in _start_values(t, caps):
         tally = _Tally()
@@ -359,7 +365,7 @@ def test_start_values_fit_the_row_n_caps(t):
     # product cap, at either period and under any override
     for p in (search_period(t), type_profile(t).period_cap):
         for override in (None, 1, 8):
-            caps = entry_caps(t, p, override)
+            caps = clipped_caps(t, p, override)
             top = _start_values(t, caps)[-1]  # the range's largest value
             assert top <= caps[-1]
             assert top**p <= entry_caps(t, p)[-1]
@@ -449,7 +455,7 @@ def test_column_plan_free_depths(t):
     # a depth with no generator and no due cell whose coordinate the next
     # generator multiplies in: the branch vertex's free neighbour in type E.
     # Each plan built here also runs _column_plan's generator assertion.
-    caps = entry_caps(t, search_period(t), 64)
+    caps = clipped_caps(t, search_period(t), 64)
     free = [d for d in range(1, t.rank + 1) if _column_plan(t, caps)[d][4] is not None]
     assert free == ([t.rank - 2] if t.family == "E" else [])
 

@@ -69,7 +69,11 @@ Soundness of the pruning:
   ``r`` is a unit: the plan asserts that it multiplies forward cells
   ``F[l,k+1]`` only, each of an upper neighbour ``l`` of the generator
   vertex ``g``, whose mesh ``F[l,k]*F[l,k+1] = 1 + F[g,k]**m*...`` makes
-  it coprime to ``M = F[g,k]``;
+  it coprime to ``M = F[g,k]``.  The cell's cap ``C`` reads ``x * x1 <=
+  B = (C*M - 1) // r``, so ``x`` or ``x1`` is at most ``isqrt(B)``: the
+  ``x`` up to it are tested, the larger ones read off each small
+  ``x1``'s residue class mod ``M`` (``_solvable_coordinates``), in
+  ``O(sqrt(B) + kept)`` steps;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -477,26 +481,39 @@ def _solvable_coordinates(look, cols, cap):
     ``x1 * x * r = -1 (mod modulus)`` has a least solution ``x1`` within
     the next coordinate's cap and the generated cell's cap; ``look`` is a
     free depth's plan slot.  The next depth's row-``n`` floor and due cells
-    are left to that depth: ignoring them only keeps more coordinates."""
+    are left to that depth: ignoring them only keeps more coordinates.
+
+    The x up to ``split = min(isqrt(b), cap)`` are tested; above it, ``x *
+    x1 <= b`` forces ``x1 <= b // (split + 1)``, and each unit ``x1`` there
+    is the least solution for one residue class of x, kept up to ``b //
+    x1``.  An x has one ``x1``, so the classes are disjoint; sorted, they
+    follow the tested x, and the list stays ascending."""
     rest, g, next_cap, cell_cap = look
     r = _product(cols, rest)
     modulus = cols[0][g]
-    bound = cell_cap * modulus - 1  # the cell (x1 * x * r + 1) / modulus <= cell_cap
-    top = min(bound // r, cap)  # x1 >= 1
+    b = (cell_cap * modulus - 1) // r  # the cell (x1 * x * r + 1) / modulus <= cell_cap
+    top = min(b, cap)  # x1 >= 1
     if modulus == 1:  # x1 = 1
         return range(1, top + 1)
-    s = -pow(r, -1, modulus) % modulus  # x1 = x**-1 * s mod modulus
+    s = -pow(r, -1, modulus) % modulus  # x * x1 = s mod modulus
     if modulus > _INVERSE_TABLE_LIMIT:
         inverses = _PowInverses(modulus)
     else:
         inverses = _inverses(modulus)
-    return [
+    split = min(math.isqrt(b), top)
+    low = [
         x
-        for x in range(1, top + 1)
-        if (u := inverses[x % modulus])
-        and (x1 := u * s % modulus) <= next_cap
-        and x1 * x * r <= bound
+        for x in range(1, split + 1)
+        if (u := inverses[x % modulus]) and (x1 := u * s % modulus) <= next_cap and x * x1 <= b
     ]
+    high = []
+    if split < top:
+        for x1 in range(1, min(next_cap, modulus - 1, b // (split + 1)) + 1):
+            if u := inverses[x1]:
+                first = split + 1 + (u * s - split - 1) % modulus
+                high.extend(range(first, min(top, b // x1) + 1, modulus))
+        high.sort()
+    return low + high
 
 
 def _column_partition(t, caps, period_cap, start, tally):

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from friezes import (
@@ -467,8 +467,12 @@ def test_column_plan_free_depths(t):
         ("E7", (6,) * 7),
         # the next coordinate's cap below the modulus cap: x1 can exceed it
         ("E6", (12, 5, 12, 12, 12, 12)),
+        # moduli in the tens: most kept x lie above the square-root split
+        ("E6", (64,) * 6),
+        ("E7", (64,) * 7),
+        ("E6", (64, 20, 64, 64, 64, 64)),
     ],
-    ids=["E6@12", "E7@6", "E6-uneven"],
+    ids=["E6@12", "E7@6", "E6-uneven", "E6@64", "E7@64", "E6-uneven@64"],
 )
 @pytest.mark.parametrize("table_limit", [_INVERSE_TABLE_LIMIT, 1], ids=["table", "pow"])
 def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, table_limit, monkeypatch):
@@ -502,6 +506,48 @@ def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, table_limi
             if list(_congruence_candidates(1, y, cols[0][g], plan[d + 1][1], cell_cap, 1)):
                 solvable.append(x)
         assert kept == solvable
+
+
+def plain_solvable_scan(r, modulus, next_cap, cell_cap, cap):
+    # x in [1, cap] whose least x1 >= 1 with x1 * x * r = -1 (mod modulus)
+    # (1 when modulus is 1) is within next_cap and gives a cell within cell_cap
+    kept = []
+    for x in range(1, cap + 1):
+        if math.gcd(x * r, modulus) == 1:
+            x1 = -pow(x * r, -1, modulus) % modulus or modulus
+            if x1 <= next_cap and (x1 * x * r + 1) // modulus <= cell_cap:
+                kept.append(x)
+    return kept
+
+
+_LARGE_MODULI = st.integers(_INVERSE_TABLE_LIMIT + 1, 3 * _INVERSE_TABLE_LIMIT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.one_of(st.just(1), st.integers(2, 60), _LARGE_MODULI),
+    r=st.integers(1, 40),
+    next_cap=st.one_of(st.integers(1, 60), st.integers(1, 4 * _INVERSE_TABLE_LIMIT)),
+    cell_cap=st.integers(1, 64),
+    cap=st.integers(1, 3000),
+    table_limit=st.sampled_from([_INVERSE_TABLE_LIMIT, 1]),
+)
+@example(modulus=1, r=1, next_cap=1, cell_cap=5, cap=9, table_limit=1)
+@example(modulus=2 * _INVERSE_TABLE_LIMIT + 1, r=3, next_cap=50, cell_cap=64, cap=3000, table_limit=_INVERSE_TABLE_LIMIT)
+@example(modulus=59, r=1, next_cap=59, cell_cap=64, cap=20, table_limit=_INVERSE_TABLE_LIMIT)  # top < isqrt(B)
+@example(modulus=7, r=4, next_cap=7, cell_cap=6, cap=3000, table_limit=1)  # x = B // x1 + 1 solves
+@example(modulus=3, r=1, next_cap=3, cell_cap=1, cap=5, table_limit=1)  # x1 = B // (split + 1)
+def test_solvable_coordinates_match_the_plain_scan(modulus, r, next_cap, cell_cap, cap, table_limit):
+    # a synthetic free depth: the modulus is seed cell 0 and r = F[0,k+1].
+    # Equality with the ascending scan also checks the order and that no x
+    # comes twice, over the square-root split, the M == 1 shortcut and the
+    # inverse table and pow paths (table_limit 1 sends every modulus to pow)
+    assume(math.gcd(r, modulus) == 1)
+    look = (((0, 1, 1),), 0, next_cap, cell_cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("friezes.search._INVERSE_TABLE_LIMIT", table_limit)
+        kept = _solvable_coordinates(look, ([modulus], [r]), cap)
+    assert list(kept) == plain_solvable_scan(r, modulus, next_cap, cell_cap, cap)
 
 
 @pytest.mark.parametrize(

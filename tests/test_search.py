@@ -467,7 +467,7 @@ def test_column_plan_free_depths(t):
         ("E7", (6,) * 7),
         # the next coordinate's cap below the modulus cap: x1 can exceed it
         ("E6", (12, 5, 12, 12, 12, 12)),
-        # moduli in the tens: most kept x lie above the square-root split
+        # hundreds of free-depth calls, each keeping x above the square-root split
         ("E6", (64,) * 6),
         ("E7", (64,) * 7),
         ("E6", (64, 20, 64, 64, 64, 64)),
@@ -533,11 +533,15 @@ _LARGE_MODULI = st.integers(_INVERSE_TABLE_LIMIT + 1, 3 * _INVERSE_TABLE_LIMIT)
     table_limit=st.sampled_from([_INVERSE_TABLE_LIMIT, 1]),
 )
 @example(modulus=1, r=1, next_cap=1, cell_cap=5, cap=9, table_limit=1)
-@example(modulus=2 * _INVERSE_TABLE_LIMIT + 1, r=3, next_cap=50, cell_cap=64, cap=3000, table_limit=_INVERSE_TABLE_LIMIT)
-@example(modulus=59, r=1, next_cap=59, cell_cap=64, cap=20, table_limit=_INVERSE_TABLE_LIMIT)  # top < isqrt(B)
+# a modulus above the table limit: pow inverses, and kept x above the split
+@example(modulus=2049, r=3, next_cap=50, cell_cap=64, cap=3000, table_limit=_INVERSE_TABLE_LIMIT)
+# top < isqrt(B), through the inverse table
+@example(modulus=59, r=1, next_cap=59, cell_cap=64, cap=20, table_limit=_INVERSE_TABLE_LIMIT)
 @example(modulus=7, r=4, next_cap=7, cell_cap=6, cap=3000, table_limit=1)  # x = B // x1 + 1 solves
 @example(modulus=3, r=1, next_cap=3, cell_cap=1, cap=5, table_limit=1)  # x1 = B // (split + 1)
-def test_solvable_coordinates_match_the_plain_scan(modulus, r, next_cap, cell_cap, cap, table_limit):
+def test_solvable_coordinates_match_the_plain_scan(
+    modulus, r, next_cap, cell_cap, cap, table_limit
+):
     # a synthetic free depth: the modulus is seed cell 0 and r = F[0,k+1].
     # Equality with the ascending scan also checks the order and that no x
     # comes twice, over the square-root split, the M == 1 shortcut and the

@@ -32,11 +32,11 @@ for name in ("A1", "A2", "A3", "A4", "B2", "C2", "G2"):
               f"{out.nodes_explored} nodes, complete={out.complete}"
               f"{'' if cap is None else f', entry cap {cap}'})")
     col, row = results["column_dfs"], results["row_seeded"]
-    agree = [o.pattern for o in col.orbits] == [o.pattern for o in row.orbits]
+    agree = col.orbits == row.orbits
     print(f"   strategies agree on canonical orbits: {agree}")
     for idx, orbit in enumerate(col.orbits, start=1):
-        first = " ".join(str(v) for v in orbit.pattern.columns[0].values)
-        print(f"   orbit {idx}: period {orbit.size}, first column ({first})")
+        first = " ".join(str(v) for v in orbit.columns[0].values)
+        print(f"   orbit {idx}: period {orbit.period}, first column ({first})")
     print()
 
 print("where the Nakayama twist is the identity, every frieze repeats after")

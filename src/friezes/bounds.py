@@ -186,7 +186,7 @@ def _refined_terms(t: DynkinType) -> tuple[tuple[float, ...], Fraction, float, F
     the per-row sums ``sum_j Cinv[i,j] * log2(1 + 2**-d[j])``, the exact
     ``refined_base`` and its ``log2``, and ``sum b``."""
     profile = type_profile(t)
-    inv = inverse_cartan(t).entries
+    inv = inverse_cartan(t)
     n = t.rank
     d = profile.d
     log_terms = [math.log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated

@@ -27,8 +27,6 @@ from functools import lru_cache
 
 __all__ = [
     "DynkinType",
-    "CartanMatrix",
-    "InverseCartan",
     "TypeProfile",
     "cartan_matrix",
     "inverse_cartan",
@@ -77,22 +75,6 @@ class DynkinType:
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
-
-
-@dataclass(frozen=True)
-class CartanMatrix:
-    """Exact integer Cartan matrix; ``entries[i][j]`` is 0-indexed."""
-
-    rank: int
-    entries: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class InverseCartan:
-    """Exact rational inverse of a Cartan matrix (0-indexed entries)."""
-
-    rank: int
-    entries: tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -162,9 +144,9 @@ def _mesh_factors(t: DynkinType):
 
 
 @lru_cache(maxsize=None)
-def cartan_matrix(t: DynkinType) -> CartanMatrix:
+def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix of ``t`` under the fixed numbering above, filled in
-    from the mesh table."""
+    from the mesh table: a tuple of integer rows, ``C[i][j]`` 0-indexed."""
     n = t.rank
     rows = []
     for i, factors in enumerate(_mesh_factors(t)):
@@ -173,7 +155,7 @@ def cartan_matrix(t: DynkinType) -> CartanMatrix:
         for j, m, _ in factors:
             row[j] = -m
         rows.append(tuple(row))
-    return CartanMatrix(n, tuple(rows))
+    return tuple(rows)
 
 
 def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -206,15 +188,16 @@ def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tupl
 
 
 @lru_cache(maxsize=None)
-def inverse_cartan(t: DynkinType) -> InverseCartan:
-    """Exact rational inverse from the integer elimination above.
+def inverse_cartan(t: DynkinType) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rational inverse from the integer elimination above, as a
+    tuple of ``Fraction`` rows (0-indexed).
 
     Before returning, the integer identity ``C * adj == det * I`` is
     re-checked entry by entry, summing only over the nonzero ``C[i][k]``
     (at most three per row, read from the mesh table).  With ``det != 0``
     this is exactly ``C * C**-1 == I``.
     """
-    det, adj = _invert_exact(cartan_matrix(t).entries)
+    det, adj = _invert_exact(cartan_matrix(t))
     if det == 0:
         raise ArithmeticError("inverse check failed: zero determinant")
     n = t.rank
@@ -224,14 +207,14 @@ def inverse_cartan(t: DynkinType) -> InverseCartan:
             acc = sum(c * adj[k][j] for k, c in nonzero)
             if acc != (det if i == j else 0):
                 raise ArithmeticError(f"inverse check failed at ({i}, {j})")
-    return InverseCartan(n, tuple(tuple(Fraction(x, det) for x in row) for row in adj))
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 @lru_cache(maxsize=None)
 def type_profile(t: DynkinType) -> TypeProfile:
     """Row sums ``b`` of the inverse, weighted degrees ``d``, and the
     period cap ``h + 2`` (Coxeter number plus two)."""
-    b = tuple(sum(row, Fraction(0)) for row in inverse_cartan(t).entries)
+    b = tuple(sum(row, Fraction(0)) for row in inverse_cartan(t))
     d = tuple(sum(m for _, m, _ in factors) for factors in _mesh_factors(t))
     return TypeProfile(t, b, d, coxeter_number(t) + 2)
 
@@ -304,14 +287,14 @@ def repetition_arrows(
     return arrows
 
 
-def leading_principal_minors(cm: CartanMatrix) -> tuple[Fraction, ...]:
-    """Determinants of the leading principal submatrices, exactly.  The
-    integer elimination above, run on ``C`` without row swaps and below
-    the pivot only, has the ``k``-th leading minor as its ``k``-th pivot.
-    From a zero pivot on, each leading block is eliminated on its own, 0
-    where it is singular."""
-    n = cm.rank
-    rows = [list(row) for row in cm.entries]
+def leading_principal_minors(cm: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
+    """Determinants of the leading principal submatrices of the integer
+    rows ``cm``, exactly.  The integer elimination above, run on ``cm``
+    without row swaps and below the pivot only, has the ``k``-th leading
+    minor as its ``k``-th pivot.  From a zero pivot on, each leading block
+    is eliminated on its own, 0 where it is singular."""
+    n = len(cm)
+    rows = [list(row) for row in cm]
     minors = []
     prev = 1
     for k in range(n):
@@ -325,7 +308,7 @@ def leading_principal_minors(cm: CartanMatrix) -> tuple[Fraction, ...]:
         prev = akk
     for m in range(len(minors) + 1, n + 1):
         try:
-            det, _ = _invert_exact(tuple(row[:m] for row in cm.entries[:m]))
+            det, _ = _invert_exact(tuple(row[:m] for row in cm[:m]))
         except ArithmeticError:
             det = 0
         minors.append(Fraction(det))

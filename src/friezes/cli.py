@@ -155,8 +155,8 @@ def cmd_enumerate(args) -> int:
             f"nodes {outcome.nodes_explored}"
         )
         for idx, orbit in enumerate(outcome.orbits, start=1):
-            first = " ".join(str(v) for v in orbit.pattern.columns[0].values)
-            print(f"orbit {idx}: period {orbit.size}, first column {first}")
+            first = " ".join(str(v) for v in orbit.columns[0].values)
+            print(f"orbit {idx}: period {orbit.period}, first column {first}")
     return 0 if outcome.complete else 1
 
 

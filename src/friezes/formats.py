@@ -100,7 +100,7 @@ def parse_frieze(text: str) -> FriezePattern:
 
     # every entry was checked above, so the columns skip re-validation
     columns = tuple(FriezeSlice._unchecked(dynkin, col) for col in zip(*rows))
-    return FriezePattern(dynkin, period, columns)
+    return FriezePattern(dynkin, columns)
 
 
 def emit_frieze(f: FriezePattern) -> str:
@@ -193,8 +193,8 @@ def enumerate_payload(outcome, t, strategy: str) -> dict:
         "nodes_explored": outcome.nodes_explored,
         "orbits": [
             {
-                "period": o.size,
-                "columns": [list(c.values) for c in o.pattern.columns],
+                "period": o.period,
+                "columns": [list(c.values) for c in o.columns],
             }
             for o in outcome.orbits
         ],

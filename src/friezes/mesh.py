@@ -75,7 +75,7 @@ class IndivisibleError(ArithmeticError):
 
 
 class DeadEndError(ValueError):
-    """Orbit tracing hit an inexact division: the seed is not a frieze column."""
+    """Tracing an orbit hit an inexact division: the seed is not a frieze column."""
 
     def __init__(self, step: int, vertex: int):
         self.step = step
@@ -84,7 +84,7 @@ class DeadEndError(ValueError):
 
 
 class NoRecurrenceError(ValueError):
-    """Orbit tracing exceeded the cap without returning to the seed column."""
+    """Tracing an orbit exceeded the cap without returning to the seed column."""
 
     def __init__(self, cap: int):
         self.cap = cap
@@ -123,12 +123,11 @@ class FriezeSlice:
 
 @dataclass(frozen=True)
 class FriezePattern:
-    """A frieze on one fundamental domain: ``period`` consecutive columns,
-    indices taken mod ``period``.  Construction does not verify the mesh
-    relations; use :func:`verify_pattern`."""
+    """A frieze on one fundamental domain: consecutive ``columns``, indices
+    taken mod ``period = len(columns)``.  Construction does not verify the
+    mesh relations; use :func:`verify_pattern`.  At least one column."""
 
     dynkin: DynkinType
-    period: int
     columns: tuple[FriezeSlice, ...]
 
     def __post_init__(self) -> None:
@@ -136,11 +135,15 @@ class FriezePattern:
         if not isinstance(columns, tuple):
             columns = tuple(columns)
             object.__setattr__(self, "columns", columns)
-        if self.period < 1 or len(columns) != self.period:
-            raise ValueError(f"period {self.period} does not match {len(columns)} columns")
+        if not columns:
+            raise ValueError("a pattern needs at least one column")
         for c in columns:
             if c.dynkin != self.dynkin:
                 raise ValueError(f"column of type {c.dynkin} in a {self.dynkin} pattern")
+
+    @property
+    def period(self) -> int:
+        return len(self.columns)
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], ...]:
@@ -177,10 +180,12 @@ def _product(cols, factors) -> int:
 
 
 def mesh_product(i: int, col_k: FriezeSlice, col_k1: FriezeSlice) -> int:
-    """The neighbor product for vertex ``i`` (1-based) between consecutive
-    columns; the empty product is 1."""
+    """The neighbor product for vertex ``i`` (1-based, ``1 <= i <= rank``)
+    between consecutive columns; the empty product is 1."""
     if col_k.dynkin != col_k1.dynkin:
         raise ValueError("columns belong to different types")
+    if not 1 <= i <= col_k.dynkin.rank:
+        raise ValueError(f"vertex {i} is not in 1..{col_k.dynkin.rank}")
     return _product((col_k.values, col_k1.values), _mesh_factors(col_k.dynkin)[i - 1])
 
 
@@ -317,4 +322,4 @@ def pattern_from_columns(t: DynkinType, columns) -> FriezePattern:
     slices = tuple(
         c if isinstance(c, FriezeSlice) else FriezeSlice(t, tuple(c)) for c in columns
     )
-    return FriezePattern(t, len(slices), slices)
+    return FriezePattern(t, slices)

@@ -185,7 +185,6 @@ from .mesh import _orbit, _product  # shared product loop and orbit walk
 
 __all__ = [
     "SearchConfig",
-    "Orbit",
     "SearchOutcome",
     "enumerate_friezes",
     "default_strategy",
@@ -223,21 +222,19 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class Orbit:
-    """A frieze orbit: the canonical minimal-period pattern plus its size
-    (the number of distinct columns, i.e. of distinct frieze functions)."""
-
-    pattern: FriezePattern
-    size: int
-
-
-@dataclass(frozen=True)
 class SearchOutcome:
-    orbits: tuple[Orbit, ...]
-    frieze_count: int
+    """The orbits found, each as its canonical minimal-period pattern.  An
+    orbit's size (its number of distinct columns, i.e. of distinct frieze
+    functions) is its ``period``; ``frieze_count`` sums them."""
+
+    orbits: tuple[FriezePattern, ...]
     complete: bool
     nodes_explored: int
     notes: tuple[str, ...] = ()
+
+    @property
+    def frieze_count(self) -> int:
+        return sum(o.period for o in self.orbits)
 
 
 def default_strategy(t: DynkinType) -> str:
@@ -961,20 +958,17 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
         notes.extend(tally.notes)
         orbits |= tally.orbits
 
-    orbit_list = []
-    for key in sorted(orbits):
-        pattern = pattern_from_columns(t, key)
+    patterns = tuple(pattern_from_columns(t, key) for key in sorted(orbits))
+    for pattern in patterns:
         violations = verify_pattern(pattern)
         if violations:
             raise AssertionError(f"search produced a non-frieze pattern: {violations[0]}")
-        orbit_list.append(Orbit(pattern, len(key)))
     # an override truncates nothing exactly when it leaves every cap unchanged
     complete = period_cap >= search_period(t) and caps == prodcaps and not notes
     if progress is not None:
-        progress(total_nodes, len(orbit_list))
+        progress(total_nodes, len(patterns))
     return SearchOutcome(
-        orbits=tuple(orbit_list),
-        frieze_count=sum(o.size for o in orbit_list),
+        orbits=patterns,
         complete=complete,
         nodes_explored=total_nodes,
         notes=tuple(notes),

@@ -159,7 +159,7 @@ def test_bounds_report_matches_direct_formula(name, p):
     # The per-type cache must not change a bit of the report: recompute it
     # here straight from the inverse, in the original order of operations.
     t = DynkinType.from_name(name)
-    inv = inverse_cartan(t).entries
+    inv = inverse_cartan(t)
     b = type_profile(t).b
     d = type_profile(t).d
     log_terms = [math.log2(2**dj + 1) - dj for dj in d]

@@ -49,6 +49,13 @@ def test_mesh_product_e8_branch_vertex(e8_pattern):
     assert got == 6 * 11 * 18 == 1188
 
 
+@pytest.mark.parametrize("i", [0, -1, 9])
+def test_mesh_product_rejects_vertices_outside_the_diagram(e8_pattern, i):
+    # 0 and -1 would read vertices 8 and 7 through negative indexing
+    with pytest.raises(ValueError, match="vertex"):
+        mesh_product(i, e8_pattern.columns[0], e8_pattern.columns[1])
+
+
 def test_mesh_product_rejects_mixed_types():
     with pytest.raises(ValueError):
         mesh_product(1, FriezeSlice(A1, (1,)), FriezeSlice(A2, (1, 1)))
@@ -211,14 +218,14 @@ def test_pattern_validation():
     with pytest.raises(ValueError, match="type"):
         from friezes import FriezePattern
 
-        FriezePattern(A2, 1, (FriezeSlice(A1, (1,)),))
+        FriezePattern(A2, (FriezeSlice(A1, (1,)),))
 
 
 # A plain reading of the mesh relation straight from the Cartan matrix,
 # independent of the mesh table and of the generated kernels.
 def _reference_rhs(t, i, col_k, col_k1):
     rhs = 1
-    for j, c in enumerate(cartan_matrix(t).entries[i]):
+    for j, c in enumerate(cartan_matrix(t)[i]):
         if j != i and c:
             rhs *= (col_k[j] if j < i else col_k1[j]) ** -c
     return 1 + rhs

@@ -13,6 +13,7 @@ from friezes import (
     a_vector,
     check_pattern_against_bounds,
     default_strategy,
+    detect_period,
     enumerate_friezes,
     interval_certificate,
     pattern_from_columns,
@@ -59,7 +60,7 @@ def outcome(name, strategy, **kw):
 
 
 def orbit_keys(out):
-    return [tuple(c.values for c in o.pattern.columns) for o in out.orbits]
+    return [tuple(c.values for c in o.columns) for o in out.orbits]
 
 
 def clipped_caps(t, p, cap):
@@ -85,7 +86,7 @@ def test_a1_brute_force_oracle():
     assert valid == {1, 2}
     out = outcome("A1", "column_dfs")
     assert out.frieze_count == len(valid) == 2
-    assert len(out.orbits) == 1 and out.orbits[0].size == 2
+    assert len(out.orbits) == 1 and out.orbits[0].period == 2
 
 
 def test_a2_brute_force_oracle():
@@ -109,7 +110,7 @@ def test_a2_brute_force_oracle():
     assert len(valid) == 5
     out = outcome("A2", "column_dfs")
     assert out.frieze_count == 5
-    engine_columns = {c.values for o in out.orbits for c in o.pattern.columns}
+    engine_columns = {c.values for o in out.orbits for c in o.columns}
     assert engine_columns == valid
 
 
@@ -175,8 +176,8 @@ def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
 
     out = outcome(f"A{n}", strategy, entry_cap_override=cap)
     assert out.complete is (cap is None) and out.frieze_count == count
-    assert dict(zip(orbit_keys(out), (o.size for o in out.orbits))) == expected
-    assert {c.values for o in out.orbits for c in o.pattern.columns} == columns
+    assert dict(zip(orbit_keys(out), (o.period for o in out.orbits))) == expected
+    assert {c.values for o in out.orbits for c in o.columns} == columns
 
 
 def test_a3_catalan_count():
@@ -192,17 +193,16 @@ def test_b2_c2_counts_agree():
 def test_enumerated_orbits_satisfy_all_invariants(name):
     out = outcome(name, default_strategy(DynkinType.from_name(name)))
     cap = type_profile(DynkinType.from_name(name)).period_cap
-    assert out.frieze_count == sum(o.size for o in out.orbits)
     for orbit in out.orbits:
-        pattern = orbit.pattern
-        assert orbit.size == pattern.period
-        assert verify_pattern(pattern) == []
-        assert interval_certificate(pattern).passed
-        assert check_pattern_against_bounds(pattern).passed
-        assert cap % pattern.period == 0
-        vec = a_vector(pattern)
+        # the stored period is minimal and the columns follow propagation
+        assert detect_period(orbit.columns[0], cap) == (orbit.period, list(orbit.columns))
+        assert verify_pattern(orbit) == []
+        assert interval_certificate(orbit).passed
+        assert check_pattern_against_bounds(orbit).passed
+        assert cap % orbit.period == 0
+        vec = a_vector(orbit)
         assert all(-1e-9 < x < 1 + 1e-9 for x in vec.ca)
-        for column in pattern.columns:
+        for column in orbit.columns:
             assert propagate_backward(propagate_forward(column)) == column
 
 
@@ -211,7 +211,7 @@ def test_orbits_pairwise_non_rotation_equivalent(name):
     out = outcome(name, "column_dfs")
     seen = set()
     for orbit in out.orbits:
-        cols = [c.values for c in orbit.pattern.columns]
+        cols = [c.values for c in orbit.columns]
         rotations = {
             tuple(cols[(r + m) % len(cols)] for m in range(len(cols)))
             for r in range(len(cols))
@@ -222,7 +222,7 @@ def test_orbits_pairwise_non_rotation_equivalent(name):
 
 def test_orbit_is_canonical_rotation():
     out = outcome("A2", "column_dfs")
-    cols = [c.values for c in out.orbits[0].pattern.columns]
+    cols = [c.values for c in out.orbits[0].columns]
     rotations = [
         tuple(cols[(r + m) % len(cols)] for m in range(len(cols))) for r in range(len(cols))
     ]
@@ -446,8 +446,8 @@ def test_stuck_mesh_division_is_exact(name, data):
 def test_e6_column_search_finds_the_period_seven_orbit():
     out = outcome("E6", "column_dfs", entry_cap_override=12)
     assert out.frieze_count == 7
-    assert [o.size for o in out.orbits] == [7]
-    assert verify_pattern(out.orbits[0].pattern) == []
+    assert [o.period for o in out.orbits] == [7]
+    assert verify_pattern(out.orbits[0]) == []
 
 
 @pytest.mark.parametrize("t", [DynkinType("A", 1), *PLAN_TYPES], ids=str)
@@ -567,7 +567,7 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
     # counts and orbits the column search found before the free-depth
     # lookahead existed; the lookahead may only drop nodes
     out = outcome(name, "column_dfs", entry_cap_override=64)
-    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
     assert out.frieze_count == count and len(out.orbits) == orbits
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert not out.complete and out.notes == ()
@@ -586,7 +586,7 @@ def test_doubled_edge_column_search_at_large_caps(name, cap, count, orbits, dige
     # doubled edges give power congruences (m > 1) whose moduli reach the
     # hundreds here; regression values of this code, not published counts
     out = outcome(name, "column_dfs", entry_cap_override=cap)
-    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
     assert out.frieze_count == count and len(out.orbits) == orbits
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert out.nodes_explored == nodes
@@ -639,7 +639,7 @@ def test_period_cap_one_finds_the_constant_friezes(name, columns, strategy):
     # leaf.  Only constant friezes have period 1, and the period cap below
     # the search period leaves the outcome incomplete
     out = outcome(name, strategy, period_cap=1)
-    assert [[c.values for c in o.pattern.columns] for o in out.orbits] == [[c] for c in columns]
+    assert [[c.values for c in o.columns] for o in out.orbits] == [[c] for c in columns]
     assert out.frieze_count == len(columns) and not out.complete
 
 
@@ -685,7 +685,7 @@ def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_node
     full_period = type_profile(DynkinType.from_name(name)).period_cap
     for period_cap, expected_nodes in ((full_period, nodes), (None, default_nodes)):
         out = outcome(name, strategy, entry_cap_override=cap, period_cap=period_cap)
-        text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+        text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
         assert out.frieze_count == count
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
         assert out.complete is complete
@@ -711,7 +711,7 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
 
     monkeypatch.setattr("friezes.search._orbit", walk)
     out = outcome(name, "row_seeded", entry_cap_override=cap)
-    text = repr([(o.size, tuple(c.values for c in o.pattern.columns)) for o in out.orbits])
+    text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
     assert out.frieze_count == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert out.complete is (cap is None) and out.notes == ()
@@ -754,7 +754,7 @@ def test_progress_line_at_every_stride(name, strategy, cap, stride, monkeypatch,
 def test_a1_with_override_stays_within_two_seeds():
     out = outcome("A1", "column_dfs", entry_cap_override=2, period_cap=4)
     assert out.frieze_count == 2
-    assert len(out.orbits) == 1 and out.orbits[0].size == 2
+    assert len(out.orbits) == 1 and out.orbits[0].period == 2
     assert out.nodes_explored <= 2
     # the exact cap at p = 4 is floor(2^(4 * 1/2)) = 4 > 2: no completeness claim
     assert not out.complete
@@ -776,7 +776,7 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
     out = outcome(name, "column_dfs", entry_cap_override=cap)
     assert out.orbits
     for orbit in out.orbits:
-        cols = [col.values for col in orbit.pattern.columns]
+        cols = [col.values for col in orbit.columns]
         q = len(cols)
         assert search_period(t) % q == 0
         for k in range(q):

@@ -61,13 +61,13 @@ def floor_pow2(e: Fraction) -> int:
 
 
 @lru_cache(maxsize=64)
-def entry_caps(t: DynkinType, period_cap: int) -> tuple[int, ...]:
+def entry_caps(t: DynkinType, p: int) -> tuple[int, ...]:
     """Exact per-entry caps ``floor(2**(p*b_i))``.
 
     Cached per ``(t, p)``: the caps check of every stored frieze of one
     type and period reads the same roots.  The cache is bounded because a
     cap at a large period has thousands of digits."""
-    return tuple(floor_pow2(period_cap * bi) for bi in type_profile(t).b)
+    return tuple(floor_pow2(p * bi) for bi in type_profile(t).b)
 
 
 @dataclass(frozen=True)

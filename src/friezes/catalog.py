@@ -90,30 +90,24 @@ class TypeProfile:
 
 def _edges(t: DynkinType) -> tuple[tuple[int, int, int, int], ...]:
     """Weighted edges ``(i, j, mij, mji)`` with ``i < j`` (1-based), meaning
-    ``C[i,j] = -mij`` and ``C[j,i] = -mji``."""
+    ``C[i,j] = -mij`` and ``C[j,i] = -mji``: the path ``1 - ... - n``,
+    edited per family."""
     n = t.rank
+    path = [(i, i + 1, 1, 1) for i in range(1, n)]
     fam = t.family
-    if fam == "A":
-        return tuple((i, i + 1, 1, 1) for i in range(1, n))
     if fam == "B":
-        path = [(i, i + 1, 1, 1) for i in range(1, n - 1)]
-        path.append((n - 1, n, 2, 1))
-        return tuple(path)
-    if fam == "C":
-        path = [(i, i + 1, 1, 1) for i in range(1, n - 1)]
-        path.append((n - 1, n, 1, 2))
-        return tuple(path)
-    if fam == "D":
-        path = [(i, i + 1, 1, 1) for i in range(1, n - 2)]
-        path.append((n - 2, n - 1, 1, 1))
-        path.append((n - 2, n, 1, 1))
-        return tuple(path)
-    if fam == "E":
-        chain = [(1, 3), (2, 4), (3, 4)] + [(i, i + 1) for i in range(4, n)]
-        return tuple(sorted((i, j, 1, 1) for i, j in chain))
-    if fam == "F":
-        return ((1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 1, 1))
-    return ((1, 2, 1, 3),)  # G2
+        path[-1] = (n - 1, n, 2, 1)
+    elif fam == "C":
+        path[-1] = (n - 1, n, 1, 2)
+    elif fam == "D":
+        path[-1] = (n - 2, n, 1, 1)
+    elif fam == "E":
+        path[:3] = [(1, 3, 1, 1), (2, 4, 1, 1), (3, 4, 1, 1)]
+    elif fam == "F":
+        path[1] = (2, 3, 2, 1)
+    elif fam == "G":
+        path[0] = (1, 2, 1, 3)
+    return tuple(path)
 
 
 _COXETER = {

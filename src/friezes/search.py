@@ -41,10 +41,11 @@ Soundness of the pruning:
   with ``c_i + c_sigma(i) = h + 2``, for the Nakayama twist
   ``(sigma, c)`` that ``catalog.twist`` derives from the Cartan matrix and
   re-checks (Keller, 2013).  Where ``sigma`` is the identity, every
-  ``c_i`` is ``(h + 2) / 2``, a period of every frieze; the default period
-  ``p`` is then that half period (``catalog.search_period``), so the caps
-  above, the orbit walk's recurrence guard and the row-seeded cycle length
-  all hold at it.  ``SearchConfig.period_cap`` still reaches ``h + 2``;
+  ``c_i`` is ``(h + 2) / 2``, a period of every frieze.  Every search runs
+  at ``p = catalog.search_period``: that half period, else ``h + 2``.  So
+  the caps above, the orbit walk's recurrence guard and the row-seeded
+  cycle length all hold at it, and ``p`` exceeds the row-seeded wave by
+  two rows or more (``test_solve_plan_shape`` checks it);
 * every orbit contains a column whose row-``n`` entry is that row's
   minimum, which is at most the geometric mean of the row and hence at
   most ``2**b_n``; only that far does the first coordinate need to range;
@@ -201,10 +202,11 @@ _INVERSE_TABLE_LIMIT = 1 << 10
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """One run.  Its period is no setting: every run is at the type's
+    ``catalog.search_period``, a period of every frieze of the type."""
+
     dynkin: DynkinType
     strategy: str | None = None  # default: default_strategy(dynkin)
-    # caps are taken at the period cap: above search_period, the same friezes cost far more
-    period_cap: int | None = None  # default: catalog.search_period
     entry_cap_override: int | None = None
     jobs: int = 1
 
@@ -213,8 +215,6 @@ class SearchConfig:
             object.__setattr__(self, "strategy", default_strategy(self.dynkin))
         if self.strategy not in ("column_dfs", "row_seeded"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.period_cap is not None and self.period_cap < 1:
-            raise ValueError("period_cap must be positive")
         if self.entry_cap_override is not None and self.entry_cap_override < 1:
             raise ValueError("entry_cap_override must be positive")
         if self.jobs < 1:
@@ -513,7 +513,7 @@ def _solvable_coordinates(look, cols, cap):
     return low + high
 
 
-def _column_partition(t, caps, period_cap, start, tally):
+def _column_partition(t, caps, p, start, tally):
     """Orbits whose row-n minimum is ``start``, traced from seed columns
     whose row-n entry is ``start`` and whose forward row-n cell is at least
     ``start``."""
@@ -529,11 +529,11 @@ def _column_partition(t, caps, period_cap, start, tally):
         if seed in visited:
             return
         try:
-            traced = _orbit(t, seed, period_cap, caps)
+            traced = _orbit(t, seed, p, caps)
         except DeadEndError:
             return
         except NoRecurrenceError:
-            tally.notes.append(f"cap exceeded: seed {seed} did not recur within {period_cap} steps")
+            tally.notes.append(f"cap exceeded: seed {seed} did not recur within {p} steps")
             return
         if traced is None:
             return
@@ -684,7 +684,7 @@ def _divisor_rows(cols, step, caps, tally, stuck=()):
             return
         quotients.append(q)
     divides = [quotients[(k - o) % p] for k in range(p + 1)]  # w[k] divides divides[k]
-    products = [1 + _product((cols[0], cols[1 % p]), terms)]  # w[k] * w[k+1]
+    products = [1 + _product((cols[0], cols[1]), terms)]  # w[k] * w[k+1]
     for u in _divisors(math.gcd(products[0], divides[0])):
         if u > cap:
             break
@@ -721,7 +721,7 @@ def _reconstruct(cols, solve_plan, caps, tally, stuck=()):
     p = len(cols)
     wave, divide, tail, (v, terms) = solve_plan
     for level, step in enumerate(wave, 1):  # the wavefront left its last level cells
-        if not _force(cols, step, caps, range(max(p - level, 0), p)):
+        if not _force(cols, step, caps, range(p - level, p)):
             return
     for w in _divisor_rows(cols, divide, caps, tally, stuck) if divide else [()]:
         for col, c in zip(cols, w):
@@ -732,11 +732,10 @@ def _reconstruct(cols, solve_plan, caps, tally, stuck=()):
             yield [tuple(col) for col in cols]
 
 
-def _row_partition(t, caps, prodcaps, period_cap, start, tally):
-    """Row-seeded search over cyclic tuples with ``t_1 = start`` (the row
-    minimum, so every entry is at least ``start``)."""
+def _row_partition(t, caps, prodcaps, p, start, tally):
+    """Row-seeded search over cyclic tuples of length ``p`` with ``t_1 =
+    start`` (the row minimum, so every entry is at least ``start``)."""
     n = t.rank
-    p = period_cap
     seed = n - 1
     # the wave's force steps are solved on the wavefront, the rest at leaves
     solve_plan = _solve_plan(t)
@@ -781,12 +780,12 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         ((u1, mu1, _),) = f_terms
         # its first test, at column 0, reads cells the wave has finished by
         # j = pair_from - 1: run it there, per candidate, instead of in a call
-        pin_test = pair_from - 1 if pair_from <= p else 0
+        pin_test = pair_from - 1
         stuck = ()
         # a linear plan (no root, no power) solves that test for t_j instead
         # (module docstring); each lower row's new cell reads these cells
         linear = m_top == 1 and all(st[5] == 1 for st in lower)
-        if pin_test and linear and mu1 == 1:
+        if linear and mu1 == 1:
             closing = [(pin_test - lv - 1, s, u) for s, _, lv, _, u, _, _ in lower]
     else:
         # the divide step's stuck mesh pins the product of its two unsolved
@@ -795,7 +794,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
         # vertex x is the last wave row, so its cells at columns k and k + 1
         # are solved from j = pair_from on
         _, _, x, ((ku, kmu, ko),), _ = divide
-        stuck = [0] * max(p - pair_from + 1, 0)
+        stuck = [0] * (p - pair_from + 1)
         pin_test = 0
 
     def leaf() -> None:
@@ -889,10 +888,7 @@ def _row_partition(t, caps, prodcaps, period_cap, start, tally):
 
     cols[0][seed] = start
     seed_prods[1] = start
-    if p == 1:
-        leaf()
-    else:
-        descend(2)
+    descend(2)
     descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
     if divide and tally.budget <= 0:
         tally.notes.append("factorization budget exhausted")
@@ -910,13 +906,13 @@ def _start_values(t: DynkinType, caps) -> range:
 
 def _partition_job(args, tally=None):
     """Run one partition into ``tally`` (a fresh one by default); return it."""
-    t, strategy, period_cap, caps, prodcaps, start = args
+    t, strategy, p, caps, prodcaps, start = args
     if tally is None:
         tally = _Tally()
     if strategy == "column_dfs" or t.rank == 1:
-        _column_partition(t, caps, period_cap, start, tally)
+        _column_partition(t, caps, p, start, tally)
     else:
-        _row_partition(t, caps, prodcaps, period_cap, start, tally)
+        _row_partition(t, caps, prodcaps, p, start, tally)
     return tally
 
 
@@ -937,20 +933,15 @@ def _partition_results(jobs, workers, progress):
 
 
 def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
-    """Run the configured strategy; rank 1 degenerates to the column walk."""
+    """Run the configured strategy at the type's search period; rank 1
+    degenerates to the column walk."""
     t = cfg.dynkin
-    period_cap = cfg.period_cap or search_period(t)
-    prodcaps = entry_caps(t, period_cap)  # row products ignore the override
+    p = search_period(t)  # the job carries it: pool workers never derive it
+    prodcaps = entry_caps(t, p)  # row products ignore the override
     cap = cfg.entry_cap_override
     caps = prodcaps if cap is None else tuple(min(c, cap) for c in prodcaps)
-    jobs = [
-        (t, cfg.strategy, period_cap, caps, prodcaps, start)
-        for start in _start_values(t, caps)
-    ]
+    jobs = [(t, cfg.strategy, p, caps, prodcaps, start) for start in _start_values(t, caps)]
     notes: list[str] = []
-    if cfg.strategy == "row_seeded" and t.rank >= 2 and period_cap % search_period(t):
-        # cyclic seed rows of length p hold only friezes whose period divides p
-        notes.append(f"period cap {period_cap} is not a multiple of {search_period(t)}")
     orbits: set = set()
     total_nodes = 0
     for tally in _partition_results(jobs, cfg.jobs, progress):
@@ -964,7 +955,7 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
         if violations:
             raise AssertionError(f"search produced a non-frieze pattern: {violations[0]}")
     # an override truncates nothing exactly when it leaves every cap unchanged
-    complete = period_cap >= search_period(t) and caps == prodcaps and not notes
+    complete = caps == prodcaps and not notes
     if progress is not None:
         progress(total_nodes, len(patterns))
     return SearchOutcome(

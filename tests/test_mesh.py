@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from friezes import (
     CATALOG_SAMPLE,
     DeadEndError,
     DynkinType,
+    FriezePattern,
     FriezeSlice,
     IndivisibleError,
     NoRecurrenceError,
@@ -15,8 +18,10 @@ from friezes import (
     pattern_from_columns,
     propagate_backward,
     propagate_forward,
+    row_products,
     verify_pattern,
 )
+from friezes.fixtures import E8_EXAMPLE_ROWS
 from friezes.mesh import MeshViolation, backward_values, forward_values
 
 A1 = DynkinType("A", 1)
@@ -212,12 +217,24 @@ def test_pattern_rows_view(a2_pattern):
     assert a2_pattern.rows() == ((1, 3, 1, 2, 2), (1, 2, 2, 1, 3))
 
 
+def test_list_built_pattern_is_stored_as_a_tuple(e8_pattern):
+    # the pattern's cached views rest on its columns being its own tuple,
+    # whatever sequence the caller passed: mutating that list changes nothing
+    columns = list(e8_pattern.columns)
+    pattern = FriezePattern(E8, columns)
+    assert isinstance(pattern.columns, tuple)
+    assert pattern == e8_pattern and hash(pattern) == hash(e8_pattern)
+    columns[0] = columns[1]
+    columns.append(columns[2])
+    assert pattern.rows() == E8_EXAMPLE_ROWS
+    assert row_products(pattern) == tuple(math.prod(row) for row in E8_EXAMPLE_ROWS)
+    assert verify_pattern(pattern) == []
+
+
 def test_pattern_validation():
     with pytest.raises(ValueError):
         pattern_from_columns(A2, [])
     with pytest.raises(ValueError, match="type"):
-        from friezes import FriezePattern
-
         FriezePattern(A2, (FriezeSlice(A1, (1,)),))
 
 

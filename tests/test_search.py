@@ -54,9 +54,17 @@ PLAN_TYPES = [
 ] + [DynkinType("E", n) for n in (6, 7, 8)] + [DynkinType("F", 4), DynkinType("G", 2)]
 
 
-def outcome(name, strategy, **kw):
+def outcome(name, strategy, period=None, **kw):
+    """Enumerate ``name``.  ``period`` runs the same search code at that
+    period in place of ``search_period``: at ``h + 2`` it is the
+    half-period oracle.  The partition jobs carry the period, so pool
+    workers see it too."""
     cfg = SearchConfig(dynkin=DynkinType.from_name(name), strategy=strategy, **kw)
-    return enumerate_friezes(cfg)
+    if period is None:
+        return enumerate_friezes(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("friezes.search.search_period", lambda t: period)
+        return enumerate_friezes(cfg)
 
 
 def orbit_keys(out):
@@ -241,7 +249,7 @@ def test_orbit_is_canonical_rotation():
         pytest.param("D4", "row_seeded", {"entry_cap_override": 8}, id="D4-row_seeded-8"),
         # partitions 1 and 2 each note a seed that does not recur: the
         # merge keeps every job's notes, in job order
-        pytest.param("A2", "column_dfs", {"period_cap": 3}, id="A2-column_dfs-period3"),
+        pytest.param("A2", "column_dfs", {"period": 3}, id="A2-column_dfs-period3"),
     ],
 )
 def test_outcome_deterministic_and_parallel_invariant(name, strategy, kw):
@@ -606,7 +614,7 @@ def test_undersized_period_cap_reports_cap_exceeded():
     # with the recurrence guard below the true period, candidates that never
     # close are reported and the outcome is uncertified; seed (1, 2) is not
     # tried, as its forward row-2 cell (1 + 1) / 2 = 1 is below its own 2
-    out = outcome("A2", "column_dfs", period_cap=3)
+    out = outcome("A2", "column_dfs", period=3)
     assert not out.complete
     assert out.notes == tuple(
         f"cap exceeded: seed {seed} did not recur within 3 steps"
@@ -614,39 +622,23 @@ def test_undersized_period_cap_reports_cap_exceeded():
     )
     # the entry cap check runs before the recurrence guard: every orbit of
     # A2 leaves the cap box [1, 2]^2, so no seed reaches the guard
-    capped = outcome("A2", "column_dfs", period_cap=3, entry_cap_override=2)
+    capped = outcome("A2", "column_dfs", period=3, entry_cap_override=2)
     assert capped.notes == () and capped.frieze_count == 0
-
-
-def test_row_seeded_period_cap_off_the_catalog_multiple_is_incomplete():
-    # a cyclic seed row of length p holds only friezes whose period divides
-    # p, so a cap that is not a multiple of h+2 can miss every orbit
-    for name, period_cap, h2 in [("A2", 6, 5), ("A2", 7, 5), ("A3", 7, 6)]:
-        out = outcome(name, "row_seeded", period_cap=period_cap)
-        assert not out.complete
-        assert out.notes == (f"period cap {period_cap} is not a multiple of {h2}",)
-        assert outcome(name, "column_dfs", period_cap=period_cap).complete
-    doubled = outcome("A2", "row_seeded", period_cap=10)
-    assert doubled.complete and doubled.notes == () and doubled.frieze_count == 5
 
 
 @pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
 @pytest.mark.parametrize(
-    "name,columns", [("G2", [(2, 3)]), ("D4", [(2, 3, 2, 2)]), ("A2", []), ("B2", [])]
+    "name,columns",
+    [("G2", [(2, 3)]), ("D4", [(2, 3, 2, 2)]), ("A2", []), ("B2", []), ("B3", [(2, 3, 2)])],
 )
-def test_period_cap_one_finds_the_constant_friezes(name, columns, strategy):
-    # a seed row of one cell: the row-seeded search goes straight to its
-    # leaf.  Only constant friezes have period 1, and the period cap below
-    # the search period leaves the outcome incomplete
-    out = outcome(name, strategy, period_cap=1)
-    assert [[c.values for c in o.columns] for o in out.orbits] == [[c] for c in columns]
-    assert out.frieze_count == len(columns) and not out.complete
-
-
-def test_period_cap_below_the_search_period_alone_marks_incomplete():
-    # no note and no override: only the period cap can mark this incomplete
-    out = outcome("A2", "column_dfs", period_cap=1)
-    assert out.notes == () and out.frieze_count == 0 and not out.complete
+def test_certified_runs_hold_the_constant_friezes(name, columns, strategy):
+    # only constant friezes have period 1; a certified run finds every one
+    # as an orbit of size 1 (D4 column_dfs under cap 16, which holds every
+    # D4 frieze but is uncertified)
+    cap = 16 if (name, strategy) == ("D4", "column_dfs") else None
+    out = outcome(name, strategy, entry_cap_override=cap)
+    assert [o.columns[0].values for o in out.orbits if o.period == 1] == columns
+    assert out.complete is (cap is None) and out.notes == ()
 
 
 # Outcomes pinned per case: frieze count, a digest of the orbits and
@@ -683,8 +675,8 @@ GOLDEN = [
 )
 def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_nodes, strategy):
     full_period = type_profile(DynkinType.from_name(name)).period_cap
-    for period_cap, expected_nodes in ((full_period, nodes), (None, default_nodes)):
-        out = outcome(name, strategy, entry_cap_override=cap, period_cap=period_cap)
+    for period, expected_nodes in ((full_period, nodes), (None, default_nodes)):
+        out = outcome(name, strategy, period, entry_cap_override=cap)
         text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
         assert out.frieze_count == count
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -752,7 +744,7 @@ def test_progress_line_at_every_stride(name, strategy, cap, stride, monkeypatch,
 
 
 def test_a1_with_override_stays_within_two_seeds():
-    out = outcome("A1", "column_dfs", entry_cap_override=2, period_cap=4)
+    out = outcome("A1", "column_dfs", 4, entry_cap_override=2)
     assert out.frieze_count == 2
     assert len(out.orbits) == 1 and out.orbits[0].period == 2
     assert out.nodes_explored <= 2
@@ -791,13 +783,13 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
      ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)],
 )
 def test_half_and_full_periods_agree(name, cap, strategy):
-    # where the twist is the identity the default period is (h+2)/2; the
-    # full period h+2 stays reachable and must find the same friezes
+    # where the twist is the identity the search period is (h+2)/2; the
+    # same search at the full period h+2 must find the same friezes
     t = DynkinType.from_name(name)
     full_period = type_profile(t).period_cap
     assert search_period(t) * 2 == full_period
     half = outcome(name, strategy, entry_cap_override=cap)
-    full = outcome(name, strategy, entry_cap_override=cap, period_cap=full_period)
+    full = outcome(name, strategy, full_period, entry_cap_override=cap)
     assert half.frieze_count == full.frieze_count > 0
     assert orbit_keys(half) == orbit_keys(full)
     assert half.complete == full.complete == (cap is None)
@@ -965,6 +957,32 @@ def test_certified_row_seeded_nodes(name, count, nodes):
     assert out.nodes_explored == nodes
 
 
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, None) for name in ("A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2", "D4")]
+    + [("A5", 16), ("A6", 32), ("B4", 64), ("C4", 64), ("F4", 16)],
+)
+def test_row_seeded_reaches_each_row_minimum_rotation_once(name, cap, monkeypatch):
+    # the leaf reconstructs every frieze whose seed row starts at its row-n
+    # minimum exactly once: per orbit, once per column of its minimal
+    # period whose row-n entry is the minimum.  Counts and digests cannot
+    # see a cap that drops some of these rotations but not all of them.
+    hits = {}
+
+    def count(cols):
+        key = _canonical_columns(cols)
+        hits[key] = hits.get(key, 0) + 1
+        return key
+
+    monkeypatch.setattr("friezes.search._canonical_columns", count)
+    out = outcome(name, "row_seeded", entry_cap_override=cap)
+    expected = {}
+    for key in orbit_keys(out):
+        low = min(col[-1] for col in key)
+        expected[key] = sum(col[-1] == low for col in key)
+    assert hits == expected
+
+
 def test_next_top_cap_matches_the_scan():
     # the closed form equals the largest top that a scan finds, the scan's
     # solutions form a prefix, and on the tops that give an integer t it
@@ -1010,8 +1028,8 @@ def test_config_validation():
     t = DynkinType("A", 2)
     with pytest.raises(ValueError):
         SearchConfig(dynkin=t, strategy="bogus")
-    with pytest.raises(ValueError):
-        SearchConfig(dynkin=t, period_cap=0)
+    with pytest.raises(TypeError):  # the period is the type's, no setting
+        SearchConfig(dynkin=t, period_cap=8)
     with pytest.raises(ValueError):
         SearchConfig(dynkin=t, entry_cap_override=0)
     with pytest.raises(ValueError):
@@ -1045,6 +1063,9 @@ def test_solve_plan_shape(t):
     assert sources[-1] == (v if divide is None else divide[2])
     # only the top step forces by a power: the wavefront takes no root below it
     assert all(m == 1 for _, _, m, _ in wave[1:] + tail)
+    # the seed row outlasts the wave: the pin test and the stuck mesh each
+    # have a seed position at the search period
+    assert len(wave) + 2 <= search_period(t)
 
 
 def test_default_strategy_choice():

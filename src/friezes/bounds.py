@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import DynkinType, _mesh_factors, inverse_cartan, type_profile
+from .catalog import DynkinType, _elimination, _mesh_factors, type_profile
 from .mesh import FriezePattern, _product
 
 __all__ = [
@@ -186,13 +186,12 @@ def _refined_terms(t: DynkinType) -> tuple[tuple[float, ...], Fraction, float, F
     the per-row sums ``sum_j Cinv[i,j] * log2(1 + 2**-d[j])``, the exact
     ``refined_base`` and its ``log2``, and ``sum b``."""
     profile = type_profile(t)
-    inv = inverse_cartan(t)
-    n = t.rank
+    pivots, adj = _elimination(t)
+    det = pivots[-1]
     d = profile.d
     log_terms = [math.log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated
-    row_sums = tuple(
-        math.fsum(float(inv[i][j]) * log_terms[j] for j in range(n)) for i in range(n)
-    )
+    # adj[i][j] / det rounds the exact C^-1[i][j] once, as float(Fraction) does
+    row_sums = tuple(math.fsum(x / det * lt for x, lt in zip(row, log_terms)) for row in adj)
     base = math.prod((Fraction(2**dj + 1, 2**dj) for dj in d), start=Fraction(1))
     base_log2 = math.log2(base.numerator) - math.log2(base.denominator)
     return row_sums, base, base_log2, sum(profile.b, Fraction(0))

@@ -2,8 +2,9 @@
 
 One mesh-factor table per type, built in linear time from the edge list,
 owns the diagram: mesh readings, weighted degrees and quiver arrows read
-it.  The dense Cartan matrix is only a view of it for the exact rational
-inverse (and the public API), which gives the bound vectors ``b``.
+it.  The dense Cartan matrix is only a view of it for one checked exact
+elimination per type, which gives the inverse, the bound vectors ``b`` and
+the leading principal minors.
 
 Vertex numbering (1-based, fixed per family):
 
@@ -60,7 +61,7 @@ class DynkinType:
         if self.family not in _RANKS:
             raise ValueError(f"unknown family {self.family!r}; expected one of A-G")
         text, admissible = _RANKS[self.family]
-        if not isinstance(self.rank, int) or not admissible(self.rank):
+        if type(self.rank) is not int or not admissible(self.rank):
             raise ValueError(
                 f"inadmissible type {self.family}{self.rank}: family {self.family} requires {text}"
             )
@@ -152,63 +153,62 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _invert_exact(entries: tuple[tuple[int, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Fraction-free Gauss-Jordan elimination over ``int``.
+@lru_cache(maxsize=None)
+def _elimination(t: DynkinType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Fraction-free Gauss-Jordan elimination of ``[C | I]`` over ``int``.
 
-    One pass over ``[C | I]``: for each pivot ``k`` and every row
-    ``i != k``, ``row_i = (a_kk * row_i - a_ik * row_k) // prev`` and then
+    For each pivot ``k`` and every row ``i != k``,
+    ``row_i = (a_kk * row_i - a_ik * row_k) // prev`` and then
     ``prev = a_kk`` (Bareiss, 1968).  By Sylvester's identity every entry
-    stays a minor of ``[C | I]``, so each division is exact.  Returns
-    ``(det, adj)`` with ``adj = det * C**-1``; raises if singular.
+    stays a minor of ``[C | I]``, so each division is exact, and pivot
+    ``k`` is the ``k``-th leading principal minor of ``C``.  Those are all
+    positive for a finite-type Cartan matrix, so no row swap is needed;
+    a pivot that is not positive raises ``ArithmeticError``.
+
+    Returns the pivots (``det`` is the last) and ``adj = det * C**-1``,
+    after re-checking ``C * adj == det * I`` entry by entry, summing only
+    over the nonzero ``C[i][k]`` (at most three per row, read from the
+    mesh table).  With ``det > 0`` this is exactly ``C * C**-1 == I``.
     """
-    n = len(entries)
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(entries)]
-    prev, sign = 1, 1
+    n = t.rank
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan_matrix(t))]
+    pivots = []
+    prev = 1
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("matrix is singular")
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
         pivot_row = rows[k]
         akk = pivot_row[k]
+        if akk <= 0:
+            raise ArithmeticError(f"{t}: pivot {k + 1} is {akk}, not positive")
         for i in range(n):
             if i != k:
                 aik = rows[i][k]
                 rows[i] = [(akk * x - aik * y) // prev for x, y in zip(rows[i], pivot_row)]
+        pivots.append(akk)
         prev = akk
-    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in rows)
-
-
-@lru_cache(maxsize=None)
-def inverse_cartan(t: DynkinType) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational inverse from the integer elimination above, as a
-    tuple of ``Fraction`` rows (0-indexed).
-
-    Before returning, the integer identity ``C * adj == det * I`` is
-    re-checked entry by entry, summing only over the nonzero ``C[i][k]``
-    (at most three per row, read from the mesh table).  With ``det != 0``
-    this is exactly ``C * C**-1 == I``.
-    """
-    det, adj = _invert_exact(cartan_matrix(t))
-    if det == 0:
-        raise ArithmeticError("inverse check failed: zero determinant")
-    n = t.rank
+    adj = tuple(tuple(row[n:]) for row in rows)
     for i, factors in enumerate(_mesh_factors(t)):
         nonzero = [(i, 2)] + [(k, -m) for k, m, _ in factors]
         for j in range(n):
             acc = sum(c * adj[k][j] for k, c in nonzero)
-            if acc != (det if i == j else 0):
+            if acc != (prev if i == j else 0):
                 raise ArithmeticError(f"inverse check failed at ({i}, {j})")
-    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+    return tuple(pivots), adj
+
+
+@lru_cache(maxsize=None)
+def inverse_cartan(t: DynkinType) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rational inverse ``adj / det`` of the checked elimination
+    above, as a tuple of ``Fraction`` rows (0-indexed)."""
+    pivots, adj = _elimination(t)
+    return tuple(tuple(Fraction(x, pivots[-1]) for x in row) for row in adj)
 
 
 @lru_cache(maxsize=None)
 def type_profile(t: DynkinType) -> TypeProfile:
     """Row sums ``b`` of the inverse, weighted degrees ``d``, and the
     period cap ``h + 2`` (Coxeter number plus two)."""
-    b = tuple(sum(row, Fraction(0)) for row in inverse_cartan(t))
+    pivots, adj = _elimination(t)
+    b = tuple(Fraction(sum(row), pivots[-1]) for row in adj)
     d = tuple(sum(m for _, m, _ in factors) for factors in _mesh_factors(t))
     return TypeProfile(t, b, d, coxeter_number(t) + 2)
 
@@ -281,32 +281,10 @@ def repetition_arrows(
     return arrows
 
 
-def leading_principal_minors(cm: tuple[tuple[int, ...], ...]) -> tuple[Fraction, ...]:
-    """Determinants of the leading principal submatrices of the integer
-    rows ``cm``, exactly.  The integer elimination above, run on ``cm``
-    without row swaps and below the pivot only, has the ``k``-th leading
-    minor as its ``k``-th pivot.  From a zero pivot on, each leading block
-    is eliminated on its own, 0 where it is singular."""
-    n = len(cm)
-    rows = [list(row) for row in cm]
-    minors = []
-    prev = 1
-    for k in range(n):
-        akk = rows[k][k]
-        if not akk:
-            break
-        minors.append(Fraction(akk))
-        for i in range(k + 1, n):
-            aik = rows[i][k]
-            rows[i] = [(akk * x - aik * y) // prev for x, y in zip(rows[i], rows[k])]
-        prev = akk
-    for m in range(len(minors) + 1, n + 1):
-        try:
-            det, _ = _invert_exact(tuple(row[:m] for row in cm[:m]))
-        except ArithmeticError:
-            det = 0
-        minors.append(Fraction(det))
-    return tuple(minors)
+def leading_principal_minors(t: DynkinType) -> tuple[Fraction, ...]:
+    """Determinants of the leading principal submatrices of the Cartan
+    matrix of ``t``, exactly: the pivots of its elimination."""
+    return tuple(Fraction(m) for m in _elimination(t)[0])
 
 
 def _catalog_sample() -> tuple[DynkinType, ...]:

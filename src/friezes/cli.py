@@ -39,7 +39,12 @@ from .search import (
 
 def _read_pattern(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_frieze(fh.read())
+        pattern = parse_frieze(fh.read())
+    # Parsing keeps Python's int-to-str digit limit (3.10.7 on), but exact
+    # products of a parsed document may print longer; main restores it.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    return pattern
 
 
 def _print_violations(violations) -> None:
@@ -174,7 +179,7 @@ def cmd_period(args) -> int:
         except ValueError:
             raise ValueError(f"bad seed {args.seed!r}") from None
         seed = FriezeSlice(t, values)
-    cap = args.cap if args.cap is not None else coxeter_number(t) + 2
+    cap = coxeter_number(t) + 2
     try:
         q, columns = detect_period(seed, cap)
     except DeadEndError as exc:
@@ -235,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", nargs="?", default=None)
     p.add_argument("--type", default=None)
     p.add_argument("--seed", default=None, help='comma-separated column, e.g. "1,1"')
-    p.add_argument("--cap", type=int, default=None)
     p.set_defaults(func=cmd_period)
 
     p = sub.add_parser("quiver", help="emit a DOT window of the repetition quiver")
@@ -251,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         return args.func(args)
     except FriezeFormatError as exc:
@@ -259,6 +264,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digit_limit:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 import types
 from fractions import Fraction
 
@@ -11,11 +10,15 @@ from friezes import catalog
 from friezes import (
     CATALOG_SAMPLE,
     DynkinType,
+    FriezeSlice,
     cartan_matrix,
+    detect_period,
     inverse_cartan,
     leading_principal_minors,
+    pattern_from_columns,
     repetition_arrows,
     type_profile,
+    verify_pattern,
 )
 from friezes.catalog import search_period, twist
 
@@ -91,6 +94,12 @@ def test_bad_tokens_rejected(name):
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown family 'X'"):
         DynkinType("X", 3)
+
+
+def test_bool_rank_rejected():
+    # True would print as "ATrue", which from_name cannot read back
+    with pytest.raises(ValueError, match="inadmissible type ATrue"):
+        DynkinType("A", True)
 
 
 def test_parse_and_str_round_trip():
@@ -181,34 +190,34 @@ def _known_minors(t):
 
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
 def test_leading_principal_minors_exact(t):
-    assert leading_principal_minors(cartan_matrix(t)) == _known_minors(t)
+    assert leading_principal_minors(t) == _known_minors(t)
 
 
-def test_leading_principal_minors_of_non_cartan_matrices():
-    # a zero leading entry gives minor 0 and a swapped pivot the sign
-    assert leading_principal_minors(((0, 1), (1, 0))) == (0, -1)
-    assert leading_principal_minors(((1, 2), (2, 4))) == (1, 0)
+def _types_up_to(r):
+    """Every catalog type of rank at most ``r``, family by family."""
+    return tuple(
+        DynkinType(family, n)
+        for family, (_, admissible) in catalog._RANKS.items()
+        for n in range(1, r + 1)
+        if admissible(n)
+    )
 
 
 def test_leading_principal_minors_match_the_permutation_expansion():
-    # seeded random integer matrices, zero pivots included, against the
-    # Leibniz formula on every leading block
+    # the Leibniz formula on every leading block of each Cartan matrix
     def det(rows):
         total = 0
         for perm in itertools.permutations(range(len(rows))):
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            total += (-1) ** inversions * math.prod(rows[i][j] for i, j in enumerate(perm))
+            term = math.prod(rows[i][j] for i, j in enumerate(perm))
+            if term:
+                inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+                total += (-1) ** inversions * term
         return total
 
-    rng = random.Random(7)
-    zero_pivots = 0
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        entries = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
-        expected = tuple(det([row[:m] for row in entries[:m]]) for m in range(1, n + 1))
-        assert leading_principal_minors(entries) == expected
-        zero_pivots += 0 in expected[:-1]
-    assert zero_pivots
+    for t in _types_up_to(7):
+        cm = cartan_matrix(t)
+        expected = tuple(det([row[:m] for row in cm[:m]]) for m in range(1, t.rank + 1))
+        assert leading_principal_minors(t) == expected, t
 
 
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
@@ -221,7 +230,7 @@ def test_cartan_invariants_hold_across_catalog(t):
             if i != j:
                 assert cm[i][j] <= 0
                 assert (cm[i][j] == 0) == (cm[j][i] == 0)
-    assert all(m > 0 for m in leading_principal_minors(cm))
+    assert all(m > 0 for m in leading_principal_minors(t))
 
 
 @pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
@@ -256,30 +265,32 @@ def test_d_row_sums_match_closed_form(n):
     assert type_profile(DynkinType("D", n)).b == want
 
 
-def test_invert_exact_swaps_rows_and_rejects_singular():
-    # Cartan matrices never need a row swap; both of these do, and have det -1.
-    assert catalog._invert_exact(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))
-    assert catalog._invert_exact(((0, 2, 1), (1, 0, 0), (3, 1, 1))) == (
-        -1, ((0, -1, 0), (-1, -3, 1), (1, 6, -2)),
-    )
-    with pytest.raises(ArithmeticError, match="singular"):
-        catalog._invert_exact(((1, 2), (2, 4)))
+def _patch_cartan(monkeypatch, t, rows):
+    """Let ``catalog.cartan_matrix`` return ``rows`` for ``t``; the mesh
+    table, which the inverse re-check reads, is untouched."""
+    true_cartan = catalog.cartan_matrix
+    entries = tuple(tuple(row) for row in rows)
+    monkeypatch.setattr(catalog, "cartan_matrix", lambda u: entries if u == t else true_cartan(u))
 
 
 @pytest.mark.parametrize("name", ["A5", "D6", "E8", "G2"])
 def test_inverse_recheck_catches_a_corrupted_kernel(monkeypatch, name):
-    kernel = catalog._invert_exact
-
-    def off_by_one(entries):
-        det, adj = kernel(entries)
-        rows = [list(row) for row in adj]
-        rows[-1][0] += 1
-        return det, tuple(tuple(row) for row in rows)
-
-    monkeypatch.setattr(catalog, "_invert_exact", off_by_one)
-    # __wrapped__ bypasses the cache, so no corrupted inverse is stored.
+    # C[0][0] = 3 keeps every leading minor positive, so the elimination
+    # runs through to the re-check against the mesh table's C[0][0] = 2.
+    t = DynkinType.from_name(name)
+    rows = [list(row) for row in cartan_matrix(t)]
+    rows[0][0] = 3
+    _patch_cartan(monkeypatch, t, rows)
+    # __wrapped__ bypasses the cache, so no corrupted elimination is stored.
     with pytest.raises(ArithmeticError, match="inverse check failed"):
-        inverse_cartan.__wrapped__(DynkinType.from_name(name))
+        catalog._elimination.__wrapped__(t)
+
+
+def test_elimination_rejects_a_non_positive_pivot(monkeypatch):
+    t = DynkinType("A", 2)
+    _patch_cartan(monkeypatch, t, ((2, -2), (-2, 2)))  # second leading minor 0
+    with pytest.raises(ArithmeticError, match="A2: pivot 2 is 0, not positive"):
+        catalog._elimination.__wrapped__(t)
 
 
 def test_e8_profile_values():
@@ -324,6 +335,14 @@ def test_twist_matches_the_table(t):
     assert twist(t) == (sigma, c)
     h2 = type_profile(t).period_cap
     assert search_period(t) == (h2 // 2 if sigma == tuple(range(t.rank)) else h2)
+
+
+@pytest.mark.parametrize("t", _types_up_to(20), ids=str)
+def test_all_ones_column_is_a_frieze_within_the_search_period(t):
+    # independent of both searches: trace the all-ones seed to h + 2
+    q, columns = detect_period(FriezeSlice(t, (1,) * t.rank), catalog.coxeter_number(t) + 2)
+    assert search_period(t) % q == 0
+    assert verify_pattern(pattern_from_columns(t, columns)) == []
 
 
 @pytest.mark.parametrize("name", ["A3", "E6"])

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -31,6 +32,39 @@ def test_verify_reports_violations(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", str(path))
     assert code == 1
     assert "mesh violation at vertex" in out
+
+
+def _digit_limit():
+    """Python's int-to-str digit limit, or None before 3.10.7."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_verify_prints_products_past_the_int_to_str_digit_limit(capsys, tmp_path):
+    # Two 3,000-digit entries parse under the 4,300-digit limit; their
+    # 6,000-digit product must still print, and the limit come back.
+    limit = _digit_limit()
+    path = tmp_path / "big.frieze"
+    path.write_text(f"dynkin A1\nperiod 2\nrow {'9' * 3000} {'9' * 3000}\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"  # (10**3000 - 1)**2
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        f"mesh violation at vertex 1, column {k}: {square} != 2" for k in (0, 1)
+    ]
+    assert _digit_limit() == limit
+
+
+def test_analyze_prints_products_past_the_int_to_str_digit_limit(capsys, tmp_path):
+    # over 30,000 columns the row product of (1, 2) is 2**15000: 4,516 digits
+    limit = _digit_limit()
+    path = tmp_path / "a1.frieze"
+    path.write_text("dynkin A1\nperiod 2\nrow 1 2\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path), "--period", "30000")
+    assert (code, err) == (0, "")
+    row = out.splitlines()[4]
+    assert row.startswith("  row 1: M=") and row.endswith(" pass")
+    assert len(row) > 3 * 4300
+    assert _digit_limit() == limit
 
 
 def test_verify_parse_error_is_usage_failure(capsys, tmp_path):
@@ -260,12 +294,6 @@ def test_period_dead_end(capsys):
     code, out, _ = run(capsys, "period", "--type", "A2", "--seed", "2,2")
     assert code == 1
     assert "dead end at step 1, vertex 2" in out
-
-
-def test_period_no_recurrence(capsys):
-    code, out, _ = run(capsys, "period", "--type", "A2", "--seed", "1,1", "--cap", "3")
-    assert code == 1
-    assert "no recurrence" in out
 
 
 def test_period_needs_type_with_seed(capsys):

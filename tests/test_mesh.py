@@ -36,6 +36,8 @@ def test_slice_validation():
         FriezeSlice(A2, (1, 0))
     with pytest.raises(ValueError):
         FriezeSlice(A2, (1, -3))
+    with pytest.raises(ValueError, match="entry True at vertex 1"):
+        FriezeSlice(A2, (True, 1))  # would be emitted as "row True ..."
 
 
 def test_mesh_product_empty_for_rank_one():

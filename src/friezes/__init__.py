@@ -12,7 +12,6 @@ from .bounds import (
     row_products,
 )
 from .catalog import (
-    CATALOG_SAMPLE,
     DynkinType,
     cartan_matrix,
     inverse_cartan,
@@ -20,7 +19,7 @@ from .catalog import (
     repetition_arrows,
     type_profile,
 )
-from .fixtures import a2_orbit_pattern, e8_example_pattern
+from .fixtures import e8_example_pattern
 from .formats import (
     JSON_SCHEMAS,
     FriezeFormatError,
@@ -50,7 +49,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOG_SAMPLE",
     "DeadEndError",
     "DynkinType",
     "FriezeFormatError",
@@ -60,7 +58,6 @@ __all__ = [
     "JSON_SCHEMAS",
     "NoRecurrenceError",
     "SearchConfig",
-    "a2_orbit_pattern",
     "a_vector",
     "bounds_report",
     "cartan_matrix",

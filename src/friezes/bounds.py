@@ -137,7 +137,7 @@ class BoundsCheck:
 def _resolve_period(f: FriezePattern, p: int | None) -> int:
     if p is None:
         return f.period
-    if p < 1 or p % f.period != 0:
+    if type(p) is not int or p < 1 or p % f.period != 0:
         raise ValueError(f"period {p} is not a positive multiple of the stored period {f.period}")
     return p
 
@@ -200,7 +200,7 @@ def _refined_terms(t: DynkinType) -> tuple[tuple[float, ...], Fraction, float, F
 def bounds_report(t: DynkinType, p: int) -> BoundsReport:
     """Entry caps ``2**(p*b_i)``, the count bound exponent ``p**2 * sum b``,
     and both readings of the refined (all entries >= 2) bound."""
-    if p < 1:
+    if type(p) is not int or p < 1:
         raise ValueError("period must be positive")
     profile = type_profile(t)
     row_sums, base, base_log2, sum_b = _refined_terms(t)

@@ -36,7 +36,6 @@ __all__ = [
     "search_period",
     "repetition_arrows",
     "leading_principal_minors",
-    "CATALOG_SAMPLE",
 ]
 
 _RANKS = {  # family: (the admissible ranks in words, their test)
@@ -286,19 +285,3 @@ def leading_principal_minors(t: DynkinType) -> tuple[Fraction, ...]:
     matrix of ``t``, exactly: the pivots of its elimination."""
     return tuple(Fraction(m) for m in _elimination(t)[0])
 
-
-def _catalog_sample() -> tuple[DynkinType, ...]:
-    """A finite slice of the infinite catalog, used by tests to sweep
-    "every type" style checks."""
-    names = [
-        "A1", "A2", "A3", "A4", "A5",
-        "B2", "B3", "B4",
-        "C2", "C3", "C4",
-        "D4", "D5", "D6",
-        "E6", "E7", "E8",
-        "F4", "G2",
-    ]
-    return tuple(DynkinType.from_name(s) for s in names)
-
-
-CATALOG_SAMPLE = _catalog_sample()

@@ -27,9 +27,10 @@ built from the integers of the mesh table alone (indices, exponents,
 
 Every column that propagation derives from a column of positive integers
 is again a tuple of positive ``int``s: each entry is ``1 + product`` (at
-least 2) divided exactly by a positive integer.  So the orbit columns of
-:func:`detect_period`, like the columns ``formats.parse_frieze`` has
-already checked token by token, are wrapped by ``FriezeSlice._unchecked``
+least 2) divided exactly by a positive integer.  So the results of
+:func:`propagate_forward` and :func:`propagate_backward` and the orbit
+columns of :func:`detect_period`, like the columns ``formats.parse_frieze``
+has already checked token by token, are wrapped by ``FriezeSlice._unchecked``
 without running the validation of ``FriezeSlice.__post_init__`` again.
 
 A :class:`FriezePattern` computes two views of itself on first use and
@@ -184,7 +185,7 @@ def mesh_product(i: int, col_k: FriezeSlice, col_k1: FriezeSlice) -> int:
     between consecutive columns; the empty product is 1."""
     if col_k.dynkin != col_k1.dynkin:
         raise ValueError("columns belong to different types")
-    if not 1 <= i <= col_k.dynkin.rank:
+    if type(i) is not int or not 1 <= i <= col_k.dynkin.rank:
         raise ValueError(f"vertex {i} is not in 1..{col_k.dynkin.rank}")
     return _product((col_k.values, col_k1.values), _mesh_factors(col_k.dynkin)[i - 1])
 
@@ -250,19 +251,15 @@ def forward_values(t: DynkinType, values: tuple[int, ...]) -> tuple[int, ...]:
     return _kernels(t).fwd(values)
 
 
-def backward_values(t: DynkinType, values: tuple[int, ...]) -> tuple[int, ...]:
-    """Previous column from ``values``; walks ``i = 1..n``."""
-    return _kernels(t).bwd(values)
-
-
 def propagate_forward(s: FriezeSlice) -> FriezeSlice:
     """Column ``k+1`` from column ``k``."""
-    return FriezeSlice(s.dynkin, forward_values(s.dynkin, s.values))
+    return FriezeSlice._unchecked(s.dynkin, forward_values(s.dynkin, s.values))
 
 
 def propagate_backward(s: FriezeSlice) -> FriezeSlice:
-    """Column ``k`` from column ``k+1``; inverse of :func:`propagate_forward`."""
-    return FriezeSlice(s.dynkin, backward_values(s.dynkin, s.values))
+    """Column ``k`` from column ``k+1``, walking ``i = 1..n``; inverse of
+    :func:`propagate_forward`."""
+    return FriezeSlice._unchecked(s.dynkin, _kernels(s.dynkin).bwd(s.values))
 
 
 def _orbit(t: DynkinType, first: tuple[int, ...], cap: int, caps=None):
@@ -299,7 +296,7 @@ def detect_period(seed: FriezeSlice, cap: int) -> tuple[int, list[FriezeSlice]]:
     is not a frieze column) and :class:`NoRecurrenceError` if ``cap`` is
     exhausted.
     """
-    if cap < 1:
+    if type(cap) is not int or cap < 1:
         raise ValueError("cap must be positive")
     t = seed.dynkin
     cols = _orbit(t, seed.values, cap)

@@ -203,7 +203,9 @@ _INVERSE_TABLE_LIMIT = 1 << 10
 @dataclass(frozen=True)
 class SearchConfig:
     """One run.  Its period is no setting: every run is at the type's
-    ``catalog.search_period``, a period of every frieze of the type."""
+    ``catalog.search_period``, a period of every frieze of the type.
+    ``strategy`` names the search that runs: rank 1 degenerates to the
+    column walk, whatever was asked."""
 
     dynkin: DynkinType
     strategy: str | None = None  # default: default_strategy(dynkin)
@@ -211,13 +213,14 @@ class SearchConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.strategy is None:
-            object.__setattr__(self, "strategy", default_strategy(self.dynkin))
-        if self.strategy not in ("column_dfs", "row_seeded"):
+        if self.strategy not in (None, "column_dfs", "row_seeded"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.entry_cap_override is not None and self.entry_cap_override < 1:
+        if self.strategy is None or self.dynkin.rank == 1:
+            object.__setattr__(self, "strategy", default_strategy(self.dynkin))
+        cap = self.entry_cap_override
+        if cap is not None and (type(cap) is not int or cap < 1):
             raise ValueError("entry_cap_override must be positive")
-        if self.jobs < 1:
+        if type(self.jobs) is not int or self.jobs < 1:
             raise ValueError("jobs must be positive")
 
 
@@ -909,7 +912,7 @@ def _partition_job(args, tally=None):
     t, strategy, p, caps, prodcaps, start = args
     if tally is None:
         tally = _Tally()
-    if strategy == "column_dfs" or t.rank == 1:
+    if strategy == "column_dfs":
         _column_partition(t, caps, p, start, tally)
     else:
         _row_partition(t, caps, prodcaps, p, start, tally)
@@ -933,8 +936,7 @@ def _partition_results(jobs, workers, progress):
 
 
 def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
-    """Run the configured strategy at the type's search period; rank 1
-    degenerates to the column walk."""
+    """Run the configured strategy at the type's search period."""
     t = cfg.dynkin
     p = search_period(t)  # the job carries it: pool workers never derive it
     prodcaps = entry_caps(t, p)  # row products ignore the override

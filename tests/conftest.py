@@ -2,10 +2,22 @@ import pytest
 
 from friezes import (
     DynkinType,
-    a2_orbit_pattern,
     e8_example_pattern,
     emit_frieze,
     pattern_from_columns,
+)
+
+# A finite slice of the infinite catalog, for "every type" sweeps.
+CATALOG_SAMPLE = tuple(
+    DynkinType.from_name(s)
+    for s in (
+        "A1", "A2", "A3", "A4", "A5",
+        "B2", "B3", "B4",
+        "C2", "C3", "C4",
+        "D4", "D5", "D6",
+        "E6", "E7", "E8",
+        "F4", "G2",
+    )
 )
 
 
@@ -16,7 +28,8 @@ def e8_pattern():
 
 @pytest.fixture(scope="session")
 def a2_pattern():
-    return a2_orbit_pattern()
+    # the single A2 orbit: five columns cycling under propagation
+    return pattern_from_columns(DynkinType("A", 2), [(1, 1), (3, 2), (1, 2), (2, 1), (2, 3)])
 
 
 @pytest.fixture()

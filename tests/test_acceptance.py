@@ -14,7 +14,6 @@ import time
 import pytest
 
 from friezes import (
-    CATALOG_SAMPLE,
     DynkinType,
     SearchConfig,
     a_vector,
@@ -28,6 +27,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
+from conftest import CATALOG_SAMPLE
 from friezes.fixtures import e8_example_pattern
 
 CLI = [sys.executable, "-m", "friezes.cli"]

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friezes import (
-    CATALOG_SAMPLE,
     DynkinType,
     a_vector,
     bounds_report,
@@ -21,6 +20,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
+from conftest import CATALOG_SAMPLE
 from friezes.formats import bounds_payload
 
 A1 = DynkinType("A", 1)

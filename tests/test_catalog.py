@@ -8,18 +8,22 @@ import pytest
 import friezes
 from friezes import catalog
 from friezes import (
-    CATALOG_SAMPLE,
     DynkinType,
     FriezeSlice,
+    SearchConfig,
+    bounds_report,
     cartan_matrix,
     detect_period,
+    interval_certificate,
     inverse_cartan,
     leading_principal_minors,
+    mesh_product,
     pattern_from_columns,
     repetition_arrows,
     type_profile,
     verify_pattern,
 )
+from conftest import CATALOG_SAMPLE
 from friezes.catalog import search_period, twist
 
 # The E8 Cartan matrix and its integer inverse under the fixed numbering.
@@ -100,6 +104,33 @@ def test_bool_rank_rejected():
     # True would print as "ATrue", which from_name cannot read back
     with pytest.raises(ValueError, match="inadmissible type ATrue"):
         DynkinType("A", True)
+
+
+_A2 = DynkinType("A", 2)
+_A2_SEED = FriezeSlice(_A2, (1, 1))
+# the period-1 constant-one pattern (no frieze): every positive int is a
+# multiple of its period, so the period check alone cannot refuse True
+_PERIOD_ONE = pattern_from_columns(DynkinType("A", 1), [(1,)])
+
+
+@pytest.mark.parametrize("bad", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda x: SearchConfig(_A2, "column_dfs", entry_cap_override=x), "entry_cap_override must"),
+        (lambda x: SearchConfig(_A2, "column_dfs", jobs=x), "jobs must be positive"),
+        (lambda x: detect_period(_A2_SEED, x), "cap must be positive"),
+        (lambda x: bounds_report(_A2, x), "period must be positive"),
+        (lambda x: interval_certificate(_PERIOD_ONE, x), "not a positive multiple"),
+        (lambda x: mesh_product(x, _A2_SEED, _A2_SEED), "is not in 1..2"),
+    ],
+    ids=["cap_override", "jobs", "detect_period", "bounds_report", "interval_certificate", "mesh_product"],
+)
+def test_counts_and_periods_must_be_ints(call, message, bad):
+    # like a rank, a count or period that is a bool or a float is refused
+    # with the message an out-of-range int gets
+    with pytest.raises(ValueError, match=message):
+        call(bad)
 
 
 def test_parse_and_str_round_trip():

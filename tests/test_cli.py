@@ -213,6 +213,13 @@ def test_enumerate_reports_the_config_default_strategy(capsys, args):
         assert out.startswith("dynkin A2  strategy row_seeded  complete yes\n")
 
 
+def test_enumerate_names_the_strategy_that_ran(capsys):
+    # rank 1 runs the column walk whatever --strategy asks for
+    code, out, _ = run(capsys, "enumerate", "A1", "--strategy", "row_seeded", "--json")
+    assert code == 0
+    assert json.loads(out)["strategy"] == "column_dfs"
+
+
 def test_enumerate_prints_each_note(capsys, monkeypatch):
     # one divisor-branch node per partition: each D4 partition runs out
     monkeypatch.setattr(friezes.search, "_FACTORIZATION_BUDGET", 1)

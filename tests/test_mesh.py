@@ -1,11 +1,11 @@
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from friezes import (
-    CATALOG_SAMPLE,
     DeadEndError,
     DynkinType,
     FriezePattern,
@@ -21,8 +21,9 @@ from friezes import (
     row_products,
     verify_pattern,
 )
+from conftest import CATALOG_SAMPLE
 from friezes.fixtures import E8_EXAMPLE_ROWS
-from friezes.mesh import MeshViolation, backward_values, forward_values
+from friezes.mesh import MeshViolation, _kernels, forward_values
 
 A1 = DynkinType("A", 1)
 A2 = DynkinType("A", 2)
@@ -151,7 +152,8 @@ def test_detect_period_columns_read_like_validated_slices(name, a2_pattern, e8_p
     t = pattern.dynkin
     q, columns = detect_period(pattern.columns[0], 2 * pattern.period)
     assert q == len(columns)
-    for c in columns:
+    stepped = [step(c) for c in pattern.columns for step in (propagate_forward, propagate_backward)]
+    for c in columns + stepped:
         assert type(c.values) is tuple and len(c.values) == t.rank
         assert all(type(v) is int and v >= 1 for v in c.values)
         checked = FriezeSlice(t, list(c.values))
@@ -212,7 +214,7 @@ def test_propagation_never_reads_unwritten_entries(t):
     # are always exact)
     ones = tuple([1] * t.rank)
     assert all(v >= 1 for v in forward_values(t, ones))
-    assert all(v >= 1 for v in backward_values(t, ones))
+    assert all(v >= 1 for v in _kernels(t).bwd(ones))
 
 
 def test_pattern_rows_view(a2_pattern):
@@ -281,16 +283,16 @@ def test_kernels_match_the_cartan_reference(t, data):
     # small entries so that many draws propagate several vertices deep;
     # a draw that propagates is stepped again from its result
     values = tuple(data.draw(st.lists(st.integers(1, 6), min_size=t.rank, max_size=t.rank)))
-    for step, forward in ((forward_values, True), (backward_values, False)):
+    for step, forward in ((partial(forward_values, t), True), (_kernels(t).bwd, False)):
         cur = values
         for _ in range(3):
             expected = _reference_step(t, cur, forward)
             if isinstance(expected, int):
                 with pytest.raises(IndivisibleError) as exc:
-                    step(t, cur)
+                    step(cur)
                 assert exc.value.vertex == expected
                 break
-            cur = step(t, cur)
+            cur = step(cur)
             assert cur == expected
 
 

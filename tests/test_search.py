@@ -1,5 +1,6 @@
 import hashlib
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from friezes import (
-    CATALOG_SAMPLE,
     DynkinType,
     SearchConfig,
     a_vector,
@@ -23,7 +23,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
-from conftest import continuant, conway_coxeter_columns
+from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns
 from friezes.catalog import search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
@@ -258,6 +258,25 @@ def test_outcome_deterministic_and_parallel_invariant(name, strategy, kw):
     parallel = outcome(name, strategy, jobs=3, **kw)
     assert first == second == parallel
     assert first.nodes_explored > 0
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+@pytest.mark.parametrize(
+    "name,kw",
+    [
+        # a period the workers cannot derive: only the job carries it
+        pytest.param("G2", {"period": 8}, id="G2-period8"),
+        pytest.param("D4", {"entry_cap_override": 8}, id="D4-cap8"),
+    ],
+)
+def test_partition_pool_under_fresh_interpreter_start_methods(monkeypatch, method, name, kw):
+    # workers started by spawn or forkserver import the library afresh and
+    # inherit nothing of the parent, not even the search_period seam
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    serial = outcome(name, "row_seeded", **kw)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context(method).Pool)
+    assert outcome(name, "row_seeded", jobs=2, **kw) == serial
 
 
 def test_override_monotonicity():
@@ -1037,6 +1056,7 @@ def test_config_validation():
 
 
 def test_row_seeded_rank_one_degenerates_to_column_walk():
+    assert SearchConfig(DynkinType("A", 1), "row_seeded").strategy == "column_dfs"
     assert outcome("A1", "row_seeded") == outcome("A1", "column_dfs")
 
 

@@ -34,9 +34,9 @@ __all__ = [
 
 
 def integer_root(x: int, k: int) -> int:
-    """Largest ``r`` with ``r**k <= x`` (``x >= 0``, ``k >= 1``)."""
-    if x < 0 or k < 1:
-        raise ValueError("integer_root needs x >= 0 and k >= 1")
+    """Largest ``r`` with ``r**k <= x`` (ints ``x >= 0``, ``k >= 1``)."""
+    if type(x) is not int or type(k) is not int or x < 0 or k < 1:
+        raise ValueError("integer_root needs ints x >= 0 and k >= 1")
     if k == 1 or x < 2:
         return x
     if k == 2:
@@ -54,19 +54,23 @@ def integer_root(x: int, k: int) -> int:
 
 
 def floor_pow2(e: Fraction) -> int:
-    """``floor(2**e)`` for a positive rational exponent, exactly."""
-    if e <= 0:
+    """``floor(2**e)`` for a positive exponent, an ``int`` or a
+    ``Fraction``, exactly."""
+    if type(e) not in (int, Fraction) or e <= 0:
         raise ValueError("exponent must be positive")
     return integer_root(1 << e.numerator, e.denominator)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def entry_caps(t: DynkinType, p: int) -> tuple[int, ...]:
     """Exact per-entry caps ``floor(2**(p*b_i))``.
 
     Cached per ``(t, p)``: the caps check of every stored frieze of one
     type and period reads the same roots.  The cache is bounded because a
-    cap at a large period has thousands of digits."""
+    cap at a large period has thousands of digits, and typed so that a
+    ``True`` or ``2.0`` is not served from the ints 1 and 2 but refused."""
+    if type(p) is not int or p < 1:
+        raise ValueError("period must be positive")
     return tuple(floor_pow2(p * bi) for bi in type_profile(t).b)
 
 

@@ -221,33 +221,33 @@ def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     Derived from the mesh table by tropical propagation of denominator
     vectors from the slice ``d[i] = -e_i``: the frieze step walked as in
     ``mesh.forward_values`` with ``out[i] = max(0, sum of m * neighbour) -
-    cur[i]``, componentwise.  When entry ``i`` of column ``k`` is ``-e_j``,
-    then ``sigma[j] = i`` and ``c[j] = k``.  The result is re-checked
-    (every ``-e_j`` found within ``h + 2`` columns, ``sigma`` an
-    involution, ``c[i] + c[sigma[i]] == h + 2``); raises ``ArithmeticError``
-    otherwise.  Costs O(n**3): only the search and the ``enumerate``
-    command call it.
+    cur[i]``.  The rule is componentwise, so each coordinate ``j`` is
+    walked alone, from ``-e_j``, in one list updated in place from
+    ``i = n - 1`` down: at ``i`` it holds the new column after ``i`` and
+    the old one before it, as the step reads them.  In finite type the
+    denominator vector of every cluster variable outside the seed is a
+    positive root (Fomin and Zelevinsky, *Cluster algebras II*, 2003), so
+    coordinate ``j`` first reaches ``-1`` where ``-e_j`` recurs: at
+    ``(sigma[j], c[j])``.  The result is re-checked (every ``-e_j`` found
+    within ``h + 2`` columns, ``sigma`` an involution, ``c[i] +
+    c[sigma[i]] == h + 2``); raises ``ArithmeticError`` otherwise.  Costs
+    O(n**3): only the search and the ``enumerate`` command call it.
     """
     n = t.rank
     h2 = coxeter_number(t) + 2
     factors = _mesh_factors(t)
-    unit = [tuple(-int(i == j) for j in range(n)) for i in range(n)]
-    found = {vec: i for i, vec in enumerate(unit)}
     sigma, c = [None] * n, [None] * n
-    cur = unit
-    for k in range(1, h2 + 1):
-        out: list = [None] * n
-        for i in range(n - 1, -1, -1):
-            total = [0] * n
-            for j, m, o in factors[i]:
-                for x, v in enumerate((cur, out)[o][j]):
-                    total[x] += m * v
-            out[i] = tuple(max(0, s) - v for s, v in zip(total, cur[i]))
-        for i, vec in enumerate(out):
-            j = found.get(vec)
-            if j is not None and sigma[j] is None:
-                sigma[j], c[j] = i, k
-        cur = out
+    for j in range(n):
+        d = [-int(i == j) for i in range(n)]
+        for k in range(1, h2 + 1):
+            for i in range(n - 1, -1, -1):
+                s = 0
+                for l, m, _ in factors[i]:
+                    s += m * d[l]
+                d[i] = (s if s > 0 else 0) - d[i]  # max(s, 0), inline for speed
+            if -1 in d:
+                sigma[j], c[j] = d.index(-1), k
+                break
     if None in sigma:
         raise ArithmeticError(f"twist check failed: not every -e_j recurs within {h2} columns")
     for i in range(n):
@@ -269,6 +269,8 @@ def repetition_arrows(
     """Arrows ``(i,k) -> (j,k)`` and ``(j,k) -> (i,k+1)`` for every diagram
     edge ``i < j`` and every ``k`` in ``[k_lo, k_hi]``, ordered by ``k``
     then ``(i, j)``."""
+    if type(k_lo) is not int or type(k_hi) is not int:
+        raise ValueError(f"column bounds must be ints, not {k_lo!r} and {k_hi!r}")
     if k_lo > k_hi:
         raise ValueError(f"empty column range: {k_lo} > {k_hi}")
     pairs = [(i + 1, j + 1) for i, row in enumerate(_mesh_factors(t)) for j, _, o in row if o]

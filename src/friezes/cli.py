@@ -167,6 +167,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_period(args) -> int:
     if args.file is not None:
+        if args.type is not None or args.seed is not None:
+            raise ValueError("give either FILE or --type and --seed, not both")
         pattern = _read_pattern(args.file)
         seed = pattern.columns[0]
         t = pattern.dynkin
@@ -174,10 +176,14 @@ def cmd_period(args) -> int:
         if args.type is None or args.seed is None:
             raise ValueError("need either FILE or both --type and --seed")
         t = DynkinType.from_name(args.type)
+        # a document row's rule: decimal digits only, so no sign or "_"
+        tokens = args.seed.replace(",", " ").split()
         try:
-            values = tuple(int(tok) for tok in args.seed.replace(",", " ").split())
-        except ValueError:
-            raise ValueError(f"bad seed {args.seed!r}") from None
+            values = tuple(int(tok) for tok in tokens if tok.isdecimal())
+        except ValueError:  # a token past int()'s digit limit
+            values = None
+        if values is None or len(values) != len(tokens):
+            raise ValueError(f"bad seed {args.seed!r}")
         seed = FriezeSlice(t, values)
     cap = coxeter_number(t) + 2
     try:

@@ -14,6 +14,9 @@ from friezes import (
     bounds_report,
     cartan_matrix,
     detect_period,
+    entry_caps,
+    floor_pow2,
+    integer_root,
     interval_certificate,
     inverse_cartan,
     leading_principal_minors,
@@ -123,8 +126,16 @@ _PERIOD_ONE = pattern_from_columns(DynkinType("A", 1), [(1,)])
         (lambda x: bounds_report(_A2, x), "period must be positive"),
         (lambda x: interval_certificate(_PERIOD_ONE, x), "not a positive multiple"),
         (lambda x: mesh_product(x, _A2_SEED, _A2_SEED), "is not in 1..2"),
+        (lambda x: integer_root(x, 1), "integer_root needs ints"),
+        (lambda x: integer_root(10, x), "integer_root needs ints"),
+        # the equal int is cached first, and must not be served for x
+        (lambda x: entry_caps(_A2, int(x)) and entry_caps(_A2, x), "period must be positive"),
+        (lambda x: floor_pow2(x), "exponent must be positive"),
+        (lambda x: repetition_arrows(_A2, x, 3), "column bounds must be ints"),
+        (lambda x: repetition_arrows(_A2, 0, x), "column bounds must be ints"),
     ],
-    ids=["cap_override", "jobs", "detect_period", "bounds_report", "interval_certificate", "mesh_product"],
+    ids=["cap_override", "jobs", "detect_period", "bounds_report", "interval_certificate",
+         "mesh_product", "root_x", "root_k", "entry_caps", "floor_pow2", "arrows_lo", "arrows_hi"],
 )
 def test_counts_and_periods_must_be_ints(call, message, bad):
     # like a rank, a count or period that is a bool or a float is refused
@@ -348,19 +359,20 @@ def test_period_caps(name, cap):
 
 
 def _tabulated_twist(t):
-    """The Nakayama twist ``F[i,k] = F[sigma(i), k + c_i]`` of the sample
-    types, read off their enumerated orbits (0-based vertices)."""
+    """The Nakayama twist ``F[i,k] = F[sigma(i), k + c_i]`` (0-based
+    vertices) per family, as read off enumerated orbits of small types:
+    the independent oracle of the tropical walk in ``catalog.twist``."""
     n, h2 = t.rank, type_profile(t).period_cap
     if t.family == "A":  # i -> n+1-i with c_i = n+2-i, 1-based
         return tuple(n - 1 - i for i in range(n)), tuple(n + 1 - i for i in range(n))
-    if str(t) == "D5":  # swaps 4 and 5
-        return (0, 1, 2, 4, 3), (5,) * 5
+    if t.family == "D" and n % 2:  # D_odd swaps n-1 and n
+        return (*range(n - 2), n - 1, n - 2), (h2 // 2,) * n
     if str(t) == "E6":  # (1 6)(3 5)
         return (5, 1, 4, 3, 2, 0), (9, 7, 8, 7, 6, 5)
     return tuple(range(n)), (h2 // 2,) * n  # B, C, D_even, E7, E8, F4, G2
 
 
-@pytest.mark.parametrize("t", CATALOG_SAMPLE, ids=str)
+@pytest.mark.parametrize("t", _types_up_to(30), ids=str)
 def test_twist_matches_the_table(t):
     sigma, c = _tabulated_twist(t)
     assert twist(t) == (sigma, c)

@@ -194,7 +194,7 @@ def test_enumerate_refuses_divisor_branching_without_cap(capsys, name):
     assert err.startswith(f"error: full enumeration of {name} needs entry caps 2^")
 
 
-@pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 5)])
+@pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 5), ("C3", 20)])
 def test_enumerate_runs_forced_types_without_cap(capsys, name, count):
     # A1 defaults to column_dfs at rank 1, yet needs no divisor branching.
     code, out, _ = run(capsys, "enumerate", name)
@@ -311,6 +311,17 @@ def test_period_needs_type_with_seed(capsys):
 def test_period_bad_seed_values(capsys):
     code, _, err = run(capsys, "period", "--type", "A2", "--seed", "1,x")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [(("--type", "A1", "--seed", "+1_0"), "bad seed '+1_0'"),  # int() would read 10
+     (("FILE", "--type", "E8"), "not both"), (("FILE", "--seed", "1"), "not both")],
+    ids=["seed-sign-underscore", "file-and-type", "file-and-seed"],
+)
+def test_period_refuses_what_a_document_would(capsys, e8_file, args, message):
+    code, out, err = run(capsys, "period", *(e8_file if a == "FILE" else a for a in args))
+    assert code == 2 and out == "" and message in err
 
 
 def test_quiver_plain(capsys):

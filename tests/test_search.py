@@ -122,10 +122,15 @@ def test_a2_brute_force_oracle():
     assert engine_columns == valid
 
 
-@pytest.mark.parametrize("name", DESK_TYPES)
-def test_known_counts_both_strategies(name):
-    col = outcome(name, "column_dfs")
-    row = outcome(name, "row_seeded")
+@pytest.mark.parametrize(
+    "name,period",
+    # G2 at period 12: the tripled edge's top-row generator over a long seed row
+    [*((name, None) for name in DESK_TYPES), pytest.param("G2", 12, marks=pytest.mark.slow)],
+    ids=[*DESK_TYPES, "G2@12"],
+)
+def test_known_counts_both_strategies(name, period):
+    col = outcome(name, "column_dfs", period)
+    row = outcome(name, "row_seeded", period)
     assert col.frieze_count == KNOWN_COUNTS[name]
     assert row.frieze_count == KNOWN_COUNTS[name]
     assert col.complete and row.complete
@@ -158,15 +163,16 @@ def _triangulations(vertices):
         (6, 32, 429),
         (7, 64, 1430),
         (8, 64, 4862),
+        pytest.param(9, 128, 16796, marks=pytest.mark.slow),
     ],
-    ids=["A1", "A2", "A3", "A4@16", "A5@16", "A6@32", "A7@64", "A8@64"],
+    ids=["A1", "A2", "A3", "A4@16", "A5@16", "A6@32", "A7@64", "A8@64", "A9@128"],
 )
 def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
     # Conway-Coxeter: the A_n friezes are the triangulations of an
     # (n+3)-gon.  With quiddity a (triangles per polygon vertex), the
     # frieze has F[i,k] = K(a[1-k], ..., a[i-k]) for the continuant K,
     # indices mod n+3; independent of both search strategies.  Every
-    # A4-A8 frieze fits under the entry cap given, so those runs are
+    # A4-A9 frieze fits under the entry cap given, so those runs are
     # uncertified but must still find every orbit.
     size = n + 3
     triangulations = _triangulations(list(range(size)))
@@ -250,6 +256,8 @@ def test_orbit_is_canonical_rotation():
         # partitions 1 and 2 each note a seed that does not recur: the
         # merge keeps every job's notes, in job order
         pytest.param("A2", "column_dfs", {"period": 3}, id="A2-column_dfs-period3"),
+        # certified: the pool merges the 8 partitions of the D divide step
+        pytest.param("D4", "row_seeded", {}, id="D4-row_seeded", marks=pytest.mark.slow),
     ],
 )
 def test_outcome_deterministic_and_parallel_invariant(name, strategy, kw):
@@ -316,6 +324,8 @@ def test_override_marks_incomplete():
         # the doubled-edge top row's generator where its cell cap binds
         ("C4", 4096, 70),
         ("C5", 256, 252),
+        # the E divide step: 5,739,065 row-seeded nodes
+        pytest.param("E6", 12, 7, marks=pytest.mark.slow),
     ],
 )
 def test_cross_strategy_under_override(name, cap, expected):
@@ -337,9 +347,10 @@ def fontaine_plamondon_count(n):
 
 
 def test_d4_override_sixteen_finds_all_fifty_one():
-    # all 51 friezes of type D4 happen to fit under an entry cap of 16
+    # all 51 D4 friezes, the certified row_seeded orbits, fit under cap 16
     col = outcome("D4", "column_dfs", entry_cap_override=16)
     assert col.frieze_count == fontaine_plamondon_count(4)
+    assert orbit_keys(col) == orbit_keys(outcome("D4", "row_seeded"))
 
 
 @pytest.mark.parametrize("name,cap,count", [("D5", 64, 187), ("D6", 256, 695)])
@@ -606,12 +617,14 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
         ("B4", 256, 75, 15, "06f7021921eea21c", 4219),
         ("C4", 256, 70, 14, "4907534766d2da06", 4135),
         ("F4", 512, 112, 16, "d37c9d70526d8a9c", 11325),
+        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 527395, marks=pytest.mark.slow),
+        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 4543501, marks=pytest.mark.slow),
     ],
-    ids=["B4@256", "C4@256", "F4@512"],
+    ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024"],
 )
 def test_doubled_edge_column_search_at_large_caps(name, cap, count, orbits, digest, nodes):
-    # doubled edges give power congruences (m > 1) whose moduli reach the
-    # hundreds here; regression values of this code, not published counts
+    # doubled edges give power congruences (m > 1) with moduli in the hundreds,
+    # E6 and E7 are scaling targets; regression values, not published counts
     out = outcome(name, "column_dfs", entry_cap_override=cap)
     text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
     assert out.frieze_count == count and len(out.orbits) == orbits
@@ -795,11 +808,13 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
                 assert cols[k][i] == cols[(k + c[i]) % q][sigma[i]]
 
 
-@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
 @pytest.mark.parametrize(
-    "name,cap",
-    [("A1", None), ("B2", None), ("C2", None), ("G2", None),
-     ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)],
+    "name,cap,strategy",
+    [(name, cap, strategy) for strategy in ("column_dfs", "row_seeded")
+     for name, cap in [("A1", None), ("B2", None), ("C2", None), ("G2", None),
+                       ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)]]
+    # certified C3 at h+2 = 8: 24,444,531 nodes; row_seeded there runs past ten minutes
+    + [pytest.param("C3", None, "column_dfs", marks=pytest.mark.slow)],
 )
 def test_half_and_full_periods_agree(name, cap, strategy):
     # where the twist is the identity the search period is (h+2)/2; the
@@ -822,6 +837,7 @@ def test_half_and_full_periods_agree(name, cap, strategy):
         ("D4", "row_seeded", 51),  # the Fontaine-Plamondon count
         ("B3", "row_seeded", 21),
         ("C3", "column_dfs", 20),
+        ("C3", "row_seeded", 20),
     ],
 )
 def test_certified_at_the_half_period(name, strategy, count):

@@ -8,7 +8,7 @@ period-q orbit as a distinct frieze, which reproduces the Catalan numbers
 2, 5, 14, 42 for types A1..A4.  B3, C3 and D4 (51 friezes, the
 Fontaine-Plamondon count) are certified at the half period.
 
-Certified A4 through column_dfs walks about 42 million nodes (over a
+Certified A4 through column_dfs walks about 41 million nodes (over a
 minute); here it runs under entry cap 64 instead, which still finds all
 42 friezes, with the same orbits, but is flagged incomplete.
 """

@@ -75,6 +75,14 @@ Soundness of the pruning:
   ``x`` up to it are tested, the larger ones read off each small
   ``x1``'s residue class mod ``M`` (``_solvable_coordinates``), in
   ``O(sqrt(B) + kept)`` steps;
+* column search, backward mesh: where a depth's coordinate ``x`` has the
+  one mesh factor ``F[g,k+1]``, ``g`` the vertex of its generator (``m =
+  1``), the backward mesh ``F[x,k-1]*F[x,k] = 1 + F[g,k]`` makes ``x`` a
+  divisor of ``1 + M``, ``M = F[g,k]`` the generator's modulus.  So ``x``
+  is capped at ``1 + M``, which leaves the congruence two values at most,
+  and the free depth before such a depth keeps only the ``x`` whose least
+  ``x1`` (every other solution being that plus a multiple of ``M``)
+  divides ``1 + M``;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -300,29 +308,34 @@ def _column_plan(t: DynkinType, caps):
     Coordinate ``i`` (0-based vertex) is chosen at depth ``d = n - i``.  The
     forward cell of vertex ``j`` (its value in the next column) becomes
     computable at ``cell_depth[j]``.  Returns one tuple ``(i, cap, gen,
-    due, look)`` per depth ``d`` (index 0 unused), ``cap`` being coordinate
-    ``i``'s entry cap.  The generator ``gen``, when one exists, is a cell
-    due at ``d`` whose only missing input is the new coordinate; it turns
-    into a congruence that generates candidates.  It is ``(j, m, others,
-    cap, floored)``: the cell, the new coordinate's exponent in its mesh,
-    the mesh's other factors and the cell's entry cap.  ``due`` holds the
-    other cells due at ``d``, upper cells first, each ``(j, factors, cap,
-    floored)``.  ``floored`` marks the row-``n`` cell, which is at least
-    the seed's row-``n`` entry.  Rank 2 has no generator: its last
-    coordinate is a divisor (see ``_column_partition``).
+    due, look, capped)`` per depth ``d`` (index 0 unused), ``cap`` being
+    coordinate ``i``'s entry cap.  The generator ``gen``, when one exists,
+    is a cell due at ``d`` whose only missing input is the new coordinate;
+    it turns into a congruence that generates candidates.  It is ``(j, m,
+    others, cap, floored)``: the cell, the new coordinate's exponent in its
+    mesh, the mesh's other factors and the cell's entry cap.  ``due`` holds
+    the other cells due at ``d``, upper cells first, each ``(j, factors,
+    cap, floored)``.  ``floored`` marks the row-``n`` cell, which is at
+    least the seed's row-``n`` entry.  Rank 2 has no generator: its last
+    coordinate is a divisor (see ``_column_partition``).  ``capped`` marks
+    a depth whose coordinate's one mesh factor is ``(g, 1, 1)``, ``g`` its
+    generator's vertex with ``m = 1``: the backward mesh caps the
+    coordinate at ``1 + vals[g]``, which it divides (module docstring).
+    Today that is the last depth from rank 3 on, and E's depth ``n - 1``.
 
-    Each step ends with ``look``, set only at a free depth: one with no
-    generator and no due cell, whose coordinate ``x`` is a factor ``(x, 1,
-    0)`` of the next depth's generator mesh, that generator having ``m =
-    1`` and a modulus fixed before ``x``.  It is ``(rest, g, next_cap,
-    cell_cap)``: the generator's other factors (all known at this depth),
-    the generator cell (whose value in the seed column is the modulus),
-    the next coordinate's cap and the generated cell's cap.  The free
-    depth keeps only the ``x`` for which the next congruence has a
-    solution (``_solvable_coordinates``).  Today these are the branch
-    vertex's free neighbour in type E (E6 depth 4, E7 depth 5, E8 depth 6).
-    The plan asserts that no generator has any other column-``k``
-    cofactor, so ``rest`` holds forward cells only.
+    ``look`` is set only at a free depth: one with no generator and no due
+    cell, whose coordinate ``x`` is a factor ``(x, 1, 0)`` of the next
+    depth's generator mesh, that generator having ``m = 1`` and a modulus
+    fixed before ``x``.  It is ``(rest, g, next_cap, cell_cap)``: the
+    generator's other factors (all known at this depth), the generator
+    cell (whose value in the seed column is the modulus), the next
+    coordinate's cap and the generated cell's cap.  The free depth keeps
+    only the ``x`` whose next congruence has a solution within that
+    depth's caps that divides ``1 + vals[g]`` (``_solvable_coordinates``).
+    Today these are the branch vertex's free neighbour in type E (E6 depth
+    4, E7 depth 5, E8 depth 6).  The plan asserts that no generator has
+    any other column-``k`` cofactor, so ``rest`` holds forward cells only,
+    and that the next depth is ``capped``.
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -347,15 +360,18 @@ def _column_plan(t: DynkinType, caps):
                 due.remove(j)
                 break
         cells = tuple((j, factors[j], caps[j], j == n - 1) for j in due)
+        # x's one mesh factor is the modulus's forward cell: x divides 1 + modulus
+        capped = gen is not None and gen[1] == 1 and factors[x] == ((gen[0], 1, 1),)
         if d > 2 and gen and gen[1] == 1:  # is depth d - 1 free? (depth 1 holds the start)
-            fx, fcap, fgen, fcells, _ = plan[d - 1]
+            fx, fcap, fgen, fcells, _, fcapped = plan[d - 1]
             if fgen is None and not fcells and (fx, 1, 0) in gen[2] and gen[0] != fx:
+                assert capped, f"{t}"  # the lookahead's divisor filter needs it
                 rest = tuple(f for f in gen[2] if f != (fx, 1, 0))
-                plan[d - 1] = (fx, fcap, fgen, fcells, (rest, gen[0], caps[x], gen[3]))
+                plan[d - 1] = (fx, fcap, fgen, fcells, (rest, gen[0], caps[x], gen[3]), fcapped)
         free = plan[d - 1][0] if d > 1 and plan[d - 1][4] else None  # a free depth's coordinate
         # it is a generator's only column-k cofactor: look's r is a unit (module docstring)
         assert not gen or all(o or l == free for l, _, o in gen[2]), f"{t}"
-        plan.append((x, caps[x], gen, cells, None))
+        plan.append((x, caps[x], gen, cells, None, capped))
     return tuple(plan)
 
 
@@ -479,8 +495,9 @@ class _PowInverses:
 def _solvable_coordinates(look, cols, cap):
     """Ascending x in [1, cap] for which the next depth's congruence
     ``x1 * x * r = -1 (mod modulus)`` has a least solution ``x1`` within
-    the next coordinate's cap and the generated cell's cap; ``look`` is a
-    free depth's plan slot.  The next depth's row-``n`` floor and due cells
+    the next coordinate's cap and the generated cell's cap that divides
+    ``modulus + 1`` (the next depth is ``capped``); ``look`` is a free
+    depth's plan slot.  The next depth's row-``n`` floor and due cells
     are left to that depth: ignoring them only keeps more coordinates.
 
     The x up to ``split = min(isqrt(b), cap)`` are tested; above it, ``x *
@@ -501,15 +518,19 @@ def _solvable_coordinates(look, cols, cap):
     else:
         inverses = _inverses(modulus)
     split = min(math.isqrt(b), top)
+    above = modulus + 1  # x1 divides it: the next depth is capped
     low = [
         x
         for x in range(1, split + 1)
-        if (u := inverses[x % modulus]) and (x1 := u * s % modulus) <= next_cap and x * x1 <= b
+        if (u := inverses[x % modulus])
+        and (x1 := u * s % modulus) <= next_cap
+        and x * x1 <= b
+        and not above % x1
     ]
     high = []
     if split < top:
         for x1 in range(1, min(next_cap, modulus - 1, b // (split + 1)) + 1):
-            if u := inverses[x1]:
+            if not above % x1 and (u := inverses[x1]):
                 first = split + 1 + (u * s - split - 1) % modulus
                 high.extend(range(first, min(top, b // x1) + 1, modulus))
         high.sort()
@@ -546,13 +567,15 @@ def _column_partition(t, caps, p, start, tally):
         tally.orbits.add(_canonical_columns(traced))
 
     def descend(d) -> None:
-        i, cap, gen, due, look = plan[d]
+        i, cap, gen, due, look, capped = plan[d]
         if look is not None:
             candidates = _solvable_coordinates(look, cols, cap)
         elif gen is not None:
             g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
             modulus = vals[g]
+            if capped and modulus < cap:  # x divides 1 + modulus (module docstring)
+                cap = modulus + 1
             candidates = _congruence_candidates(
                 m, y, modulus, cap, cell_cap, start if floored else 1
             )

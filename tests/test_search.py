@@ -24,7 +24,7 @@ from friezes import (
     verify_pattern,
 )
 from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns
-from friezes.catalog import search_period, twist
+from friezes.catalog import _mesh_factors, search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
     _INVERSE_TABLE_LIMIT,
@@ -492,10 +492,40 @@ def test_e6_column_search_finds_the_period_seven_orbit():
 def test_column_plan_free_depths(t):
     # a depth with no generator and no due cell whose coordinate the next
     # generator multiplies in: the branch vertex's free neighbour in type E.
-    # Each plan built here also runs _column_plan's generator assertion.
+    # A capped depth's coordinate has one mesh factor, the forward cell of
+    # its generator vertex g with m = 1: vertex 1 at the last depth from
+    # rank 3 on, and in type E vertex 2, at depth n - 1.
+    # Each plan built here also runs _column_plan's assertions.
     caps = clipped_caps(t, search_period(t), 64)
-    free = [d for d in range(1, t.rank + 1) if _column_plan(t, caps)[d][4] is not None]
+    plan = _column_plan(t, caps)
+    free = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
     assert free == ([t.rank - 2] if t.family == "E" else [])
+    capped = [d for d in range(1, t.rank + 1) if plan[d][5]]
+    assert capped == [t.rank - 1] * (t.family == "E") + [t.rank] * (t.rank >= 3)
+    for d in capped:
+        i, _, (g, m, *_), *_ = plan[d]
+        assert m == 1 and _mesh_factors(t)[i] == ((g, 1, 1),)
+
+
+@pytest.mark.parametrize(
+    "name,cap",
+    [(name, None) for name in ("A2", "A3", "A4", "B3", "C3", "D4", "G2")]
+    + [("D4", 16), ("F4", 16)],
+)
+def test_row_seeded_friezes_obey_the_leaf_caps(name, cap):
+    # the column search caps a leaf vertex i whose mesh reads F[i,k]*F[i,k+1]
+    # = 1 + F[g,k+1] by its backward mesh: F[i,k] divides 1 + F[g,k].  The
+    # other strategy's friezes check it at every vertex of that shape
+    t = DynkinType.from_name(name)
+    leaves = [(i, f[0][0]) for i, f in enumerate(_mesh_factors(t)) if f == ((f[0][0], 1, 1),)]
+    assert leaves
+    out = outcome(name, "row_seeded", entry_cap_override=cap)
+    assert out.orbits and out.complete is (cap is None)
+    for orbit in out.orbits:
+        for column in orbit.columns:
+            v = column.values
+            for i, g in leaves:
+                assert v[i] <= 1 + v[g] and (1 + v[g]) % v[i] == 0, (i, v)
 
 
 @pytest.mark.parametrize(
@@ -515,15 +545,16 @@ def test_column_plan_free_depths(t):
 @pytest.mark.parametrize("table_limit", [_INVERSE_TABLE_LIMIT, 1], ids=["table", "pow"])
 def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, table_limit, monkeypatch):
     # at every free-depth call of a real search, x is kept exactly when the
-    # next depth's congruence generates at least one candidate for it, with
-    # inverses from the table or, above its limit, from pow
+    # next depth's congruence generates a least candidate x1 that divides
+    # 1 + M, M the modulus (the next depth's leaf cap), with inverses from
+    # the table or, above its limit, from pow
     monkeypatch.setattr("friezes.search._INVERSE_TABLE_LIMIT", table_limit)
     t = DynkinType.from_name(name)
     plan = _column_plan(t, caps)
     (d,) = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
     i, coord_cap = plan[d][:2]
     g, m, others, cell_cap, floored = plan[d + 1][2]
-    assert m == 1 and not floored  # so the next depth's floor is 1
+    assert m == 1 and not floored and plan[d + 1][5]  # floor 1, leaf-capped
     calls = []
 
     def record(look, cols, top):
@@ -541,19 +572,22 @@ def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, table_limi
         for x in range(1, top + 1):
             cols[0][i] = x
             y = _product(cols, others)
-            if list(_congruence_candidates(1, y, cols[0][g], plan[d + 1][1], cell_cap, 1)):
+            x1s = list(_congruence_candidates(1, y, cols[0][g], plan[d + 1][1], cell_cap, 1))
+            if x1s and (cols[0][g] + 1) % x1s[0] == 0:
                 solvable.append(x)
         assert kept == solvable
 
 
 def plain_solvable_scan(r, modulus, next_cap, cell_cap, cap):
     # x in [1, cap] whose least x1 >= 1 with x1 * x * r = -1 (mod modulus)
-    # (1 when modulus is 1) is within next_cap and gives a cell within cell_cap
+    # (1 when modulus is 1) is within next_cap, gives a cell within cell_cap
+    # and divides modulus + 1
     kept = []
     for x in range(1, cap + 1):
         if math.gcd(x * r, modulus) == 1:
             x1 = -pow(x * r, -1, modulus) % modulus or modulus
-            if x1 <= next_cap and (x1 * x * r + 1) // modulus <= cell_cap:
+            cell = (x1 * x * r + 1) // modulus
+            if x1 <= next_cap and cell <= cell_cap and (modulus + 1) % x1 == 0:
                 kept.append(x)
     return kept
 
@@ -577,6 +611,10 @@ _LARGE_MODULI = st.integers(_INVERSE_TABLE_LIMIT + 1, 3 * _INVERSE_TABLE_LIMIT)
 @example(modulus=59, r=1, next_cap=59, cell_cap=64, cap=20, table_limit=_INVERSE_TABLE_LIMIT)
 @example(modulus=7, r=4, next_cap=7, cell_cap=6, cap=3000, table_limit=1)  # x = B // x1 + 1 solves
 @example(modulus=3, r=1, next_cap=3, cell_cap=1, cap=5, table_limit=1)  # x1 = B // (split + 1)
+# 7 prime: only x1 = 1 divides it, kept below and above the split
+@example(modulus=6, r=1, next_cap=6, cell_cap=64, cap=3000, table_limit=_INVERSE_TABLE_LIMIT)
+# x1 = 2 and 5 divide 10, x1 = 4, 7 and 8 do not
+@example(modulus=9, r=4, next_cap=9, cell_cap=64, cap=300, table_limit=1)
 def test_solvable_coordinates_match_the_plain_scan(
     modulus, r, next_cap, cell_cap, cap, table_limit
 ):
@@ -614,17 +652,19 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
 @pytest.mark.parametrize(
     "name,cap,count,orbits,digest,nodes",
     [
-        ("B4", 256, 75, 15, "06f7021921eea21c", 4219),
-        ("C4", 256, 70, 14, "4907534766d2da06", 4135),
-        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 11325),
-        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 527395, marks=pytest.mark.slow),
-        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 4543501, marks=pytest.mark.slow),
+        ("B4", 256, 75, 15, "06f7021921eea21c", 2077),
+        ("C4", 256, 70, 14, "4907534766d2da06", 1709),
+        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 9033),
+        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 153658, marks=pytest.mark.slow),
+        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 1238059, marks=pytest.mark.slow),
+        # its free depth and both leaf caps prune here; E8@64 holds one orbit
+        pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 453339, marks=pytest.mark.slow),
     ],
-    ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024"],
+    ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024", "E8@256"],
 )
 def test_doubled_edge_column_search_at_large_caps(name, cap, count, orbits, digest, nodes):
     # doubled edges give power congruences (m > 1) with moduli in the hundreds,
-    # E6 and E7 are scaling targets; regression values, not published counts
+    # E6, E7 and E8 are scaling targets; regression values, not published counts
     out = outcome(name, "column_dfs", entry_cap_override=cap)
     text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
     assert out.frieze_count == count and len(out.orbits) == orbits
@@ -684,18 +724,18 @@ def test_certified_runs_hold_the_constant_friezes(name, columns, strategy):
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
     ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 11), (6, 11)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (5619, 102), (5619, 102)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (1794, 102), (1794, 102)),
     ("B2", None, 6, "4dbd41d47196a995", True, (6, 89), (6, 15)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (118, 291), (118, 267)),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (88, 101), (88, 81)),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (191, 18334), (191, 223)),
-    ("F4", 16, 7, "4df6259b33d2e253", False, (141, 247), (141, 233)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (203, 6863), (203, 372)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (95, 291), (95, 267)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (55, 101), (55, 81)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (185, 18334), (185, 223)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (121, 247), (121, 233)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (187, 6863), (187, 372)),
     ("E8", 4, 0, "4f53cda18c2baa0c", False, (50, 26), (50, 26)),
-    ("B4", 12, 15, "7105166c0046b3d0", False, (68, 137), (68, 107)),
-    ("C4", 12, 10, "db6af63233c3f324", False, (57, 48), (57, 38)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (59, 137), (59, 107)),
+    ("C4", 12, 10, "db6af63233c3f324", False, (49, 48), (49, 38)),
 ]
 
 
@@ -747,7 +787,7 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
         ("A3", "column_dfs", None, 100),
         ("A3", "row_seeded", None, 10),
         # E6 has a free depth: its nodes come from the lookahead's candidates
-        ("E6", "column_dfs", 12, 50),
+        ("E6", "column_dfs", 12, 40),
     ],
     ids=["column_dfs", "row_seeded", "E6@12-column_dfs"],
 )
@@ -813,7 +853,7 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
     [(name, cap, strategy) for strategy in ("column_dfs", "row_seeded")
      for name, cap in [("A1", None), ("B2", None), ("C2", None), ("G2", None),
                        ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)]]
-    # certified C3 at h+2 = 8: 24,444,531 nodes; row_seeded there runs past ten minutes
+    # certified C3 at h+2 = 8: 1,400,437 nodes; row_seeded there runs past ten minutes
     + [pytest.param("C3", None, "column_dfs", marks=pytest.mark.slow)],
 )
 def test_half_and_full_periods_agree(name, cap, strategy):
@@ -1119,7 +1159,7 @@ def test_config_strategy_defaults_to_the_type_default(t):
 
 def test_config_without_strategy_runs_the_default():
     cfg = SearchConfig(DynkinType("A", 4))
-    assert cfg.strategy == "row_seeded"  # column_dfs walks 41,967,939 nodes here
+    assert cfg.strategy == "row_seeded"  # column_dfs walks 40,673,014 nodes here
     out = enumerate_friezes(cfg)
     assert out.frieze_count == 42 and out.complete and out.nodes_explored == 14_744
 

@@ -8,9 +8,10 @@ period-q orbit as a distinct frieze, which reproduces the Catalan numbers
 2, 5, 14, 42 for types A1..A4.  B3, C3 and D4 (51 friezes, the
 Fontaine-Plamondon count) are certified at the half period.
 
-Certified A4 through column_dfs walks about 41 million nodes (over a
-minute); here it runs under entry cap 64 instead, which still finds all
-42 friezes, with the same orbits, but is flagged incomplete.
+Certified A4 through column_dfs walks about 40 million nodes (about 5 s
+of CPU on a 2-vCPU VM, against 14,744 nodes through row_seeded); here it
+runs under entry cap 64 instead, which still finds all 42 friezes, with
+the same orbits, but is flagged incomplete.
 """
 
 import time

@@ -25,11 +25,12 @@ search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
 only its wavefront reads its single-factor meshes inline.  Only the
 column search walks orbits (``mesh._orbit``); a frieze being fixed by one
 column, the row-seeded search cuts each frieze where its column 0 recurs.
-The strategies also share ``_congruence_candidates`` (column generator
-cells, the row-seeded top row), ``_canonical_columns``, ``_start_values``,
-``_divisors``, ``integer_root``, ``entry_caps``, ``_Tally`` and the final
-``verify_pattern`` gate.  A fault there hits both alike, so each has its own
-tests: ``test_congruence_candidates_*``, ``test_divisors_match_brute_force``,
+The strategies also share ``_congruence_candidates`` (uncapped column
+generator cells, the row-seeded top row), ``_canonical_columns``,
+``_start_values``, ``_divisors``, ``integer_root``, ``entry_caps``,
+``_Tally`` and the final ``verify_pattern`` gate.  A fault there hits
+both alike, so each has its own tests: ``test_congruence_candidates_*``,
+``test_divisors_match_brute_force``,
 ``test_canonical_rotation_is_rotation_invariant``, ``test_integer_root_*``,
 ``test_start_values_fit_the_row_n_caps``, the Catalan and D_n counts.
 
@@ -75,14 +76,21 @@ Soundness of the pruning:
   ``x`` up to it are tested, the larger ones read off each small
   ``x1``'s residue class mod ``M`` (``_solvable_coordinates``), in
   ``O(sqrt(B) + kept)`` steps;
-* column search, backward mesh: where a depth's coordinate ``x`` has the
-  one mesh factor ``F[g,k+1]``, ``g`` the vertex of its generator (``m =
-  1``), the backward mesh ``F[x,k-1]*F[x,k] = 1 + F[g,k]`` makes ``x`` a
-  divisor of ``1 + M``, ``M = F[g,k]`` the generator's modulus.  So ``x``
-  is capped at ``1 + M``, which leaves the congruence two values at most,
-  and the free depth before such a depth keeps only the ``x`` whose least
-  ``x1`` (every other solution being that plus a multiple of ``M``)
-  divides ``1 + M``;
+* column search, backward cell: where a depth's coordinate ``x`` has the
+  one mesh factor ``F[g,k+1]``, ``g`` its generator's vertex (``m = 1``),
+  the backward mesh ``x*w = 1 + M``, ``w = F[x,k-1]`` and ``M = F[g,k]``
+  the modulus, makes ``x`` and ``w`` inverses mod ``M``.  So ``x*y = -1
+  (mod M)``, ``y`` the generator's cofactor, holds exactly when ``w = -y
+  (mod M)``, and each candidate ``x`` is ``(1 + M) / w`` for a divisor
+  ``w`` of ``1 + M`` in that class (``_capped_candidates``); the free
+  depth before such a depth keeps only the ``x`` whose least ``x1`` (every
+  other solution being that plus a multiple of ``M``) divides ``1 + M``;
+* column search, backward mesh at ``g``: where, besides, ``g``'s mesh
+  factors are ``F[x,k]`` and forward cells ``F[l,k+1]`` only, its backward
+  mesh reads ``F[g,k-1]*M = 1 + w*P``, ``P`` the product of those ``F[l,k]``,
+  all chosen with ``M`` or before (``l > g``).  So ``w*P = -1 (mod M)``,
+  and ``x = w**-1 = -P (mod M)``: the depth that chooses ``M`` keeps it
+  only if a divisor of ``1 + M`` within ``x``'s cap lies in that class;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -308,8 +316,8 @@ def _column_plan(t: DynkinType, caps):
     Coordinate ``i`` (0-based vertex) is chosen at depth ``d = n - i``.  The
     forward cell of vertex ``j`` (its value in the next column) becomes
     computable at ``cell_depth[j]``.  Returns one tuple ``(i, cap, gen,
-    due, look, capped)`` per depth ``d`` (index 0 unused), ``cap`` being
-    coordinate ``i``'s entry cap.  The generator ``gen``, when one exists,
+    due, look, capped, back)`` per depth ``d`` (index 0 unused), ``cap``
+    being coordinate ``i``'s entry cap.  The generator ``gen``, when one exists,
     is a cell due at ``d`` whose only missing input is the new coordinate;
     it turns into a congruence that generates candidates.  It is ``(j, m,
     others, cap, floored)``: the cell, the new coordinate's exponent in its
@@ -319,9 +327,18 @@ def _column_plan(t: DynkinType, caps):
     least the seed's row-``n`` entry.  Rank 2 has no generator: its last
     coordinate is a divisor (see ``_column_partition``).  ``capped`` marks
     a depth whose coordinate's one mesh factor is ``(g, 1, 1)``, ``g`` its
-    generator's vertex with ``m = 1``: the backward mesh caps the
-    coordinate at ``1 + vals[g]``, which it divides (module docstring).
-    Today that is the last depth from rank 3 on, and E's depth ``n - 1``.
+    generator's vertex with ``m = 1``: the coordinate divides ``1 +
+    vals[g]``, and ``_capped_candidates`` reads it off its backward cell
+    (module docstring).  Today that is the last depth from rank 3 on, and
+    E's depth ``n - 1``.
+
+    ``back`` is set at the depth ``n - g`` that chooses a capped depth's
+    modulus, when ``g``'s mesh factors are ``(x, 1, 0)``, ``x`` the capped
+    coordinate, and forward cells only.  It is ``(rest, cap)``: ``g``'s
+    other factors, read from the seed column (``o = 0``), and ``x``'s cap.
+    That depth keeps a candidate ``M`` only if ``_backward_mesh_holds(P,
+    M, cap)``, ``P`` the product of ``rest``.  Today it is depth ``n - 1``
+    from rank 3 on (A-D, F) and E's free depth ``n - 2``.
 
     ``look`` is set only at a free depth: one with no generator and no due
     cell, whose coordinate ``x`` is a factor ``(x, 1, 0)`` of the next
@@ -362,24 +379,34 @@ def _column_plan(t: DynkinType, caps):
         cells = tuple((j, factors[j], caps[j], j == n - 1) for j in due)
         # x's one mesh factor is the modulus's forward cell: x divides 1 + modulus
         capped = gen is not None and gen[1] == 1 and factors[x] == ((gen[0], 1, 1),)
+        if capped:
+            g = gen[0]
+            rest = tuple(f for f in factors[g] if f != (x, 1, 0))
+            if len(rest) < len(factors[g]) and all(o for _, _, o in rest):
+                # g's backward mesh reads F[x,k-1] and column-k cells of vertices
+                # above g, chosen before g (module docstring)
+                back = plan[n - g]
+                assert back[0] == g and back[6] is None, f"{t}"
+                back[6] = (tuple((l, m, 0) for l, m, _ in rest), caps[x])
         if d > 2 and gen and gen[1] == 1:  # is depth d - 1 free? (depth 1 holds the start)
-            fx, fcap, fgen, fcells, _, fcapped = plan[d - 1]
-            if fgen is None and not fcells and (fx, 1, 0) in gen[2] and gen[0] != fx:
+            prev = plan[d - 1]
+            fx = prev[0]
+            if prev[2] is None and not prev[3] and (fx, 1, 0) in gen[2] and gen[0] != fx:
                 assert capped, f"{t}"  # the lookahead's divisor filter needs it
                 rest = tuple(f for f in gen[2] if f != (fx, 1, 0))
-                plan[d - 1] = (fx, fcap, fgen, fcells, (rest, gen[0], caps[x], gen[3]), fcapped)
+                prev[4] = (rest, gen[0], caps[x], gen[3])
         free = plan[d - 1][0] if d > 1 and plan[d - 1][4] else None  # a free depth's coordinate
         # it is a generator's only column-k cofactor: look's r is a unit (module docstring)
         assert not gen or all(o or l == free for l, _, o in gen[2]), f"{t}"
-        plan.append((x, caps[x], gen, cells, None, capped))
-    return tuple(plan)
+        plan.append([x, caps[x], gen, cells, None, capped, None])
+    return (None, *map(tuple, plan[1:]))
 
 
 def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
     """Ascending x in [1, cap] with ``x**m * y = -1 (mod modulus)`` whose
     cell ``(x**m * y + 1) / modulus`` lies in ``[cell_floor, cell_cap]``,
-    ``cell_cap >= 1``: the column search's generator cells, and the
-    row-seeded top forced row's cells (``y = 1``, modulus ``t_{j-1}``).
+    ``cell_cap >= 1``: the column search's uncapped generator cells, and
+    the row-seeded top forced row's cells (``y = 1``, modulus ``t_{j-1}``).
 
     For ``m > 1`` it scans x from ``first`` over at most ``modulus``
     consecutive values, each residue once, and merges the ascending range
@@ -414,6 +441,30 @@ def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
             if (pow(x, m, modulus) * y + 1) % modulus == 0
         )
     )
+
+
+def _backward_mesh_holds(cofactor, modulus, cap):
+    """Whether some ``x <= cap`` dividing ``modulus + 1`` has ``x =
+    -cofactor (mod modulus)``: the test of ``g``'s backward mesh
+    ``F[g,k-1]*modulus = 1 + w*cofactor``, ``x*w = modulus + 1`` (module
+    docstring).  A divisor is at most ``modulus + 1``, so the least in that
+    class is 1 or ``-cofactor % modulus``."""
+    u = -cofactor % modulus or modulus
+    return u == 1 or (u <= cap and not (modulus + 1) % u)
+
+
+def _capped_candidates(y, modulus, cap, cell_cap, cell_floor):
+    """A capped depth's candidates: ascending x in [1, cap] dividing
+    ``modulus + 1`` with ``x * y = -1 (mod modulus)`` whose cell ``(x * y +
+    1) / modulus`` lies in ``[cell_floor, cell_cap]``.  With ``x * w =
+    modulus + 1``, the congruence holds exactly when ``w = -y (mod
+    modulus)`` (module docstring).  A divisor ``w`` is at most ``modulus +
+    1``, so that is ``w = -y % modulus`` alone, or 1 and ``modulus + 1``
+    where that is 1 (also where ``modulus = 1``)."""
+    above = modulus + 1
+    w = -y % modulus or modulus
+    xs = (1, above) if w == 1 else () if above % w else (above // w,)
+    return [x for x in xs if x <= cap and cell_floor <= (x * y + 1) // modulus <= cell_cap]
 
 
 def _closing_candidates(prev, cols, closing, lo, hi, xcap):
@@ -567,18 +618,18 @@ def _column_partition(t, caps, p, start, tally):
         tally.orbits.add(_canonical_columns(traced))
 
     def descend(d) -> None:
-        i, cap, gen, due, look, capped = plan[d]
+        i, cap, gen, due, look, capped, back = plan[d]
         if look is not None:
             candidates = _solvable_coordinates(look, cols, cap)
         elif gen is not None:
             g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
             modulus = vals[g]
-            if capped and modulus < cap:  # x divides 1 + modulus (module docstring)
-                cap = modulus + 1
-            candidates = _congruence_candidates(
-                m, y, modulus, cap, cell_cap, start if floored else 1
-            )
+            floor = start if floored else 1
+            if capped:
+                candidates = _capped_candidates(y, modulus, cap, cell_cap, floor)
+            else:
+                candidates = _congruence_candidates(m, y, modulus, cap, cell_cap, floor)
         elif d == 1:
             candidates = (start,)
         elif n == 2:
@@ -589,10 +640,15 @@ def _column_partition(t, caps, p, start, tally):
             candidates = [x for x in _divisors(pinned) if x <= cap]
         else:
             candidates = range(1, cap + 1)
+        if back is not None:
+            rest, xcap = back
+            cofactor = _product(cols, rest)  # P: its vertices were chosen already
         for x in candidates:
             tally.nodes += 1
             if tally.nodes >= tally.next_stride:
                 tally.stride()
+            if back is not None and not _backward_mesh_holds(cofactor, x, xcap):
+                continue  # no capped coordinate completes g's backward mesh
             vals[i] = x
             if gen is not None:  # exact, and within its cap and floor, by construction
                 cells1[g] = ((x if m == 1 else x**m) * y + 1) // modulus

@@ -28,7 +28,9 @@ from friezes.catalog import _mesh_factors, search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
     _INVERSE_TABLE_LIMIT,
+    _backward_mesh_holds,
     _canonical_columns,
+    _capped_candidates,
     _closing_candidates,
     _column_partition,
     _column_plan,
@@ -505,13 +507,20 @@ def test_column_plan_free_depths(t):
     for d in capped:
         i, _, (g, m, *_), *_ = plan[d]
         assert m == 1 and _mesh_factors(t)[i] == ((g, 1, 1),)
+    # the backward mesh at a capped depth's generator vertex g is tested
+    # where g is chosen: depth n - 1, or E's free depth n - 2
+    back = [d for d in range(1, t.rank + 1) if plan[d][6] is not None]
+    assert back == ([t.rank - 2] if t.family == "E" else [t.rank - 1] * (t.rank >= 3))
 
 
-@pytest.mark.parametrize(
-    "name,cap",
-    [(name, None) for name in ("A2", "A3", "A4", "B3", "C3", "D4", "G2")]
-    + [("D4", 16), ("F4", 16)],
-)
+LEAF_CAP_RUNS = [
+    *((name, None) for name in ("A2", "A3", "A4", "B3", "C3", "D4", "G2")),
+    ("D4", 16),
+    ("F4", 16),
+]
+
+
+@pytest.mark.parametrize("name,cap", LEAF_CAP_RUNS)
 def test_row_seeded_friezes_obey_the_leaf_caps(name, cap):
     # the column search caps a leaf vertex i whose mesh reads F[i,k]*F[i,k+1]
     # = 1 + F[g,k+1] by its backward mesh: F[i,k] divides 1 + F[g,k].  The
@@ -526,6 +535,40 @@ def test_row_seeded_friezes_obey_the_leaf_caps(name, cap):
             v = column.values
             for i, g in leaves:
                 assert v[i] <= 1 + v[g] and (1 + v[g]) % v[i] == 0, (i, v)
+
+
+@pytest.mark.parametrize("name,cap", LEAF_CAP_RUNS)
+def test_row_seeded_friezes_pass_the_backward_mesh_test(name, cap):
+    # a leaf x on g (F[x,k]*F[x,k+1] = 1 + F[g,k+1]) whose own factor in g's
+    # mesh is F[x,k], g's other factors forward cells: the column search
+    # keeps M = F[g,k] only if _backward_mesh_holds(P, M, cap_x), P those
+    # other cells read from column k, and reads x off the backward cell
+    # w = F[x,k-1].  On the other strategy's friezes the test must accept
+    # every M, and the w of F[x,k] must be F[x,k-1].  The plan holds the
+    # test from rank 3 on (rank 2 has no capped depth); G2 has no such pair,
+    # its generator reading F[1,k]**3
+    t = DynkinType.from_name(name)
+    n, factors = t.rank, _mesh_factors(t)
+    caps = clipped_caps(t, search_period(t), cap)
+    plan = _column_plan(t, caps)
+    pairs = []
+    for x, g in [(x, f[0][0]) for x, f in enumerate(factors) if f == ((f[0][0], 1, 1),)]:
+        own, *rest = factors[g]
+        if own == (x, 1, 0) and all(o for *_, o in rest):
+            rest = tuple((l, m, 0) for l, m, _ in rest)
+            assert plan[n - g][0] == g and plan[n - g][6] == ((rest, caps[x]) if n > 2 else None)
+            pairs.append((x, g, rest))
+    assert pairs or t.family == "G"
+    out = outcome(name, "row_seeded", entry_cap_override=cap)
+    assert out.orbits and out.complete is (cap is None)
+    for orbit in out.orbits:
+        cols = [column.values for column in orbit.columns]
+        for k, v in enumerate(cols):
+            w = cols[k - 1]  # the orbit closes: column -1 is its last
+            for x, g, rest in pairs:
+                cofactor = _product((v, None), rest)
+                assert _backward_mesh_holds(cofactor, v[g], caps[x]), (k, v)
+                assert (v[x] + cofactor) % v[g] == 0 and v[x] * w[x] == 1 + v[g], (k, v)
 
 
 @pytest.mark.parametrize(
@@ -652,13 +695,13 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
 @pytest.mark.parametrize(
     "name,cap,count,orbits,digest,nodes",
     [
-        ("B4", 256, 75, 15, "06f7021921eea21c", 2077),
-        ("C4", 256, 70, 14, "4907534766d2da06", 1709),
-        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 9033),
-        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 153658, marks=pytest.mark.slow),
-        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 1238059, marks=pytest.mark.slow),
+        ("B4", 256, 75, 15, "06f7021921eea21c", 1458),
+        ("C4", 256, 70, 14, "4907534766d2da06", 1072),
+        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 8324),
+        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 56672, marks=pytest.mark.slow),
+        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 459248, marks=pytest.mark.slow),
         # its free depth and both leaf caps prune here; E8@64 holds one orbit
-        pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 453339, marks=pytest.mark.slow),
+        pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 181278, marks=pytest.mark.slow),
     ],
     ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024", "E8@256"],
 )
@@ -724,18 +767,18 @@ def test_certified_runs_hold_the_constant_friezes(name, columns, strategy):
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
     ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 11), (6, 11)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (1794, 102), (1794, 102)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (1032, 102), (1032, 102)),
     ("B2", None, 6, "4dbd41d47196a995", True, (6, 89), (6, 15)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (95, 291), (95, 267)),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (55, 101), (55, 81)),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (185, 18334), (185, 223)),
-    ("F4", 16, 7, "4df6259b33d2e253", False, (121, 247), (121, 233)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (187, 6863), (187, 372)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (81, 291), (81, 267)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (47, 101), (47, 81)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (175, 18334), (175, 223)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (118, 247), (118, 233)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (179, 6863), (179, 372)),
     ("E8", 4, 0, "4f53cda18c2baa0c", False, (50, 26), (50, 26)),
-    ("B4", 12, 15, "7105166c0046b3d0", False, (59, 137), (59, 107)),
-    ("C4", 12, 10, "db6af63233c3f324", False, (49, 48), (49, 38)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (57, 137), (57, 107)),
+    ("C4", 12, 10, "db6af63233c3f324", False, (47, 48), (47, 38)),
 ]
 
 
@@ -787,7 +830,7 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
         ("A3", "column_dfs", None, 100),
         ("A3", "row_seeded", None, 10),
         # E6 has a free depth: its nodes come from the lookahead's candidates
-        ("E6", "column_dfs", 12, 40),
+        ("E6", "column_dfs", 12, 30),
     ],
     ids=["column_dfs", "row_seeded", "E6@12-column_dfs"],
 )
@@ -853,7 +896,7 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
     [(name, cap, strategy) for strategy in ("column_dfs", "row_seeded")
      for name, cap in [("A1", None), ("B2", None), ("C2", None), ("G2", None),
                        ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)]]
-    # certified C3 at h+2 = 8: 1,400,437 nodes; row_seeded there runs past ten minutes
+    # certified C3 at h+2 = 8: 1,120,363 nodes; row_seeded there runs past ten minutes
     + [pytest.param("C3", None, "column_dfs", marks=pytest.mark.slow)],
 )
 def test_half_and_full_periods_agree(name, cap, strategy):
@@ -944,6 +987,62 @@ def test_congruence_candidates_clip_matches_brute_force(m, y, modulus, cap):
         assert got == [x for x, c in zip(solutions, cells) if c >= cell_floor], cell_floor
 
 
+def plain_capped_scan(y, modulus, cap, cell_cap, cell_floor):
+    # x in [1, min(cap, M + 1)] dividing M + 1 with x*y = -1 (mod M), its
+    # cell (x*y + 1) / M within [cell_floor, cell_cap]
+    return [
+        x
+        for x in range(1, min(cap, modulus + 1) + 1)
+        if (modulus + 1) % x == 0
+        and (x * y + 1) % modulus == 0
+        and cell_floor <= (x * y + 1) // modulus <= cell_cap
+    ]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    y=st.integers(1, 300),
+    modulus=st.one_of(st.just(1), st.integers(2, 400)),
+    cap=st.integers(1, 500),
+    cell_cap=st.integers(1, 600),
+    cell_floor=st.integers(1, 20),
+)
+@example(y=7, modulus=1, cap=9, cell_cap=20, cell_floor=1)  # M = 1: x = 1 and 2
+@example(y=12, modulus=6, cap=50, cell_cap=600, cell_floor=1)  # w0 = 0: none
+@example(y=5, modulus=6, cap=7, cell_cap=64, cell_floor=1)  # w0 = 1: x = 1 and x = M + 1
+@example(y=5, modulus=6, cap=6, cell_cap=64, cell_floor=1)  # w0 = 1, x = M + 1 above the cap
+@example(y=5, modulus=6, cap=7, cell_cap=64, cell_floor=2)  # w0 = 1, x = 1 below the floor
+@example(y=3, modulus=5, cap=9, cell_cap=2, cell_floor=2)  # w0 = 2: x = 3, cell on its cap
+@example(y=4, modulus=6, cap=9, cell_cap=64, cell_floor=1)  # w0 = 2 does not divide 7
+def test_capped_candidates_match_the_plain_scan(y, modulus, cap, cell_cap, cell_floor):
+    # a capped depth reads each candidate off its backward cell w = -y
+    # (mod M); equality with the ascending scan also checks the order
+    got = _capped_candidates(y, modulus, cap, cell_cap, cell_floor)
+    assert got == plain_capped_scan(y, modulus, cap, cell_cap, cell_floor)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.integers(1, 10**4),
+    modulus=st.one_of(st.just(1), st.integers(2, 400)),
+    cap=st.integers(1, 500),
+)
+@example(p=3, modulus=1, cap=1)  # M = 1
+@example(p=4, modulus=6, cap=50)  # gcd(P, M) > 1
+@example(p=6, modulus=6, cap=50)  # P = 0 (mod M)
+@example(p=5, modulus=6, cap=1)  # w0 = 1: x = 1 fits where x = M + 1 does not
+@example(p=5, modulus=6, cap=7)  # w0 = 1: x = 1 and x = M + 1
+@example(p=2, modulus=5, cap=2)  # w0 = 2: (M + 1) / w0 = 3 above the cap
+@example(p=2, modulus=5, cap=3)  # w0 = 2: (M + 1) / w0 = 3 on the cap
+def test_backward_mesh_holds_matches_the_plain_scan(p, modulus, cap):
+    # g's backward mesh F[g,k-1]*M = 1 + w*P with w = F[x,k-1], x*w = M + 1,
+    # scanned over the backward cells w in [1, M + 1]
+    assert _backward_mesh_holds(p, modulus, cap) is any(
+        (modulus + 1) % w == 0 and (w * p + 1) % modulus == 0 and (modulus + 1) // w <= cap
+        for w in range(1, modulus + 2)
+    )
+
+
 def _a_wavefront(prefix):
     """The row-seeded A_n wavefront once the seed row holds ``prefix``
     (``n = len(prefix) + 1``), column-major as the search keeps it:
@@ -1015,6 +1114,22 @@ def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
     monkeypatch.setattr("friezes.search._closing_candidates", record)
     outcome(name, "row_seeded", entry_cap_override=cap)
     assert bool(calls) == name.startswith("A")
+
+
+@pytest.mark.parametrize(
+    "name,count,nodes",
+    [("C3", 20, 2210), pytest.param("A4", 42, 40_339_336, marks=pytest.mark.slow)],
+    ids=["C3", "A4"],
+)
+def test_certified_column_dfs_matches_row_seeded(name, count, nodes):
+    # the certified cross-check of the two strategies, with the column
+    # search's node total
+    col = outcome(name, "column_dfs")
+    row = outcome(name, "row_seeded")
+    assert col.complete and row.complete and col.notes == row.notes == ()
+    assert col.frieze_count == row.frieze_count == count
+    assert orbit_keys(col) == orbit_keys(row)
+    assert col.nodes_explored == nodes
 
 
 @pytest.mark.parametrize(
@@ -1159,7 +1274,7 @@ def test_config_strategy_defaults_to_the_type_default(t):
 
 def test_config_without_strategy_runs_the_default():
     cfg = SearchConfig(DynkinType("A", 4))
-    assert cfg.strategy == "row_seeded"  # column_dfs walks 40,673,014 nodes here
+    assert cfg.strategy == "row_seeded"  # column_dfs walks 40,339,336 nodes here
     out = enumerate_friezes(cfg)
     assert out.frieze_count == 42 and out.complete and out.nodes_explored == 14_744
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .catalog import DynkinType, _elimination, _mesh_factors, type_profile
+from .catalog import DynkinType, _adjugate, _mesh_factors, type_profile
 from .mesh import FriezePattern, _product
 
 __all__ = [
@@ -190,8 +190,7 @@ def _refined_terms(t: DynkinType) -> tuple[tuple[float, ...], Fraction, float, F
     the per-row sums ``sum_j Cinv[i,j] * log2(1 + 2**-d[j])``, the exact
     ``refined_base`` and its ``log2``, and ``sum b``."""
     profile = type_profile(t)
-    pivots, adj = _elimination(t)
-    det = pivots[-1]
+    det, adj = _adjugate(t)
     d = profile.d
     log_terms = [math.log2(2**dj + 1) - dj for dj in d]  # log2(1 + 2**-dj), exactly evaluated
     # adj[i][j] / det rounds the exact C^-1[i][j] once, as float(Fraction) does

@@ -1,10 +1,11 @@
 """Finite-type Dynkin diagram catalog.
 
 One mesh-factor table per type, built in linear time from the edge list,
-owns the diagram: mesh readings, weighted degrees and quiver arrows read
-it.  The dense Cartan matrix is only a view of it for one checked exact
-elimination per type, which gives the inverse, the bound vectors ``b`` and
-the leading principal minors.
+owns the diagram: mesh readings, weighted degrees, quiver arrows and the
+exact inverse read it.  A Dynkin diagram is a tree, so with no elimination
+its branch determinants give the leading principal minors and the checked
+adjugate as path products, hence the bound vectors ``b``.  The dense
+Cartan matrix is only a view of the table.
 
 Vertex numbering (1-based, fixed per family):
 
@@ -22,6 +23,7 @@ after construction, and safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,62 +154,88 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _branches(t: DynkinType, table) -> dict:
+    """Branch determinants of the forest ``table`` (a mesh table, or its
+    first vertices): ``(D, P)`` per directed edge ``c -> v``, ``D`` the
+    determinant of the branch that holds ``c`` once the edge ``c - v`` is
+    cut and ``P`` the product of its sub-branches ``D(u -> c)``; ``(r,
+    None)`` is the whole component of its least vertex ``r``.  Expanding
+    along ``c``, ``D = 2 P - sum_u m_cu m_uc P(u -> c) P / D(u -> c)``:
+    one pass from the leaves in, then one back out, gives all in O(n).  A
+    ``D`` that is not positive (no finite type has one) raises
+    ``ArithmeticError``."""
+    weight = {(i, j): m for i, row in enumerate(table) for j, m, _ in row}
+    parent, order, dets = {}, [], {}
+    for r in range(len(table)):
+        if r not in parent:
+            parent[r], stack = None, [r]
+            while stack:
+                c = stack.pop()
+                order.append(c)
+                for u, _, _ in table[c]:
+                    if u not in parent:
+                        parent[u] = c
+                        stack.append(u)
+    inward = [(c, parent[c]) for c in reversed(order)]
+    outward = [(c, u) for c in order for u, _, _ in table[c] if u != parent[c]]
+    for c, v in inward + outward:
+        d, p = 2, 1
+        for u, m, _ in table[c]:
+            if u != v:
+                du, pu = dets[u, c]
+                d, p = d * du - m * weight[u, c] * pu * p, p * du
+        if d <= 0:
+            raise ArithmeticError(f"{t}: branch determinant {d} at vertex {c + 1}, not positive")
+        dets[c, v] = d, p
+    return dets
+
+
 @lru_cache(maxsize=None)
-def _elimination(t: DynkinType) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Fraction-free Gauss-Jordan elimination of ``[C | I]`` over ``int``.
-
-    For each pivot ``k`` and every row ``i != k``,
-    ``row_i = (a_kk * row_i - a_ik * row_k) // prev`` and then
-    ``prev = a_kk`` (Bareiss, 1968).  By Sylvester's identity every entry
-    stays a minor of ``[C | I]``, so each division is exact, and pivot
-    ``k`` is the ``k``-th leading principal minor of ``C``.  Those are all
-    positive for a finite-type Cartan matrix, so no row swap is needed;
-    a pivot that is not positive raises ``ArithmeticError``.
-
-    Returns the pivots (``det`` is the last) and ``adj = det * C**-1``,
-    after re-checking ``C * adj == det * I`` entry by entry, summing only
-    over the nonzero ``C[i][k]`` (at most three per row, read from the
-    mesh table).  With ``det > 0`` this is exactly ``C * C**-1 == I``.
-    """
-    n = t.rank
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan_matrix(t))]
-    pivots = []
-    prev = 1
-    for k in range(n):
-        pivot_row = rows[k]
-        akk = pivot_row[k]
-        if akk <= 0:
-            raise ArithmeticError(f"{t}: pivot {k + 1} is {akk}, not positive")
-        for i in range(n):
-            if i != k:
-                aik = rows[i][k]
-                rows[i] = [(akk * x - aik * y) // prev for x, y in zip(rows[i], pivot_row)]
-        pivots.append(akk)
-        prev = akk
-    adj = tuple(tuple(row[n:]) for row in rows)
-    for i, factors in enumerate(_mesh_factors(t)):
-        nonzero = [(i, 2)] + [(k, -m) for k, m, _ in factors]
-        for j in range(n):
-            acc = sum(c * adj[k][j] for k, c in nonzero)
-            if acc != (prev if i == j else 0):
-                raise ArithmeticError(f"inverse check failed at ({i}, {j})")
-    return tuple(pivots), adj
+def _adjugate(t: DynkinType) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``det C`` and ``adj = det * C**-1``, exactly.  On a tree, only the
+    permutation along the path ``i = p_0, ..., p_r = j`` survives in the
+    Leibniz expansion of ``adj[i][j]``: the product of ``-C[p_s][p_s+1]``
+    times every branch determinant hanging off the path.  So ``adj[i][i]``
+    is the product of the ``D(x -> i)``, and each step ``v -> x`` outward
+    from ``i`` trades the hanging ``D(x -> v)`` for ``-C[v][x] * P(x ->
+    v)``.  Re-checked as ``C * adj == det * I`` against the mesh table."""
+    table, n = _mesh_factors(t), t.rank
+    dets = _branches(t, table)
+    det, adj = dets[0, None][0], []
+    for i in range(n):
+        row, stack = [0] * n, [(i, None)]
+        row[i] = math.prod(dets[x, i][0] for x, _, _ in table[i])
+        while stack:
+            v, u = stack.pop()
+            for x, m, _ in table[v]:
+                if x != u:
+                    d, p = dets[x, v]
+                    row[x] = row[v] * m * p // d  # exact: d divides row[v]
+                    stack.append((x, v))
+        adj.append(tuple(row))
+    for i, factors in enumerate(table):
+        acc = [2 * x for x in adj[i]]
+        for k, m, _ in factors:
+            acc = [a - m * x for a, x in zip(acc, adj[k])]
+        if acc != [det * (j == i) for j in range(n)]:
+            raise ArithmeticError(f"{t}: inverse check failed in row {i + 1}")
+    return det, tuple(adj)
 
 
 @lru_cache(maxsize=None)
 def inverse_cartan(t: DynkinType) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational inverse ``adj / det`` of the checked elimination
+    """Exact rational inverse ``adj / det`` of the checked path products
     above, as a tuple of ``Fraction`` rows (0-indexed)."""
-    pivots, adj = _elimination(t)
-    return tuple(tuple(Fraction(x, pivots[-1]) for x in row) for row in adj)
+    det, adj = _adjugate(t)
+    return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
 
 @lru_cache(maxsize=None)
 def type_profile(t: DynkinType) -> TypeProfile:
-    """Row sums ``b`` of the inverse, weighted degrees ``d``, and the
-    period cap ``h + 2`` (Coxeter number plus two)."""
-    pivots, adj = _elimination(t)
-    b = tuple(Fraction(sum(row), pivots[-1]) for row in adj)
+    """Row sums ``b = C**-1 * 1`` (``sum(adj[i]) / det``), weighted degrees
+    ``d``, and the period cap ``h + 2`` (Coxeter number plus two)."""
+    det, adj = _adjugate(t)
+    b = tuple(Fraction(sum(row), det) for row in adj)
     d = tuple(sum(m for _, m, _ in factors) for factors in _mesh_factors(t))
     return TypeProfile(t, b, d, coxeter_number(t) + 2)
 
@@ -284,6 +312,10 @@ def repetition_arrows(
 
 def leading_principal_minors(t: DynkinType) -> tuple[Fraction, ...]:
     """Determinants of the leading principal submatrices of the Cartan
-    matrix of ``t``, exactly: the pivots of its elimination."""
-    return tuple(Fraction(m) for m in _elimination(t)[0])
-
+    matrix of ``t``, exactly: the ``k``-th is that of the forest on
+    vertices ``1..k``, the product of its components' ``D(r -> None)``."""
+    table, minors = _mesh_factors(t), []
+    for k in range(1, t.rank + 1):
+        dets = _branches(t, [[f for f in row if f[0] < k] for row in table[:k]])
+        minors.append(Fraction(math.prod(d for (_, v), (d, _) in dets.items() if v is None)))
+    return tuple(minors)

@@ -287,7 +287,7 @@ def test_inverse_is_exact_and_positive(t):
             assert inv[i][j] > 0
 
 
-@pytest.mark.parametrize("n", range(8, 49, 4))
+@pytest.mark.parametrize("n", [*range(8, 49, 4), 300])
 def test_a_inverse_matches_closed_form(n):
     # C^-1[i][j] = min(i,j) * (n+1-max(i,j)) / (n+1) and b_i = i(n+1-i)/2
     # (1-based) for the path A_n.
@@ -299,7 +299,7 @@ def test_a_inverse_matches_closed_form(n):
     assert type_profile(t).b == tuple(Fraction(i * (n + 1 - i), 2) for i in range(1, n + 1))
 
 
-@pytest.mark.parametrize("n", [4, 5, 9, 16, 30, 48])
+@pytest.mark.parametrize("n", [4, 5, 9, 16, 30, 48, 300])
 def test_d_row_sums_match_closed_form(n):
     # b_i = i(2n-i-1)/2 on the long arm, b_{n-1} = b_n = n(n-1)/4 on the fork.
     want = tuple(Fraction(i * (2 * n - i - 1), 2) for i in range(1, n - 1))
@@ -307,32 +307,68 @@ def test_d_row_sums_match_closed_form(n):
     assert type_profile(DynkinType("D", n)).b == want
 
 
-def _patch_cartan(monkeypatch, t, rows):
-    """Let ``catalog.cartan_matrix`` return ``rows`` for ``t``; the mesh
-    table, which the inverse re-check reads, is untouched."""
-    true_cartan = catalog.cartan_matrix
-    entries = tuple(tuple(row) for row in rows)
-    monkeypatch.setattr(catalog, "cartan_matrix", lambda u: entries if u == t else true_cartan(u))
-
-
 @pytest.mark.parametrize("name", ["A5", "D6", "E8", "G2"])
 def test_inverse_recheck_catches_a_corrupted_kernel(monkeypatch, name):
-    # C[0][0] = 3 keeps every leading minor positive, so the elimination
-    # runs through to the re-check against the mesh table's C[0][0] = 2.
+    # each branch determinant in turn, raised by 1 (all stay positive), must
+    # fail the re-check of C * adj == det * I against the mesh table
     t = DynkinType.from_name(name)
-    rows = [list(row) for row in cartan_matrix(t)]
-    rows[0][0] = 3
-    _patch_cartan(monkeypatch, t, rows)
-    # __wrapped__ bypasses the cache, so no corrupted elimination is stored.
-    with pytest.raises(ArithmeticError, match="inverse check failed"):
-        catalog._elimination.__wrapped__(t)
+    true_branches = catalog._branches
+    keys = list(true_branches(t, catalog._mesh_factors(t)))
+    assert len(keys) == 2 * (t.rank - 1) + 1  # both ways along each edge, and the whole
+    for key in keys:
+
+        def corrupted(u, table, key=key):
+            dets = dict(true_branches(u, table))
+            d, p = dets[key]
+            dets[key] = d + 1, p
+            return dets
+
+        monkeypatch.setattr(catalog, "_branches", corrupted)
+        # __wrapped__ bypasses the cache, so no corrupted inverse is stored
+        with pytest.raises(ArithmeticError, match="inverse check failed"):
+            catalog._adjugate.__wrapped__(t)
 
 
-def test_elimination_rejects_a_non_positive_pivot(monkeypatch):
+def test_tree_inverse_rejects_a_non_positive_branch_determinant(monkeypatch):
+    # A2 with m * m' = 4 on its edge: C = ((2, -2), (-2, 2)), determinant 0
     t = DynkinType("A", 2)
-    _patch_cartan(monkeypatch, t, ((2, -2), (-2, 2)))  # second leading minor 0
-    with pytest.raises(ArithmeticError, match="A2: pivot 2 is 0, not positive"):
-        catalog._elimination.__wrapped__(t)
+    true_table = catalog._mesh_factors
+    table = (((1, 2, 1),), ((0, 2, 0),))
+    monkeypatch.setattr(catalog, "_mesh_factors", lambda u: table if u == t else true_table(u))
+    with pytest.raises(ArithmeticError, match="^A2: branch determinant 0 at vertex 1, not positive$"):
+        catalog._adjugate.__wrapped__(t)
+    with pytest.raises(ArithmeticError, match="^A2: branch determinant 0"):
+        leading_principal_minors(t)
+
+
+def _bareiss(rows):
+    """Reference inverse, independent of the tree formulas: fraction-free
+    Gauss-Jordan elimination of ``[C | I]`` over ``int`` (Bareiss, 1968).
+    Each division is exact, and pivot ``k`` is the ``k``-th leading
+    principal minor; all are positive for a finite type, so no row swap.
+    Returns the pivots (``det`` last) and ``adj = det * C**-1``."""
+    n = len(rows)
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    pivots, prev = [], 1
+    for k in range(n):
+        pivot_row, akk = rows[k], rows[k][k]
+        assert akk > 0
+        for i in range(n):
+            if i != k:
+                aik = rows[i][k]
+                rows[i] = [(akk * x - aik * y) // prev for x, y in zip(rows[i], pivot_row)]
+        pivots.append(akk)
+        prev = akk
+    return pivots, [row[n:] for row in rows]
+
+
+@pytest.mark.parametrize("family", "ABCDEFG")
+def test_tree_inverse_matches_the_dense_elimination(family):
+    # every type up to rank 40, family by family (E6-E8, F4 and G2 included)
+    for t in (t for t in _types_up_to(40) if t.family == family):
+        pivots, adj = _bareiss(cartan_matrix(t))
+        assert catalog._adjugate(t) == (pivots[-1], tuple(map(tuple, adj))), t
+        assert leading_principal_minors(t) == tuple(pivots), t
 
 
 def test_e8_profile_values():

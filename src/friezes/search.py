@@ -72,10 +72,14 @@ Soundness of the pruning:
   ``F[l,k+1]`` only, each of an upper neighbour ``l`` of the generator
   vertex ``g``, whose mesh ``F[l,k]*F[l,k+1] = 1 + F[g,k]**m*...`` makes
   it coprime to ``M = F[g,k]``.  The cell's cap ``C`` reads ``x * x1 <=
-  B = (C*M - 1) // r``, so ``x`` or ``x1`` is at most ``isqrt(B)``: the
-  ``x`` up to it are tested, the larger ones read off each small
-  ``x1``'s residue class mod ``M`` (``_solvable_coordinates``), in
-  ``O(sqrt(B) + kept)`` steps;
+  B = (C*M - 1) // r``.  The next depth being capped, ``x1`` divides ``1 +
+  M`` too (backward cell, below), and a divisor of ``1 + M`` is inverted
+  mod ``M`` by its cofactor: ``x1 * (1 + M)/x1 = 1 (mod M)``.  A divisor
+  ``x1 < 1 + M`` is below ``M`` (or 1 where ``M = 1``), so it is the least
+  solution for exactly the ``x = -r**-1 * (1 + M)/x1 (mod M)``, kept up
+  to ``B // x1`` (``_solvable_coordinates``).  Each ``x`` has one least
+  ``x1``, so these classes are disjoint, and the lookahead takes
+  ``O(sqrt(1 + M) + kept)`` steps;
 * column search, backward cell: where a depth's coordinate ``x`` has the
   one mesh factor ``F[g,k+1]``, ``g`` its generator's vertex (``m = 1``),
   the backward mesh ``x*w = 1 + M``, ``w = F[x,k-1]`` and ``M = F[g,k]``
@@ -211,10 +215,6 @@ __all__ = [
 PROGRESS_STRIDE = 1_000_000
 _FACTORIZATION_BUDGET = 100_000_000  # divisor-branch guard per partition
 
-# Moduli up to this limit read inverses from a table of 2-byte entries; one
-# table per modulus, all kept: at most L*(L+1) bytes, about 1 MiB.
-_INVERSE_TABLE_LIMIT = 1 << 10
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -265,7 +265,10 @@ def default_strategy(t: DynkinType) -> str:
 
 
 def _divisors(x: int) -> list[int]:
-    """Sorted divisors by trial division; inputs stay small under pruning."""
+    """Sorted divisors by trial division: of a rank-2 column's pinned last
+    coordinate, of a row-seeded divisor walk's gcd, and of ``1 + M`` at
+    type E's free depth, ``M`` its lookahead's modulus.  Inputs stay small
+    under pruning."""
     small, large = [], []
     f = 1
     while f * f <= x:
@@ -348,7 +351,9 @@ def _column_plan(t: DynkinType, caps):
     cell (whose value in the seed column is the modulus), the next
     coordinate's cap and the generated cell's cap.  The free depth keeps
     only the ``x`` whose next congruence has a solution within that
-    depth's caps that divides ``1 + vals[g]`` (``_solvable_coordinates``).
+    depth's caps that divides ``1 + vals[g]``: it reads them off those
+    divisors, each inverted mod ``vals[g]`` by its cofactor
+    (``_solvable_coordinates``).
     Today these are the branch vertex's free neighbour in type E (E6 depth
     4, E7 depth 5, E8 depth 6).  The plan asserts that no generator has
     any other column-``k`` cofactor, so ``rest`` holds forward cells only,
@@ -392,7 +397,7 @@ def _column_plan(t: DynkinType, caps):
             prev = plan[d - 1]
             fx = prev[0]
             if prev[2] is None and not prev[3] and (fx, 1, 0) in gen[2] and gen[0] != fx:
-                assert capped, f"{t}"  # the lookahead's divisor filter needs it
+                assert capped, f"{t}"  # the lookahead starts from the divisors of 1 + modulus
                 rest = tuple(f for f in gen[2] if f != (fx, 1, 0))
                 prev[4] = (rest, gen[0], caps[x], gen[3])
         free = plan[d - 1][0] if d > 1 and plan[d - 1][4] else None  # a free depth's coordinate
@@ -523,26 +528,6 @@ def _next_top_cap(start, prev, room):
     return (b + math.isqrt(b * b + 4 * start * room * prev)) // (2 * start)
 
 
-@lru_cache(maxsize=_INVERSE_TABLE_LIMIT)
-def _inverses(modulus):
-    """``u**-1 mod modulus`` at index ``u``, or 0 where ``u`` has none."""
-    from array import array  # imported here: only a free depth needs it
-
-    return array(
-        "H", [pow(u, -1, modulus) if math.gcd(u, modulus) == 1 else 0 for u in range(modulus)]
-    )
-
-
-class _PowInverses:
-    """``_inverses`` above the table limit: one ``pow`` per lookup."""
-
-    def __init__(self, modulus):
-        self.modulus = modulus
-
-    def __getitem__(self, u):
-        return pow(u, -1, self.modulus) if math.gcd(u, self.modulus) == 1 else 0
-
-
 def _solvable_coordinates(look, cols, cap):
     """Ascending x in [1, cap] for which the next depth's congruence
     ``x1 * x * r = -1 (mod modulus)`` has a least solution ``x1`` within
@@ -551,41 +536,24 @@ def _solvable_coordinates(look, cols, cap):
     depth's plan slot.  The next depth's row-``n`` floor and due cells
     are left to that depth: ignoring them only keeps more coordinates.
 
-    The x up to ``split = min(isqrt(b), cap)`` are tested; above it, ``x *
-    x1 <= b`` forces ``x1 <= b // (split + 1)``, and each unit ``x1`` there
-    is the least solution for one residue class of x, kept up to ``b //
-    x1``.  An x has one ``x1``, so the classes are disjoint; sorted, they
-    follow the tested x, and the list stays ascending."""
+    Each divisor ``x1 < modulus + 1`` of ``modulus + 1``, inverted mod
+    the modulus by its cofactor, is the least solution for one residue
+    class of x, kept up to ``b // x1``; an x has one least ``x1``, so the
+    classes are disjoint (module docstring)."""
     rest, g, next_cap, cell_cap = look
     r = _product(cols, rest)
     modulus = cols[0][g]
     b = (cell_cap * modulus - 1) // r  # the cell (x1 * x * r + 1) / modulus <= cell_cap
-    top = min(b, cap)  # x1 >= 1
-    if modulus == 1:  # x1 = 1
-        return range(1, top + 1)
-    s = -pow(r, -1, modulus) % modulus  # x * x1 = s mod modulus
-    if modulus > _INVERSE_TABLE_LIMIT:
-        inverses = _PowInverses(modulus)
-    else:
-        inverses = _inverses(modulus)
-    split = min(math.isqrt(b), top)
+    s = -pow(r, -1, modulus)  # x * x1 = s mod modulus
     above = modulus + 1  # x1 divides it: the next depth is capped
-    low = [
-        x
-        for x in range(1, split + 1)
-        if (u := inverses[x % modulus])
-        and (x1 := u * s % modulus) <= next_cap
-        and x * x1 <= b
-        and not above % x1
-    ]
-    high = []
-    if split < top:
-        for x1 in range(1, min(next_cap, modulus - 1, b // (split + 1)) + 1):
-            if not above % x1 and (u := inverses[x1]):
-                first = split + 1 + (u * s - split - 1) % modulus
-                high.extend(range(first, min(top, b // x1) + 1, modulus))
-        high.sort()
-    return low + high
+    kept = []
+    for x1 in _divisors(above)[:-1]:
+        if x1 > next_cap:
+            break
+        first = (s * (above // x1) - 1) % modulus + 1  # 1 where modulus is 1
+        kept += range(first, min(cap, b // x1) + 1, modulus)
+    kept.sort()
+    return kept
 
 
 def _column_partition(t, caps, p, start, tally):

@@ -27,7 +27,6 @@ from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns
 from friezes.catalog import _mesh_factors, search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
-    _INVERSE_TABLE_LIMIT,
     _backward_mesh_holds,
     _canonical_columns,
     _capped_candidates,
@@ -578,20 +577,19 @@ def test_row_seeded_friezes_pass_the_backward_mesh_test(name, cap):
         ("E7", (6,) * 7),
         # the next coordinate's cap below the modulus cap: x1 can exceed it
         ("E6", (12, 5, 12, 12, 12, 12)),
-        # hundreds of free-depth calls, each keeping x above the square-root split
+        # hundreds of free-depth calls, with moduli up to the caps
         ("E6", (64,) * 6),
         ("E7", (64,) * 7),
         ("E6", (64, 20, 64, 64, 64, 64)),
+        ("E8", (12,) * 8),
+        ("E8", (64,) * 8),
     ],
-    ids=["E6@12", "E7@6", "E6-uneven", "E6@64", "E7@64", "E6-uneven@64"],
+    ids=["E6@12", "E7@6", "E6-uneven", "E6@64", "E7@64", "E6-uneven@64", "E8@12", "E8@64"],
 )
-@pytest.mark.parametrize("table_limit", [_INVERSE_TABLE_LIMIT, 1], ids=["table", "pow"])
-def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, table_limit, monkeypatch):
+def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, monkeypatch):
     # at every free-depth call of a real search, x is kept exactly when the
     # next depth's congruence generates a least candidate x1 that divides
-    # 1 + M, M the modulus (the next depth's leaf cap), with inverses from
-    # the table or, above its limit, from pow
-    monkeypatch.setattr("friezes.search._INVERSE_TABLE_LIMIT", table_limit)
+    # 1 + M, M the modulus (the next depth's leaf cap)
     t = DynkinType.from_name(name)
     plan = _column_plan(t, caps)
     (d,) = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
@@ -635,41 +633,35 @@ def plain_solvable_scan(r, modulus, next_cap, cell_cap, cap):
     return kept
 
 
-_LARGE_MODULI = st.integers(_INVERSE_TABLE_LIMIT + 1, 3 * _INVERSE_TABLE_LIMIT)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
-    modulus=st.one_of(st.just(1), st.integers(2, 60), _LARGE_MODULI),
+    modulus=st.one_of(st.just(1), st.integers(2, 60), st.integers(1025, 3072)),
     r=st.integers(1, 40),
-    next_cap=st.one_of(st.integers(1, 60), st.integers(1, 4 * _INVERSE_TABLE_LIMIT)),
+    next_cap=st.one_of(st.integers(1, 60), st.integers(1, 4096)),
     cell_cap=st.integers(1, 64),
     cap=st.integers(1, 3000),
-    table_limit=st.sampled_from([_INVERSE_TABLE_LIMIT, 1]),
 )
-@example(modulus=1, r=1, next_cap=1, cell_cap=5, cap=9, table_limit=1)
-# a modulus above the table limit: pow inverses, and kept x above the split
-@example(modulus=2049, r=3, next_cap=50, cell_cap=64, cap=3000, table_limit=_INVERSE_TABLE_LIMIT)
-# top < isqrt(B), through the inverse table
-@example(modulus=59, r=1, next_cap=59, cell_cap=64, cap=20, table_limit=_INVERSE_TABLE_LIMIT)
-@example(modulus=7, r=4, next_cap=7, cell_cap=6, cap=3000, table_limit=1)  # x = B // x1 + 1 solves
-@example(modulus=3, r=1, next_cap=3, cell_cap=1, cap=5, table_limit=1)  # x1 = B // (split + 1)
-# 7 prime: only x1 = 1 divides it, kept below and above the split
-@example(modulus=6, r=1, next_cap=6, cell_cap=64, cap=3000, table_limit=_INVERSE_TABLE_LIMIT)
+@example(modulus=1, r=1, next_cap=1, cell_cap=5, cap=9)
+@example(modulus=2049, r=3, next_cap=50, cell_cap=64, cap=3000)  # a modulus above a thousand
+@example(modulus=59, r=1, next_cap=59, cell_cap=64, cap=20)  # cap far below B
+@example(modulus=7, r=4, next_cap=7, cell_cap=6, cap=3000)  # x = B // x1 + 1 solves
+@example(modulus=3, r=1, next_cap=3, cell_cap=1, cap=5)  # B = 2: x1 = 1 and 2 keep 2 and 1
+# 7 prime: only x1 = 1 divides it
+@example(modulus=6, r=1, next_cap=6, cell_cap=64, cap=3000)
 # x1 = 2 and 5 divide 10, x1 = 4, 7 and 8 do not
-@example(modulus=9, r=4, next_cap=9, cell_cap=64, cap=300, table_limit=1)
-def test_solvable_coordinates_match_the_plain_scan(
-    modulus, r, next_cap, cell_cap, cap, table_limit
-):
+@example(modulus=9, r=4, next_cap=9, cell_cap=64, cap=300)
+@example(modulus=719, r=1, next_cap=719, cell_cap=64, cap=3000)  # 720 has 30 divisors
+@example(modulus=2, r=1, next_cap=2, cell_cap=64, cap=300)  # only x1 = 1 counts, not 3
+@example(modulus=100, r=999, next_cap=100, cell_cap=1, cap=300)  # B = 0: nothing is kept
+@example(modulus=1000, r=3, next_cap=2, cell_cap=64, cap=3000)  # divisors stop at next_cap
+@example(modulus=5039, r=1, next_cap=5039, cell_cap=64, cap=20000)
+def test_solvable_coordinates_match_the_plain_scan(modulus, r, next_cap, cell_cap, cap):
     # a synthetic free depth: the modulus is seed cell 0 and r = F[0,k+1].
     # Equality with the ascending scan also checks the order and that no x
-    # comes twice, over the square-root split, the M == 1 shortcut and the
-    # inverse table and pow paths (table_limit 1 sends every modulus to pow)
+    # comes twice, over moduli 1, small and above a thousand
     assume(math.gcd(r, modulus) == 1)
     look = (((0, 1, 1),), 0, next_cap, cell_cap)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("friezes.search._INVERSE_TABLE_LIMIT", table_limit)
-        kept = _solvable_coordinates(look, ([modulus], [r]), cap)
+    kept = _solvable_coordinates(look, ([modulus], [r]), cap)
     assert list(kept) == plain_solvable_scan(r, modulus, next_cap, cell_cap, cap)
 
 
@@ -702,8 +694,10 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
         pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 459248, marks=pytest.mark.slow),
         # its free depth and both leaf caps prune here; E8@64 holds one orbit
         pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 181278, marks=pytest.mark.slow),
+        # moduli above a thousand reach the free-depth lookahead
+        pytest.param("E6", 2048, 868, 70, "f85a562f5c6b2353", 390943, marks=pytest.mark.slow),
     ],
-    ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024", "E8@256"],
+    ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024", "E8@256", "E6@2048"],
 )
 def test_doubled_edge_column_search_at_large_caps(name, cap, count, orbits, digest, nodes):
     # doubled edges give power congruences (m > 1) with moduli in the hundreds,

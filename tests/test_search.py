@@ -586,10 +586,14 @@ def test_row_seeded_friezes_pass_the_backward_mesh_test(name, cap):
     ],
     ids=["E6@12", "E7@6", "E6-uneven", "E6@64", "E7@64", "E6-uneven@64", "E8@12", "E8@64"],
 )
-def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, monkeypatch):
+@pytest.mark.parametrize("oracle", ["table", "pow"])
+def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, oracle, monkeypatch):
     # at every free-depth call of a real search, x is kept exactly when the
     # next depth's congruence generates a least candidate x1 that divides
-    # 1 + M, M the modulus (the next depth's leaf cap)
+    # 1 + M, M the modulus (the next depth's leaf cap).  The least solution
+    # of x1 * y = -1 (mod M) comes from a table scanned once per modulus or
+    # from pow's inverse, and the generator must start with it
+    least = least_solution_by_table if oracle == "table" else least_solution_by_pow
     t = DynkinType.from_name(name)
     plan = _column_plan(t, caps)
     (d,) = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
@@ -610,13 +614,39 @@ def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, monkeypatc
     for look, cols, top, kept in calls:
         assert look == plan[d][4] and top == coord_cap
         solvable = []
+        modulus = cols[0][g]
         for x in range(1, top + 1):
             cols[0][i] = x
             y = _product(cols, others)
-            x1s = list(_congruence_candidates(1, y, cols[0][g], plan[d + 1][1], cell_cap, 1))
-            if x1s and (cols[0][g] + 1) % x1s[0] == 0:
+            x1 = least(y, modulus)
+            fits = x1 is not None and x1 <= plan[d + 1][1] and x1 * y < cell_cap * modulus
+            x1s = list(_congruence_candidates(1, y, modulus, plan[d + 1][1], cell_cap, 1))
+            assert x1s[:1] == ([x1] if fits else []), (x, y, modulus)
+            if fits and (modulus + 1) % x1 == 0:
                 solvable.append(x)
         assert kept == solvable
+
+
+_LEAST_SOLUTIONS: dict = {}
+
+
+def least_solution_by_table(y, modulus):
+    # the least x1 in [1, modulus] with x1 * y = -1 (mod modulus), or None,
+    # from a table over the residues of y, each filled by a scan of x1
+    table = _LEAST_SOLUTIONS.get(modulus)
+    if table is None:
+        table = _LEAST_SOLUTIONS[modulus] = [
+            next((x1 for x1 in range(1, modulus + 1) if (x1 * r + 1) % modulus == 0), None)
+            for r in range(modulus)
+        ]
+    return table[y % modulus]
+
+
+def least_solution_by_pow(y, modulus):
+    # the same least x1 from pow's modular inverse; modulus 1 gives x1 = 1
+    if math.gcd(y, modulus) != 1:
+        return None
+    return -pow(y, -1, modulus) % modulus or modulus
 
 
 def plain_solvable_scan(r, modulus, next_cap, cell_cap, cap):

@@ -15,7 +15,6 @@ from .catalog import (
     DynkinType,
     cartan_matrix,
     inverse_cartan,
-    leading_principal_minors,
     repetition_arrows,
     type_profile,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "floor_pow2",
     "integer_root",
     "inverse_cartan",
-    "leading_principal_minors",
     "interval_certificate",
     "mesh_product",
     "parse_frieze",

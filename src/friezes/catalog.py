@@ -3,8 +3,8 @@
 One mesh-factor table per type, built in linear time from the edge list,
 owns the diagram: mesh readings, weighted degrees, quiver arrows and the
 exact inverse read it.  A Dynkin diagram is a tree, so with no elimination
-its branch determinants give the leading principal minors and the checked
-adjugate as path products, hence the bound vectors ``b``.  The dense
+its branch determinants give the checked adjugate as path products, hence
+the bound vectors ``b``.  The dense
 Cartan matrix is only a view of the table.
 
 Vertex numbering (1-based, fixed per family):
@@ -37,7 +37,6 @@ __all__ = [
     "twist",
     "search_period",
     "repetition_arrows",
-    "leading_principal_minors",
 ]
 
 _RANKS = {  # family: (the admissible ranks in words, their test)
@@ -127,6 +126,12 @@ def coxeter_number(t: DynkinType) -> int:
     return _COXETER[t.family](t.rank)
 
 
+def period_cap(t: DynkinType) -> int:
+    """``h + 2``, the Coxeter number plus two: a period of every frieze of
+    ``t`` (``twist`` re-checks it), read without the inverse."""
+    return coxeter_number(t) + 2
+
+
 @lru_cache(maxsize=None)
 def _mesh_factors(t: DynkinType):
     """Per vertex ``i`` (0-based): the factors ``(j, m, o)`` of its mesh
@@ -155,27 +160,23 @@ def cartan_matrix(t: DynkinType) -> tuple[tuple[int, ...], ...]:
 
 
 def _branches(t: DynkinType, table) -> dict:
-    """Branch determinants of the forest ``table`` (a mesh table, or its
-    first vertices): ``(D, P)`` per directed edge ``c -> v``, ``D`` the
-    determinant of the branch that holds ``c`` once the edge ``c - v`` is
-    cut and ``P`` the product of its sub-branches ``D(u -> c)``; ``(r,
-    None)`` is the whole component of its least vertex ``r``.  Expanding
-    along ``c``, ``D = 2 P - sum_u m_cu m_uc P(u -> c) P / D(u -> c)``:
-    one pass from the leaves in, then one back out, gives all in O(n).  A
-    ``D`` that is not positive (no finite type has one) raises
+    """Branch determinants of the tree ``table`` (a mesh table): ``(D, P)``
+    per directed edge ``c -> v``, ``D`` the determinant of the branch that
+    holds ``c`` once the edge ``c - v`` is cut and ``P`` the product of its
+    sub-branches ``D(u -> c)``; ``(0, None)`` is the whole diagram.
+    Expanding along ``c``, ``D = 2 P - sum_u m_cu m_uc P(u -> c) P / D(u ->
+    c)``: one pass from the leaves in, then one back out, gives all in O(n).
+    A ``D`` that is not positive (no finite type has one) raises
     ``ArithmeticError``."""
     weight = {(i, j): m for i, row in enumerate(table) for j, m, _ in row}
-    parent, order, dets = {}, [], {}
-    for r in range(len(table)):
-        if r not in parent:
-            parent[r], stack = None, [r]
-            while stack:
-                c = stack.pop()
-                order.append(c)
-                for u, _, _ in table[c]:
-                    if u not in parent:
-                        parent[u] = c
-                        stack.append(u)
+    parent, order, stack, dets = {0: None}, [], [0], {}
+    while stack:
+        c = stack.pop()
+        order.append(c)
+        for u, _, _ in table[c]:
+            if u not in parent:
+                parent[u] = c
+                stack.append(u)
     inward = [(c, parent[c]) for c in reversed(order)]
     outward = [(c, u) for c in order for u, _, _ in table[c] if u != parent[c]]
     for c, v in inward + outward:
@@ -237,7 +238,7 @@ def type_profile(t: DynkinType) -> TypeProfile:
     det, adj = _adjugate(t)
     b = tuple(Fraction(sum(row), det) for row in adj)
     d = tuple(sum(m for _, m, _ in factors) for factors in _mesh_factors(t))
-    return TypeProfile(t, b, d, coxeter_number(t) + 2)
+    return TypeProfile(t, b, d, period_cap(t))
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +263,7 @@ def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
     O(n**3): only the search and the ``enumerate`` command call it.
     """
     n = t.rank
-    h2 = coxeter_number(t) + 2
+    h2 = period_cap(t)
     factors = _mesh_factors(t)
     sigma, c = [None] * n, [None] * n
     for j in range(n):
@@ -287,7 +288,7 @@ def twist(t: DynkinType) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def search_period(t: DynkinType) -> int:
     """A period of every frieze of ``t``: ``(h + 2) / 2`` when the twist's
     permutation is the identity, ``h + 2`` otherwise."""
-    h2 = coxeter_number(t) + 2
+    h2 = period_cap(t)
     return h2 // 2 if twist(t)[0] == tuple(range(t.rank)) else h2
 
 
@@ -308,14 +309,3 @@ def repetition_arrows(
             arrows.append(((i, k), (j, k)))
             arrows.append(((j, k), (i, k + 1)))
     return arrows
-
-
-def leading_principal_minors(t: DynkinType) -> tuple[Fraction, ...]:
-    """Determinants of the leading principal submatrices of the Cartan
-    matrix of ``t``, exactly: the ``k``-th is that of the forest on
-    vertices ``1..k``, the product of its components' ``D(r -> None)``."""
-    table, minors = _mesh_factors(t), []
-    for k in range(1, t.rank + 1):
-        dets = _branches(t, [[f for f in row if f[0] < k] for row in table[:k]])
-        minors.append(Fraction(math.prod(d for (_, v), (d, _) in dets.items() if v is None)))
-    return tuple(minors)

@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import bounds as bounds_mod
-from .catalog import DynkinType, coxeter_number, search_period, type_profile
+from .catalog import DynkinType, period_cap, search_period, type_profile
 from .formats import (
     FriezeFormatError,
     analyze_payload,
@@ -101,7 +101,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_bounds(args) -> int:
     t = DynkinType.from_name(args.type)
-    p = args.period if args.period is not None else type_profile(t).period_cap
+    p = args.period if args.period is not None else period_cap(t)
     report = bounds_mod.bounds_report(t, p)
     if args.json:
         print(json.dumps(bounds_payload(report, args.min2), indent=2))
@@ -185,7 +185,7 @@ def cmd_period(args) -> int:
         if values is None or len(values) != len(tokens):
             raise ValueError(f"bad seed {args.seed!r}")
         seed = FriezeSlice(t, values)
-    cap = coxeter_number(t) + 2
+    cap = period_cap(t)
     try:
         q, columns = detect_period(seed, cap)
     except DeadEndError as exc:

@@ -58,43 +58,49 @@ Soundness of the pruning:
   Its entry cap ``L`` holds exactly when
   ``x <= integer_root((L*den - 1) // y, m)``, and no candidate beyond that
   limit is generated;
-* column search, free-coordinate lookahead: where the plan marks a free
-  depth, its coordinate ``x`` enters the next depth's generator cell
-  ``(1 + x1 * x * r) / M`` and nothing else checks it first; ``r`` and
-  ``M`` are fixed already.  That next depth generates a candidate ``x1``
-  only if ``gcd(x * r, M) = 1`` and the least solution ``x1`` of
-  ``x1 * x * r = -1 (mod M)`` (1 when ``M = 1``) lies within its own
-  cap and gives a cell within the cell's cap; every other solution is
-  larger and gives a larger cell.  An ``x`` that fails this has no
-  descendant, so dropping it changes only the node count.  The next
-  depth's row-``n`` floor is not applied: skipping it keeps more ``x``.
-  ``r`` is a unit: the plan asserts that it multiplies forward cells
-  ``F[l,k+1]`` only, each of an upper neighbour ``l`` of the generator
-  vertex ``g``, whose mesh ``F[l,k]*F[l,k+1] = 1 + F[g,k]**m*...`` makes
-  it coprime to ``M = F[g,k]``.  The cell's cap ``C`` reads ``x * x1 <=
-  B = (C*M - 1) // r``.  The next depth being capped, ``x1`` divides ``1 +
-  M`` too (backward cell, below), and a divisor of ``1 + M`` is inverted
-  mod ``M`` by its cofactor: ``x1 * (1 + M)/x1 = 1 (mod M)``.  A divisor
-  ``x1 < 1 + M`` is below ``M`` (or 1 where ``M = 1``), so it is the least
-  solution for exactly the ``x = -r**-1 * (1 + M)/x1 (mod M)``, kept up
-  to ``B // x1`` (``_solvable_coordinates``).  Each ``x`` has one least
-  ``x1``, so these classes are disjoint, and the lookahead takes
-  ``O(sqrt(1 + M) + kept)`` steps;
-* column search, backward cell: where a depth's coordinate ``x`` has the
-  one mesh factor ``F[g,k+1]``, ``g`` its generator's vertex (``m = 1``),
-  the backward mesh ``x*w = 1 + M``, ``w = F[x,k-1]`` and ``M = F[g,k]``
-  the modulus, makes ``x`` and ``w`` inverses mod ``M``.  So ``x*y = -1
-  (mod M)``, ``y`` the generator's cofactor, holds exactly when ``w = -y
-  (mod M)``, and each candidate ``x`` is ``(1 + M) / w`` for a divisor
-  ``w`` of ``1 + M`` in that class (``_capped_candidates``); the free
-  depth before such a depth keeps only the ``x`` whose least ``x1`` (every
-  other solution being that plus a multiple of ``M``) divides ``1 + M``;
-* column search, backward mesh at ``g``: where, besides, ``g``'s mesh
-  factors are ``F[x,k]`` and forward cells ``F[l,k+1]`` only, its backward
-  mesh reads ``F[g,k-1]*M = 1 + w*P``, ``P`` the product of those ``F[l,k]``,
-  all chosen with ``M`` or before (``l > g``).  So ``w*P = -1 (mod M)``,
-  and ``x = w**-1 = -P (mod M)``: the depth that chooses ``M`` keeps it
-  only if a divisor of ``1 + M`` within ``x``'s cap lies in that class;
+* column search, leaf congruence: a leaf ``l`` whose one mesh factor is
+  ``F[v,k+1]**m`` has the backward mesh ``F[l,k-1]*F[l,k] = 1 +
+  F[v,k]**m``, so its coordinate divides ``1 + M**m``, ``M = F[v,k]``.
+  Where ``m = 1``, that coordinate and its backward cell ``w = F[l,k-1]``
+  are inverses mod ``M``, and a divisor of ``1 + M`` other than ``1 + M``
+  is below ``M`` (or 1 where ``M = 1``).  The plan applies this at three
+  depths (``_column_plan``):
+
+  - ``l``'s own, whose coordinate ``x`` is drawn from those divisors.
+    Where its generator is ``v``'s cell with ``m = 1``, ``x*y = -1 (mod
+    M)``, ``y`` the generator's cofactor, holds exactly when ``w = -y (mod
+    M)``, and each candidate ``x`` is ``(1 + M) / w`` for a divisor ``w``
+    of ``1 + M`` in that class (``_capped_candidates``).  Without a
+    generator (rank 2) the divisors within ``x``'s cap are the
+    candidates, and the forward cells filter them;
+  - ``v``'s, where besides ``v``'s mesh factors are ``F[l,k]`` and forward
+    cells ``F[u,k+1]`` only.  Its backward mesh reads ``F[v,k-1]*M = 1 +
+    w*P``, ``P`` the product of those ``F[u,k]``, all chosen with ``M`` or
+    before (``u > v``).  So ``w*P = -1 (mod M)``, and ``x = w**-1 = -P
+    (mod M)``: the depth that chooses ``M`` keeps it only if a divisor of
+    ``1 + M`` within ``x``'s cap lies in that class
+    (``_backward_mesh_holds``);
+  - a free depth just before ``l``'s, whose coordinate ``x`` enters the
+    generator cell ``(1 + x1 * x * r) / M`` of ``l``'s coordinate ``x1``
+    and nothing else checks it first; ``r`` and ``M`` are fixed already.
+    ``l``'s depth generates a candidate only if ``gcd(x * r, M) = 1`` and
+    the least solution ``x1`` of ``x1 * x * r = -1 (mod M)`` (1 when ``M
+    = 1``) lies within its own cap, gives a cell within the cell's cap and
+    divides ``1 + M``: every other solution is larger, gives a larger
+    cell, and divides ``1 + M`` only if it is ``1 + M`` and ``x1`` is 1.
+    An ``x`` that fails this has no descendant, so dropping it changes
+    only the node count.  The next depth's row-``n`` floor is not
+    applied: skipping it keeps more ``x``.  ``r`` is a unit: the plan
+    asserts that it multiplies forward cells ``F[u,k+1]`` only, each of an
+    upper neighbour ``u`` of ``v``, whose mesh ``F[u,k]*F[u,k+1] = 1 +
+    F[v,k]**m*...`` makes it coprime to ``M``.  The cell's cap ``C`` reads
+    ``x * x1 <= B = (C*M - 1) // r``.  A divisor of ``1 + M`` is inverted
+    mod ``M`` by its cofactor, ``x1 * (1 + M)/x1 = 1 (mod M)``, so a
+    divisor ``x1 < 1 + M`` is the least solution for exactly the ``x =
+    -r**-1 * (1 + M)/x1 (mod M)``, kept up to ``B // x1``
+    (``_solvable_coordinates``).  Each ``x`` has one least ``x1``, so these
+    classes are disjoint, and the lookahead takes ``O(sqrt(1 + M) +
+    kept)`` steps;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -265,10 +271,11 @@ def default_strategy(t: DynkinType) -> str:
 
 
 def _divisors(x: int) -> list[int]:
-    """Sorted divisors by trial division: of a rank-2 column's pinned last
-    coordinate, of a row-seeded divisor walk's gcd, and of ``1 + M`` at
-    type E's free depth, ``M`` its lookahead's modulus.  Inputs stay small
-    under pruning."""
+    """Sorted divisors by trial division: of ``1 + M**m``, ``M`` the entry
+    of a leaf's neighbour, where the column search draws the leaf's
+    coordinate without a generator or looks ahead to it from a free depth,
+    and of a row-seeded divisor walk's gcd.  Inputs stay small under
+    pruning."""
     small, large = [], []
     f = 1
     while f * f <= x:
@@ -319,45 +326,36 @@ def _column_plan(t: DynkinType, caps):
     Coordinate ``i`` (0-based vertex) is chosen at depth ``d = n - i``.  The
     forward cell of vertex ``j`` (its value in the next column) becomes
     computable at ``cell_depth[j]``.  Returns one tuple ``(i, cap, gen,
-    due, look, capped, back)`` per depth ``d`` (index 0 unused), ``cap``
-    being coordinate ``i``'s entry cap.  The generator ``gen``, when one exists,
+    due, pair, back)`` per depth ``d`` (index 0 unused), ``cap`` being
+    coordinate ``i``'s entry cap.  The generator ``gen``, when one exists,
     is a cell due at ``d`` whose only missing input is the new coordinate;
     it turns into a congruence that generates candidates.  It is ``(j, m,
     others, cap, floored)``: the cell, the new coordinate's exponent in its
     mesh, the mesh's other factors and the cell's entry cap.  ``due`` holds
     the other cells due at ``d``, upper cells first, each ``(j, factors,
     cap, floored)``.  ``floored`` marks the row-``n`` cell, which is at
-    least the seed's row-``n`` entry.  Rank 2 has no generator: its last
-    coordinate is a divisor (see ``_column_partition``).  ``capped`` marks
-    a depth whose coordinate's one mesh factor is ``(g, 1, 1)``, ``g`` its
-    generator's vertex with ``m = 1``: the coordinate divides ``1 +
-    vals[g]``, and ``_capped_candidates`` reads it off its backward cell
-    (module docstring).  Today that is the last depth from rank 3 on, and
-    E's depth ``n - 1``.
+    least the seed's row-``n`` entry.  Rank 2 takes none: its last
+    coordinate is a leaf drawn from a divisor list (below).
 
-    ``back`` is set at the depth ``n - g`` that chooses a capped depth's
-    modulus, when ``g``'s mesh factors are ``(x, 1, 0)``, ``x`` the capped
-    coordinate, and forward cells only.  It is ``(rest, cap)``: ``g``'s
-    other factors, read from the seed column (``o = 0``), and ``x``'s cap.
-    That depth keeps a candidate ``M`` only if ``_backward_mesh_holds(P,
-    M, cap)``, ``P`` the product of ``rest``.  Today it is depth ``n - 1``
-    from rank 3 on (A-D, F) and E's free depth ``n - 2``.
+    One leaf rule places the rest.  A vertex ``l`` whose one mesh factor is
+    ``(v, m, 1)`` has ``F[l,k-1]*F[l,k] = 1 + F[v,k]**m``: ``vals[l]``
+    divides ``1 + vals[v]**m`` (module docstring, leaf congruence).  Each
+    such leaf pair ``(l, v, m)`` is attached to the depths that use it:
 
-    ``look`` is set only at a free depth: one with no generator and no due
-    cell, whose coordinate ``x`` is a factor ``(x, 1, 0)`` of the next
-    depth's generator mesh, that generator having ``m = 1`` and a modulus
-    fixed before ``x``.  It is ``(rest, g, next_cap, cell_cap)``: the
-    generator's other factors (all known at this depth), the generator
-    cell (whose value in the seed column is the modulus), the next
-    coordinate's cap and the generated cell's cap.  The free depth keeps
-    only the ``x`` whose next congruence has a solution within that
-    depth's caps that divides ``1 + vals[g]``: it reads them off those
-    divisors, each inverted mod ``vals[g]`` by its cofactor
-    (``_solvable_coordinates``).
-    Today these are the branch vertex's free neighbour in type E (E6 depth
-    4, E7 depth 5, E8 depth 6).  The plan asserts that no generator has
-    any other column-``k`` cofactor, so ``rest`` holds forward cells only,
-    and that the next depth is ``capped``.
+    * ``pair`` at ``l``'s own depth: ``l`` is drawn from those divisors, off
+      its backward cell (``_capped_candidates``) where its generator is
+      ``v``'s cell with ``m = 1``, from the plain divisor list where it has
+      no generator;
+    * ``back`` at ``v``'s depth, where ``l`` is read off its backward cell
+      and ``v``'s mesh factors are ``(l, 1, 0)`` and forward cells only.  It
+      is ``(rest, cap)``: ``v``'s other factors, read from the seed column,
+      and ``l``'s cap.  That depth keeps a candidate ``M`` only if
+      ``_backward_mesh_holds(P, M, cap)``, ``P`` the product of ``rest``;
+    * ``pair`` at the depth before ``l``'s, where that depth is free (no
+      generator and no due cell) and its coordinate enters ``l``'s
+      generator as a factor ``(i, 1, 0)`` beside forward cells only.  It
+      keeps only the coordinates for which ``l`` has a candidate
+      (``_solvable_coordinates``, on the next depth's generator and caps).
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -381,30 +379,29 @@ def _column_plan(t: DynkinType, caps):
                 gen = (j, mult, others, caps[j], j == n - 1)
                 due.remove(j)
                 break
-        cells = tuple((j, factors[j], caps[j], j == n - 1) for j in due)
-        # x's one mesh factor is the modulus's forward cell: x divides 1 + modulus
-        capped = gen is not None and gen[1] == 1 and factors[x] == ((gen[0], 1, 1),)
-        if capped:
-            g = gen[0]
-            rest = tuple(f for f in factors[g] if f != (x, 1, 0))
-            if len(rest) < len(factors[g]) and all(o for _, _, o in rest):
-                # g's backward mesh reads F[x,k-1] and column-k cells of vertices
-                # above g, chosen before g (module docstring)
-                back = plan[n - g]
-                assert back[0] == g and back[6] is None, f"{t}"
-                back[6] = (tuple((l, m, 0) for l, m, _ in rest), caps[x])
-        if d > 2 and gen and gen[1] == 1:  # is depth d - 1 free? (depth 1 holds the start)
-            prev = plan[d - 1]
-            fx = prev[0]
-            if prev[2] is None and not prev[3] and (fx, 1, 0) in gen[2] and gen[0] != fx:
-                assert capped, f"{t}"  # the lookahead starts from the divisors of 1 + modulus
-                rest = tuple(f for f in gen[2] if f != (fx, 1, 0))
-                prev[4] = (rest, gen[0], caps[x], gen[3])
-        free = plan[d - 1][0] if d > 1 and plan[d - 1][4] else None  # a free depth's coordinate
-        # it is a generator's only column-k cofactor: look's r is a unit (module docstring)
-        assert not gen or all(o or l == free for l, _, o in gen[2]), f"{t}"
-        plan.append([x, caps[x], gen, cells, None, capped, None])
-    return (None, *map(tuple, plan[1:]))
+        plan.append((x, caps[x], gen, tuple((j, factors[j], caps[j], j == n - 1) for j in due)))
+    # the leaf pairs: F[l,k-1]*F[l,k] = 1 + F[v,k]**m
+    leaves = [(l, *row[0]) for l, row in enumerate(factors) if len(row) == 1 and row[0][2]]
+    pair, back = {}, {}
+    for l, v, m, _ in leaves:
+        d = n - l
+        pair[d] = (l, v, m)
+        gen = plan[d][2]
+        if gen is None:
+            continue  # l is read off the plain divisor list
+        assert gen[:2] == (v, 1) and m == 1, f"{t}"  # l is read off its backward cell
+        rest = tuple(f for f in factors[v] if f != (l, 1, 0))
+        if (l, 1, 0) in factors[v] and all(o for _, _, o in rest):
+            # v's backward mesh reads F[l,k-1] and column-k cells of vertices
+            # above v, chosen before v (module docstring)
+            assert n - v not in back, f"{t}"
+            back[n - v] = (tuple((u, e, 0) for u, e, _ in rest), caps[l])
+        x, _, free, cells = plan[d - 1]
+        if free is None and not cells and (x, 1, 0) in gen[2]:
+            # x is the generator's only column-k cofactor: r is a unit mod vals[v]
+            assert all(o or u == x for u, _, o in gen[2]), f"{t}"
+            pair[d - 1] = (l, v, m)
+    return (None, *(plan[d] + (pair.get(d), back.get(d)) for d in range(1, n + 1)))
 
 
 def _congruence_candidates(m, y, modulus, cap, cell_cap, cell_floor):
@@ -528,24 +525,22 @@ def _next_top_cap(start, prev, room):
     return (b + math.isqrt(b * b + 4 * start * room * prev)) // (2 * start)
 
 
-def _solvable_coordinates(look, cols, cap):
-    """Ascending x in [1, cap] for which the next depth's congruence
-    ``x1 * x * r = -1 (mod modulus)`` has a least solution ``x1`` within
-    the next coordinate's cap and the generated cell's cap that divides
-    ``modulus + 1`` (the next depth is ``capped``); ``look`` is a free
-    depth's plan slot.  The next depth's row-``n`` floor and due cells
-    are left to that depth: ignoring them only keeps more coordinates.
+def _solvable_coordinates(r, modulus, next_cap, cell_cap, cap):
+    """A free depth's candidates: ascending x in [1, cap] for which the next
+    coordinate's congruence ``x1 * x * r = -1 (mod modulus)`` has a least
+    solution ``x1 <= next_cap`` that divides ``modulus + 1`` (the next
+    coordinate is a leaf on the modulus's vertex) and gives a cell ``(x1 *
+    x * r + 1) / modulus <= cell_cap``.  The next depth's row-``n`` floor
+    and due cells are left to that depth: ignoring them only keeps more
+    coordinates.
 
     Each divisor ``x1 < modulus + 1`` of ``modulus + 1``, inverted mod
     the modulus by its cofactor, is the least solution for one residue
     class of x, kept up to ``b // x1``; an x has one least ``x1``, so the
     classes are disjoint (module docstring)."""
-    rest, g, next_cap, cell_cap = look
-    r = _product(cols, rest)
-    modulus = cols[0][g]
     b = (cell_cap * modulus - 1) // r  # the cell (x1 * x * r + 1) / modulus <= cell_cap
     s = -pow(r, -1, modulus)  # x * x1 = s mod modulus
-    above = modulus + 1  # x1 divides it: the next depth is capped
+    above = modulus + 1  # x1 divides it
     kept = []
     for x1 in _divisors(above)[:-1]:
         if x1 > next_cap:
@@ -586,28 +581,26 @@ def _column_partition(t, caps, p, start, tally):
         tally.orbits.add(_canonical_columns(traced))
 
     def descend(d) -> None:
-        i, cap, gen, due, look, capped, back = plan[d]
-        if look is not None:
-            candidates = _solvable_coordinates(look, cols, cap)
-        elif gen is not None:
+        i, cap, gen, due, pair, back = plan[d]
+        if gen is not None:
             g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
             modulus = vals[g]
             floor = start if floored else 1
-            if capped:
-                candidates = _capped_candidates(y, modulus, cap, cell_cap, floor)
-            else:
+            if pair is None:
                 candidates = _congruence_candidates(m, y, modulus, cap, cell_cap, floor)
-        elif d == 1:
-            candidates = (start,)
-        elif n == 2:
-            # Last coordinate: the previous column pins v1 to a divisor of
-            # 1 + v2**(-C[1,2]); the forward cells then filter candidates.
-            # Vertex 1's only factor lies in this column, read as column k+1.
-            pinned = 1 + _product((None, vals), _mesh_factors(t)[0])
-            candidates = [x for x in _divisors(pinned) if x <= cap]
-        else:
-            candidates = range(1, cap + 1)
+            else:  # a leaf on g: x divides 1 + modulus
+                candidates = _capped_candidates(y, modulus, cap, cell_cap, floor)
+        elif pair is None:
+            candidates = (start,) if d == 1 else range(1, cap + 1)
+        elif pair[0] == i:  # x divides 1 + vals[v]**e; the forward cells filter it
+            _, v, e = pair
+            candidates = [x for x in _divisors(1 + vals[v] ** e) if x <= cap]
+        else:  # x enters the generator of the next coordinate, the leaf, once
+            _, next_cap, (_, _, others, cell_cap, _), *_ = plan[d + 1]
+            vals[i] = 1  # that generator's cofactor is x * r: r is its value at x = 1
+            r = _product(cols, others)
+            candidates = _solvable_coordinates(r, vals[pair[1]], next_cap, cell_cap, cap)
         if back is not None:
             rest, xcap = back
             cofactor = _product(cols, rest)  # P: its vertices were chosen already
@@ -616,7 +609,7 @@ def _column_partition(t, caps, p, start, tally):
             if tally.nodes >= tally.next_stride:
                 tally.stride()
             if back is not None and not _backward_mesh_holds(cofactor, x, xcap):
-                continue  # no capped coordinate completes g's backward mesh
+                continue  # no leaf coordinate completes g's backward mesh
             vals[i] = x
             if gen is not None:  # exact, and within its cap and floor, by construction
                 cells1[g] = ((x if m == 1 else x**m) * y + 1) // modulus

@@ -354,13 +354,19 @@ def test_d4_override_sixteen_finds_all_fifty_one():
     assert orbit_keys(col) == orbit_keys(outcome("D4", "row_seeded"))
 
 
-@pytest.mark.parametrize("name,cap,count", [("D5", 64, 187), ("D6", 256, 695)])
-def test_type_d_counts_match_fontaine_plamondon(name, cap, count):
+@pytest.mark.parametrize(
+    "name,cap,count,nodes",
+    [("D5", 64, 187, 12_318), ("D6", 256, 695, 264_232)],
+    ids=["D5-64-187", "D6-256-695"],
+)
+def test_type_d_counts_match_fontaine_plamondon(name, cap, count, nodes):
     # every frieze of D5 and D6 happens to fit under these caps; the caps
-    # are below the certified ones, so neither run is complete
+    # are below the certified ones, so neither run is complete.  The node
+    # counts pin D's free leaf, whose depth scans its full cap, and the
+    # backward-mesh test at depth n - 1
     assert fontaine_plamondon_count(int(name[1:])) == count
     out = outcome(name, "column_dfs", entry_cap_override=cap)
-    assert out.frieze_count == count
+    assert out.frieze_count == count and out.nodes_explored == nodes
     assert not out.complete
 
 
@@ -489,27 +495,54 @@ def test_e6_column_search_finds_the_period_seven_orbit():
     assert verify_pattern(out.orbits[0]) == []
 
 
+def leaf_depths(plan, n):
+    # the depths whose pair is their own coordinate's leaf pair, and the
+    # free depths whose pair is the next coordinate's (the lookahead)
+    pairs = [d for d in range(1, n + 1) if plan[d][4] is not None]
+    own = [d for d in pairs if plan[d][4][0] == plan[d][0]]
+    return own, [d for d in pairs if d not in own]
+
+
 @pytest.mark.parametrize("t", [DynkinType("A", 1), *PLAN_TYPES], ids=str)
-def test_column_plan_free_depths(t):
-    # a depth with no generator and no due cell whose coordinate the next
-    # generator multiplies in: the branch vertex's free neighbour in type E.
-    # A capped depth's coordinate has one mesh factor, the forward cell of
-    # its generator vertex g with m = 1: vertex 1 at the last depth from
-    # rank 3 on, and in type E vertex 2, at depth n - 1.
+def test_column_plan_free_depths(t, monkeypatch):
+    # a leaf pair (l, v, m), l's one mesh factor being (v, m, 1), sits at
+    # l's own depth.  There l is read off its backward cell where its
+    # generator is v's cell with m = 1: vertex 1 at the last depth from
+    # rank 3 on, and in type E vertex 2, at depth n - 1.  Rank 2 has no
+    # generator, and draws its last coordinate from the divisors.  A depth
+    # with no generator and no due cell whose coordinate the next generator
+    # multiplies in looks ahead to that leaf: the branch vertex's free
+    # neighbour in type E.  D's free leaf, at depth 2, scans its full cap.
     # Each plan built here also runs _column_plan's assertions.
+    n, factors = t.rank, _mesh_factors(t)
     caps = clipped_caps(t, search_period(t), 64)
     plan = _column_plan(t, caps)
-    free = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
-    assert free == ([t.rank - 2] if t.family == "E" else [])
-    capped = [d for d in range(1, t.rank + 1) if plan[d][5]]
-    assert capped == [t.rank - 1] * (t.family == "E") + [t.rank] * (t.rank >= 3)
+    own, ahead = leaf_depths(plan, n)
+    assert ahead == ([n - 2] if t.family == "E" else [])
+    for d in ahead:
+        i, _, gen, due, pair, _ = plan[d]
+        l, _, (g, m, others, *_), _, next_pair, _ = plan[d + 1]
+        assert gen is None and due == () and pair == next_pair == (l, g, m) and (i, 1, 0) in others
+    capped = [d for d in own if plan[d][2] is not None]
+    assert capped == [n - 1] * (t.family == "E") + [n] * (n >= 3)
     for d in capped:
-        i, _, (g, m, *_), *_ = plan[d]
-        assert m == 1 and _mesh_factors(t)[i] == ((g, 1, 1),)
+        i, _, (g, m, *_), _, pair, _ = plan[d]
+        assert m == 1 and pair == (i, g, 1) and factors[i] == ((g, 1, 1),)
+    divisors = [d for d in own if plan[d][2] is None]
+    assert divisors == [2] * (n == 2)
+    for d in divisors:  # the divisors of 1 + F[v,k]**m, here at F[v,k] = 3
+        ((v, m, o),) = factors[0]
+        assert o == 1 and plan[d][4] == (0, v, m)
+        calls = []
+        monkeypatch.setattr("friezes.search._divisors", lambda x: calls.append(x) or [])
+        _column_partition(t, caps, search_period(t), 3, _Tally())
+        assert calls == [1 + 3**m]
+    if t.family == "D":  # neither generated nor a leaf pair's: range(1, cap + 1)
+        assert plan[2][2:5] == (None, (), None) and len(factors[n - 2]) == 1
     # the backward mesh at a capped depth's generator vertex g is tested
     # where g is chosen: depth n - 1, or E's free depth n - 2
-    back = [d for d in range(1, t.rank + 1) if plan[d][6] is not None]
-    assert back == ([t.rank - 2] if t.family == "E" else [t.rank - 1] * (t.rank >= 3))
+    back = [d for d in range(1, n + 1) if plan[d][5] is not None]
+    assert back == ([n - 2] if t.family == "E" else [n - 1] * (n >= 3))
 
 
 LEAF_CAP_RUNS = [
@@ -555,7 +588,7 @@ def test_row_seeded_friezes_pass_the_backward_mesh_test(name, cap):
         own, *rest = factors[g]
         if own == (x, 1, 0) and all(o for *_, o in rest):
             rest = tuple((l, m, 0) for l, m, _ in rest)
-            assert plan[n - g][0] == g and plan[n - g][6] == ((rest, caps[x]) if n > 2 else None)
+            assert plan[n - g][0] == g and plan[n - g][5] == ((rest, caps[x]) if n > 2 else None)
             pairs.append((x, g, rest))
     assert pairs or t.family == "G"
     out = outcome(name, "row_seeded", entry_cap_override=cap)
@@ -596,31 +629,31 @@ def test_lookahead_keeps_exactly_the_solvable_coordinates(name, caps, oracle, mo
     least = least_solution_by_table if oracle == "table" else least_solution_by_pow
     t = DynkinType.from_name(name)
     plan = _column_plan(t, caps)
-    (d,) = [d for d in range(1, t.rank + 1) if plan[d][4] is not None]
+    _, (d,) = leaf_depths(plan, t.rank)
     i, coord_cap = plan[d][:2]
-    g, m, others, cell_cap, floored = plan[d + 1][2]
-    assert m == 1 and not floored and plan[d + 1][5]  # floor 1, leaf-capped
+    l, next_cap, (g, m, others, cell_cap, floored), _, pair, _ = plan[d + 1]
+    assert m == 1 and not floored and pair == plan[d][4] == (l, g, 1)  # floor 1, a leaf on g
+    # x enters the generator once, beside forward cells: its cofactor is x * r
+    assert (i, 1, 0) in others and all(o for u, _, o in others if u != i)
     calls = []
 
-    def record(look, cols, top):
-        kept = _solvable_coordinates(look, cols, top)
-        calls.append((look, [list(col) for col in cols], top, list(kept)))
+    def record(r, modulus, *limits):
+        kept = _solvable_coordinates(r, modulus, *limits)
+        calls.append((r, modulus, limits, list(kept)))
         return kept
 
     monkeypatch.setattr("friezes.search._solvable_coordinates", record)
     for start in _start_values(t, caps):
         _column_partition(t, caps, search_period(t), start, _Tally())
     assert calls
-    for look, cols, top, kept in calls:
-        assert look == plan[d][4] and top == coord_cap
+    for r, modulus, limits, kept in calls:
+        assert limits == (next_cap, cell_cap, coord_cap) and math.gcd(r, modulus) == 1
         solvable = []
-        modulus = cols[0][g]
-        for x in range(1, top + 1):
-            cols[0][i] = x
-            y = _product(cols, others)
+        for x in range(1, coord_cap + 1):
+            y = x * r
             x1 = least(y, modulus)
-            fits = x1 is not None and x1 <= plan[d + 1][1] and x1 * y < cell_cap * modulus
-            x1s = list(_congruence_candidates(1, y, modulus, plan[d + 1][1], cell_cap, 1))
+            fits = x1 is not None and x1 <= next_cap and x1 * y < cell_cap * modulus
+            x1s = list(_congruence_candidates(1, y, modulus, next_cap, cell_cap, 1))
             assert x1s[:1] == ([x1] if fits else []), (x, y, modulus)
             if fits and (modulus + 1) % x1 == 0:
                 solvable.append(x)
@@ -690,8 +723,7 @@ def test_solvable_coordinates_match_the_plain_scan(modulus, r, next_cap, cell_ca
     # Equality with the ascending scan also checks the order and that no x
     # comes twice, over moduli 1, small and above a thousand
     assume(math.gcd(r, modulus) == 1)
-    look = (((0, 1, 1),), 0, next_cap, cell_cap)
-    kept = _solvable_coordinates(look, ([modulus], [r]), cap)
+    kept = _solvable_coordinates(r, modulus, next_cap, cell_cap, cap)
     assert list(kept) == plain_solvable_scan(r, modulus, next_cap, cell_cap, cap)
 
 
@@ -720,6 +752,8 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
         ("B4", 256, 75, 15, "06f7021921eea21c", 1458),
         ("C4", 256, 70, 14, "4907534766d2da06", 1072),
         ("F4", 512, 112, 16, "d37c9d70526d8a9c", 8324),
+        # the e6-col benchmark workload: free depth, both leaf caps, back test
+        ("E6", 256, 826, 66, "a831447ff03460ff", 21398),
         pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 56672, marks=pytest.mark.slow),
         pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 459248, marks=pytest.mark.slow),
         # its free depth and both leaf caps prune here; E8@64 holds one orbit
@@ -727,7 +761,7 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
         # moduli above a thousand reach the free-depth lookahead
         pytest.param("E6", 2048, 868, 70, "f85a562f5c6b2353", 390943, marks=pytest.mark.slow),
     ],
-    ids=["B4@256", "C4@256", "F4@512", "E6@512", "E7@1024", "E8@256", "E6@2048"],
+    ids=["B4@256", "C4@256", "F4@512", "E6@256", "E6@512", "E7@1024", "E8@256", "E6@2048"],
 )
 def test_doubled_edge_column_search_at_large_caps(name, cap, count, orbits, digest, nodes):
     # doubled edges give power congruences (m > 1) with moduli in the hundreds,

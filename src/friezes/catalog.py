@@ -39,14 +39,14 @@ __all__ = [
     "repetition_arrows",
 ]
 
-_RANKS = {  # family: (the admissible ranks in words, their test)
-    "A": ("rank >= 1", lambda n: n >= 1),
-    "B": ("rank >= 2", lambda n: n >= 2),
-    "C": ("rank >= 2", lambda n: n >= 2),
-    "D": ("rank >= 4", lambda n: n >= 4),
-    "E": ("rank in {6, 7, 8}", lambda n: n in (6, 7, 8)),
-    "F": ("rank = 4", lambda n: n == 4),
-    "G": ("rank = 2", lambda n: n == 2),
+_FAMILIES = {  # family: (the admissible ranks in words, their test, Coxeter number)
+    "A": ("rank >= 1", lambda n: n >= 1, lambda n: n + 1),
+    "B": ("rank >= 2", lambda n: n >= 2, lambda n: 2 * n),
+    "C": ("rank >= 2", lambda n: n >= 2, lambda n: 2 * n),
+    "D": ("rank >= 4", lambda n: n >= 4, lambda n: 2 * n - 2),
+    "E": ("rank in {6, 7, 8}", lambda n: n in (6, 7, 8), lambda n: {6: 12, 7: 18, 8: 30}[n]),
+    "F": ("rank = 4", lambda n: n == 4, lambda n: 12),
+    "G": ("rank = 2", lambda n: n == 2, lambda n: 6),
 }
 
 
@@ -58,9 +58,9 @@ class DynkinType:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in _RANKS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of A-G")
-        text, admissible = _RANKS[self.family]
+        text, admissible, _ = _FAMILIES[self.family]
         if type(self.rank) is not int or not admissible(self.rank):
             raise ValueError(
                 f"inadmissible type {self.family}{self.rank}: family {self.family} requires {text}"
@@ -70,7 +70,7 @@ class DynkinType:
     def from_name(cls, name: str) -> "DynkinType":
         """Parse a token like ``"E8"`` or ``"A12"``."""
         token = name.strip()
-        if len(token) < 2 or token[0] not in _RANKS or not token[1:].isdecimal():
+        if len(token) < 2 or token[0] not in _FAMILIES or not token[1:].isdecimal():
             raise ValueError(f"unknown type token {name!r}; expected e.g. A3, D5, E8")
         return cls(token[0], int(token[1:]))
 
@@ -111,19 +111,8 @@ def _edges(t: DynkinType) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(path)
 
 
-_COXETER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n,
-    "C": lambda n: 2 * n,
-    "D": lambda n: 2 * n - 2,
-    "E": lambda n: {6: 12, 7: 18, 8: 30}[n],
-    "F": lambda n: 12,
-    "G": lambda n: 6,
-}
-
-
 def coxeter_number(t: DynkinType) -> int:
-    return _COXETER[t.family](t.rank)
+    return _FAMILIES[t.family][2](t.rank)
 
 
 def period_cap(t: DynkinType) -> int:

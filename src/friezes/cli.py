@@ -22,6 +22,7 @@ from .formats import (
     enumerate_payload,
     parse_frieze,
 )
+from .formats import _decimal_ints  # the document row's token rule
 from .mesh import (
     DeadEndError,
     FriezeSlice,
@@ -29,12 +30,7 @@ from .mesh import (
     detect_period,
     verify_pattern,
 )
-from .search import (
-    SearchConfig,
-    default_strategy,
-    enumerate_friezes,
-    stderr_progress,
-)
+from .search import SearchConfig, enumerate_friezes, stderr_progress
 
 
 def _read_pattern(path: str):
@@ -133,15 +129,16 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
-    # Where the solve plan needs divisor branching the exact caps are far beyond
-    # desk scale; require --cap so no uncertified count is implied.
-    if t.rank > 1 and default_strategy(t) == "column_dfs" and args.cap is None:
-        p = search_period(t)
-        caps = bounds_mod.entry_caps(t, p)
+    # Past 40-bit entry caps no run is known to end (A5, at 37 bits, takes
+    # about 19 s; C4, at 41, runs past 300 s): require --cap so no
+    # uncertified count is implied.
+    p = search_period(t)
+    bits = max(bounds_mod.entry_caps(t, p)).bit_length()
+    if args.cap is None and bits > 40:
         exps = " ".join(f"2^{p * bi}" for bi in type_profile(t).b)
         raise ValueError(
             f"full enumeration of {t} needs entry caps {exps} "
-            f"(about {max(caps).bit_length()} bit entries), far beyond desk scale; "
+            f"(about {bits} bit entries), far beyond desk scale; "
             "pass --cap to search a truncated space (the result is marked incomplete)"
         )
     cfg = SearchConfig(t, args.strategy, entry_cap_override=args.cap, jobs=args.jobs)
@@ -176,13 +173,8 @@ def cmd_period(args) -> int:
         if args.type is None or args.seed is None:
             raise ValueError("need either FILE or both --type and --seed")
         t = DynkinType.from_name(args.type)
-        # a document row's rule: decimal digits only, so no sign or "_"
-        tokens = args.seed.replace(",", " ").split()
-        try:
-            values = tuple(int(tok) for tok in tokens if tok.isdecimal())
-        except ValueError:  # a token past int()'s digit limit
-            values = None
-        if values is None or len(values) != len(tokens):
+        values = _decimal_ints(args.seed.replace(",", " ").split())
+        if values is None:
             raise ValueError(f"bad seed {args.seed!r}")
         seed = FriezeSlice(t, values)
     cap = period_cap(t)

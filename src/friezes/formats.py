@@ -42,6 +42,15 @@ class FriezeFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def _decimal_ints(tokens) -> tuple[int, ...] | None:
+    """The document's token rule: each token decimal digits only (no sign,
+    no ``_``) and within ``int()``'s digit limit; None when one is not."""
+    try:
+        return tuple(map(int, tokens)) if all(map(str.isdecimal, tokens)) else None
+    except ValueError:  # a token past int()'s digit limit
+        return None
+
+
 def parse_frieze(text: str) -> FriezePattern:
     """Parse a frieze document; see the module docstring for the grammar."""
     meaningful: list[tuple[int, list[str]]] = []
@@ -82,11 +91,8 @@ def parse_frieze(text: str) -> FriezePattern:
         # one pass over the row; the token loop runs only to name the first
         # bad token, or to raise int()'s digit-limit error in token order
         entries = tokens[1:]
-        try:
-            values = tuple(map(int, entries)) if all(map(str.isdecimal, entries)) else ()
-        except ValueError:
-            values = ()
-        if not values or min(values) < 1:
+        values = _decimal_ints(entries)
+        if values is None or min(values) < 1:
             for pos, tok in enumerate(entries, start=2):
                 if not tok.isdecimal() or int(tok) < 1:
                     raise FriezeFormatError(

@@ -389,7 +389,8 @@ def _column_plan(t: DynkinType, caps):
         gen = plan[d][2]
         if gen is None:
             continue  # l is read off the plain divisor list
-        assert gen[:2] == (v, 1) and m == 1, f"{t}"  # l is read off its backward cell
+        # l is read off its backward cell, under no row-n floor
+        assert gen[:2] == (v, 1) and m == 1 and not gen[4], f"{t}"
         rest = tuple(f for f in factors[v] if f != (l, 1, 0))
         if (l, 1, 0) in factors[v] and all(o for _, _, o in rest):
             # v's backward mesh reads F[l,k-1] and column-k cells of vertices
@@ -455,18 +456,21 @@ def _backward_mesh_holds(cofactor, modulus, cap):
     return u == 1 or (u <= cap and not (modulus + 1) % u)
 
 
-def _capped_candidates(y, modulus, cap, cell_cap, cell_floor):
+def _capped_candidates(y, modulus, cap, cell_cap):
     """A capped depth's candidates: ascending x in [1, cap] dividing
     ``modulus + 1`` with ``x * y = -1 (mod modulus)`` whose cell ``(x * y +
-    1) / modulus`` lies in ``[cell_floor, cell_cap]``.  With ``x * w =
-    modulus + 1``, the congruence holds exactly when ``w = -y (mod
-    modulus)`` (module docstring).  A divisor ``w`` is at most ``modulus +
-    1``, so that is ``w = -y % modulus`` alone, or 1 and ``modulus + 1``
-    where that is 1 (also where ``modulus = 1``)."""
+    1) / modulus`` is at most ``cell_cap``.  The cell is at least 1, since
+    ``x * y + 1`` is a positive multiple of ``modulus``, and no row-``n``
+    floor applies: a leaf's generator is never the row-``n`` cell
+    (``_column_plan`` asserts it).  With ``x * w = modulus + 1``, the
+    congruence holds exactly when ``w = -y (mod modulus)`` (module
+    docstring).  A divisor ``w`` is at most ``modulus + 1``, so that is ``w
+    = -y % modulus`` alone, or 1 and ``modulus + 1`` where that is 1 (also
+    where ``modulus = 1``)."""
     above = modulus + 1
     w = -y % modulus or modulus
     xs = (1, above) if w == 1 else () if above % w else (above // w,)
-    return [x for x in xs if x <= cap and cell_floor <= (x * y + 1) // modulus <= cell_cap]
+    return [x for x in xs if x <= cap and (x * y + 1) // modulus <= cell_cap]
 
 
 def _closing_candidates(prev, cols, closing, lo, hi, xcap):
@@ -586,11 +590,11 @@ def _column_partition(t, caps, p, start, tally):
             g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
             modulus = vals[g]
-            floor = start if floored else 1
             if pair is None:
+                floor = start if floored else 1
                 candidates = _congruence_candidates(m, y, modulus, cap, cell_cap, floor)
             else:  # a leaf on g: x divides 1 + modulus
-                candidates = _capped_candidates(y, modulus, cap, cell_cap, floor)
+                candidates = _capped_candidates(y, modulus, cap, cell_cap)
         elif pair is None:
             candidates = (start,) if d == 1 else range(1, cap + 1)
         elif pair[0] == i:  # x divides 1 + vals[v]**e; the forward cells filter it
@@ -789,13 +793,9 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
     if tally.nodes >= tally.next_stride:
         tally.stride()
 
-    # cols[c][i] is F[i+1, c+1] for the seed row and the forced rows alike;
-    # seed_prods[c] and top_prods[c] are the products of the first c cells
-    # of the seed row and the top forced row, the rows whose product caps
-    # bind.  Cells beyond the current wavefront are stale and never read.
+    # cols[c][i] is F[i+1, c+1] for the seed row and the forced rows alike.
+    # Cells beyond the current wavefront are stale and never read.
     cols = [[0] * n for _ in range(p)]
-    seed_prods = [1] * (p + 1)
-    top_prods = [1] * (p + 1)
     # One tuple per wave step, top row first: source vertex, forced vertex,
     # its level, root degree (1 below the top row, see _solve_plan),
     # denominator vertex and exponent, and entry cap.  The wave is a chain:
@@ -846,7 +846,10 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
             q = next(k for k in range(1, p + 1) if found[k % p] == found[0])
             tally.orbits.add(_canonical_columns(found[:q]))
 
-    def descend(j) -> None:  # choose position j (1-based) of the seed row
+    def descend(j, base, top_base) -> None:
+        # choose position j (1-based) of the seed row; base and top_base are
+        # the products of the first j - 1 seed cells and the first j - 2 top
+        # forced cells, the rows whose product caps bind
         pinned = pinned_tail and j >= pair_from
         if pinned:
             # back-solve the wave meshes from the pinned cell up to t_j;
@@ -859,7 +862,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
                 c += 1
                 nxt = cols[c + 1]
                 q = (q**m * nxt[u] ** mu + 1) // col[s]
-        base = seed_prods[j - 1]
         scaled = base * start ** (p - j)
         limit = min(seed_prodcap // scaled, caps[seed])
         lo, hi = (q, q) if pinned else (start, limit)  # the window of t_j
@@ -868,7 +870,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         # the top forced row's new cell is the candidate: t_j = (top**m + 1) / prev
         top_col = cols[j - 2]
         prev = top_col[seed]
-        top_base = top_prods[j - 2]
         room = top_prodcap // top_base
         xcap = min(top_cap, room)
         if m_top == 1 and xcap * (start * (xcap + 1) - prev) > room * prev:
@@ -886,9 +887,7 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
                 tally.stride()
             v = (top + 1 if m_top == 1 else top**m_top + 1) // prev
             cols[j - 1][seed] = v
-            seed_prods[j] = base * v
             top_col[top_row] = top
-            top_prods[j - 1] = top_base * top
             nxt = top_col
             stop = 0
             for s, r, level, _, u, mu, cap in lower:
@@ -927,11 +926,10 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
             if j == p:
                 leaf()
             else:
-                descend(j + 1)
+                descend(j + 1, base * v, top_base * top)
 
     cols[0][seed] = start
-    seed_prods[1] = start
-    descend(2)
+    descend(2, start, 1)
     descend = leaf = None  # drop the closures' self-reference: no cyclic garbage
     if divide and tally.budget <= 0:
         tally.notes.append("factorization budget exhausted")

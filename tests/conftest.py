@@ -1,5 +1,6 @@
 import pytest
 
+from friezes import catalog
 from friezes import (
     DynkinType,
     e8_example_pattern,
@@ -19,6 +20,16 @@ CATALOG_SAMPLE = tuple(
         "F4", "G2",
     )
 )
+
+
+def types_up_to(r):
+    """Every catalog type of rank at most ``r``, family by family."""
+    return tuple(
+        DynkinType(family, n)
+        for family, (_, admissible, _) in catalog._FAMILIES.items()
+        for n in range(1, r + 1)
+        if admissible(n)
+    )
 
 
 @pytest.fixture(scope="session")

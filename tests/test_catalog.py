@@ -25,7 +25,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
-from conftest import CATALOG_SAMPLE
+from conftest import CATALOG_SAMPLE, types_up_to
 from friezes.catalog import search_period, twist
 
 # The E8 Cartan matrix and its integer inverse under the fixed numbering.
@@ -244,16 +244,6 @@ def test_leading_principal_minors_exact(t):
     assert _minors_by_jacobi(t) == _known_minors(t)
 
 
-def _types_up_to(r):
-    """Every catalog type of rank at most ``r``, family by family."""
-    return tuple(
-        DynkinType(family, n)
-        for family, (_, admissible) in catalog._RANKS.items()
-        for n in range(1, r + 1)
-        if admissible(n)
-    )
-
-
 def test_leading_principal_minors_match_the_permutation_expansion():
     # the Leibniz formula on every leading block of each Cartan matrix
     def det(rows):
@@ -265,7 +255,7 @@ def test_leading_principal_minors_match_the_permutation_expansion():
                 total += (-1) ** inversions * term
         return total
 
-    for t in _types_up_to(7):
+    for t in types_up_to(7):
         cm = cartan_matrix(t)
         expected = tuple(det([row[:m] for row in cm[:m]]) for m in range(1, t.rank + 1))
         assert _minors_by_jacobi(t) == expected, t
@@ -370,7 +360,7 @@ def _bareiss(rows):
 @pytest.mark.parametrize("family", "ABCDEFG")
 def test_tree_inverse_matches_the_dense_elimination(family):
     # every type up to rank 40, family by family (E6-E8, F4 and G2 included)
-    for t in (t for t in _types_up_to(40) if t.family == family):
+    for t in (t for t in types_up_to(40) if t.family == family):
         det, adj = _bareiss(cartan_matrix(t))
         assert catalog._adjugate(t) == (det, tuple(map(tuple, adj))), t
 
@@ -412,7 +402,7 @@ def _tabulated_twist(t):
     return tuple(range(n)), (h2 // 2,) * n  # B, C, D_even, E7, E8, F4, G2
 
 
-@pytest.mark.parametrize("t", _types_up_to(30), ids=str)
+@pytest.mark.parametrize("t", types_up_to(30), ids=str)
 def test_twist_matches_the_table(t):
     sigma, c = _tabulated_twist(t)
     assert twist(t) == (sigma, c)
@@ -420,7 +410,7 @@ def test_twist_matches_the_table(t):
     assert search_period(t) == (h2 // 2 if sigma == tuple(range(t.rank)) else h2)
 
 
-@pytest.mark.parametrize("t", _types_up_to(20), ids=str)
+@pytest.mark.parametrize("t", types_up_to(20), ids=str)
 def test_all_ones_column_is_a_frieze_within_the_search_period(t):
     # independent of both searches: trace the all-ones seed to h + 2
     q, columns = detect_period(FriezeSlice(t, (1,) * t.rank), catalog.coxeter_number(t) + 2)

@@ -1,5 +1,8 @@
+import importlib.util
 import json
+import random
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -187,19 +190,29 @@ def test_enumerate_refuses_branch_types_without_cap(capsys):
     assert "2^464" in err or "2^928" in err  # prints the caps it would need
 
 
-@pytest.mark.parametrize("name", ["D4", "D5", "D6", "E6", "E7", "E8"])
-def test_enumerate_refuses_divisor_branching_without_cap(capsys, name):
+@pytest.mark.parametrize("name", ["A6", "B4", "C4", "D5", "D6", "E6", "E7", "E8", "F4"])
+def test_enumerate_refuses_caps_past_forty_bits_without_cap(capsys, name):
+    # every type certified so far has a largest cap of at most 37 bits (A5);
+    # C4's 41 bits did not finish within 300 s, and the rest are larger
     code, out, err = run(capsys, "enumerate", name)
     assert code == 2 and out == ""
     assert err.startswith(f"error: full enumeration of {name} needs entry caps 2^")
+    assert int(err.split("(about ")[1].split(" bit entries)")[0]) > 40
 
 
 @pytest.mark.parametrize("name,count", [("A1", 2), ("A2", 5), ("C3", 20)])
 def test_enumerate_runs_forced_types_without_cap(capsys, name, count):
-    # A1 defaults to column_dfs at rank 1, yet needs no divisor branching.
+    # Largest caps of 2, 6 and 19 bits; A1 runs the column walk at rank 1.
     code, out, _ = run(capsys, "enumerate", name)
     assert code == 0
     assert f"friezes {count} " in out
+
+
+def test_enumerate_certifies_d4_row_seeded_without_cap(capsys):
+    # D4's largest cap has 21 bits: the run is certified, with no --cap
+    code, out, _ = run(capsys, "enumerate", "D4", "--strategy", "row_seeded", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["frieze_count"] == 51 and payload["complete"] is True
 
 
 @pytest.mark.parametrize("args", [(), ("--json",)], ids=["text", "json"])
@@ -322,6 +335,93 @@ def test_period_bad_seed_values(capsys):
 def test_period_refuses_what_a_document_would(capsys, e8_file, args, message):
     code, out, err = run(capsys, "period", *(e8_file if a == "FILE" else a for a in args))
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "token,valid",
+    [("1", True), ("0", False), ("+1", False), ("1_0", False), ("\u0663", True),
+     ("\u00b2", False), ("x", False), ("9" * 4301, _digit_limit() in (None, 0))],
+    ids=["one", "zero", "sign", "underscore", "arabic-indic-three", "superscript-two", "letter",
+         "past-the-digit-limit"],
+)
+def test_document_rows_and_period_seeds_share_one_token_rule(capsys, tmp_path, token, valid):
+    # decimal digits only, within int()'s digit limit, and positive: a
+    # refused token is a usage failure (exit 2) in a document row and in a
+    # --seed alike; an accepted one reaches the mesh (exit 0 or 1)
+    path = tmp_path / "a1.frieze"
+    path.write_text(f"dynkin A1\nperiod 1\nrow {token}\n", encoding="utf-8")
+    document = run(capsys, "verify", str(path))[0]
+    seed = run(capsys, "period", "--type", "A1", "--seed", token)[0]
+    assert (document != 2, seed != 2) == (valid, valid)
+
+
+# A cold profile of a large rank stays fast: each bounds command builds its
+# exact inverse from the diagram's branch determinants and path products,
+# O(n^2), and A300 under cap 2 (no frieze fits, exit 1) walks the twist at
+# rank 300.  period's default cap is h + 2 from catalog.period_cap alone, so
+# A2000 pays only for propagation, never for the exact inverse.
+@pytest.mark.parametrize(
+    "argv,code,check",
+    [
+        pytest.param(("bounds", "A100", "--json"), 0, None, id="bounds-A100"),
+        pytest.param(("bounds", "D60", "--min2"), 0, None, id="bounds-D60-min2"),
+        pytest.param(("bounds", "A300", "--json"), 0, None, id="bounds-A300"),
+        pytest.param(
+            ("enumerate", "A300", "--cap", "2", "--json"), 1,
+            lambda out: json.loads(out)["frieze_count"] == 0,
+            id="enumerate-A300-cap2", marks=pytest.mark.slow,
+        ),
+        pytest.param(
+            ("period", "--type", "A2000", "--seed", ",".join(["1"] * 2000)), 0,
+            lambda out: "dynkin A2000  minimal period 2003" in out.splitlines(),
+            id="period-A2000", marks=pytest.mark.slow,
+        ),
+    ],
+)
+def test_large_rank_commands(capsys, argv, code, check):
+    got, out, _ = run(capsys, *argv)
+    assert got == code
+    assert check is None or check(out)
+
+
+@pytest.fixture(scope="module")
+def a48_files(tmp_path_factory):
+    """An A48 Conway-Coxeter document from the benchmark corpus generator,
+    a copy with one entry raised by 1, and multiples of its period."""
+    spec = importlib.util.spec_from_file_location(
+        "corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    )
+    corpus = importlib.util.module_from_spec(spec)
+    with pytest.MonkeyPatch.context() as mp:  # its dataclass looks itself up
+        mp.setitem(sys.modules, spec.name, corpus)
+        spec.loader.exec_module(corpus)
+    rows = corpus.frieze_rows(corpus.random_quiddity(51, random.Random(1)))
+    tmp = tmp_path_factory.mktemp("a48")
+    files = {"good": tmp / "a48.frieze", "bad": tmp / "a48-bad.frieze"}
+    files["good"].write_text(corpus.document_text("A48", rows), encoding="utf-8")
+    rows[23][0] += 1
+    files["bad"].write_text(corpus.document_text("A48", rows), encoding="utf-8")
+    period = len(rows[0])
+    return {**{k: str(v) for k, v in files.items()}, "p4": str(4 * period), "p28": str(28 * period)}
+
+
+# The read path at a large rank.  The corrupted copy takes the failure path
+# of the generated rank-48 mesh kernel; at 28 times its period, analyze
+# prints products longer than Python's 4,300-digit int-to-str limit.
+@pytest.mark.parametrize(
+    "argv,code,prefix",
+    [
+        pytest.param(("verify", "{good}"), 0, "OK", id="verify"),
+        pytest.param(("verify", "{bad}"), 1, "mesh violation at vertex ", id="verify-corrupted"),
+        pytest.param(("period", "{good}"), 0, "dynkin A48  minimal period ", id="period"),
+        pytest.param(("analyze", "{good}", "--json", "--period", "{p4}"), 0, "{", id="analyze-x4"),
+        pytest.param(("analyze", "{good}", "--json", "--period", "{p28}"), 0, "{", id="analyze-x28"),
+    ],
+)
+def test_a48_read_path(capsys, a48_files, argv, code, prefix):
+    got, out, _ = run(capsys, *(a.format(**a48_files) for a in argv))
+    assert got == code
+    assert any(line.startswith(prefix) for line in out.splitlines())
 
 
 def test_quiver_plain(capsys):

@@ -23,7 +23,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
-from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns
+from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns, types_up_to
 from friezes.catalog import _mesh_factors, search_period, twist
 from friezes.mesh import _product
 from friezes.search import (
@@ -545,6 +545,14 @@ def test_column_plan_free_depths(t, monkeypatch):
     assert back == ([n - 2] if t.family == "E" else [n - 1] * (n >= 3))
 
 
+def test_column_plan_builds_for_every_type_up_to_rank_thirty():
+    # _column_plan asserts its leaf rule as it builds: among them, that no
+    # leaf's generator is the row-n cell, so a capped depth takes no floor.
+    # The plan's shape does not read the caps' values
+    for t in types_up_to(30):
+        _column_plan(t, (2,) * t.rank)
+
+
 LEAF_CAP_RUNS = [
     *((name, None) for name in ("A2", "A3", "A4", "B3", "C3", "D4", "G2")),
     ("D4", 16),
@@ -1045,15 +1053,15 @@ def test_congruence_candidates_clip_matches_brute_force(m, y, modulus, cap):
         assert got == [x for x, c in zip(solutions, cells) if c >= cell_floor], cell_floor
 
 
-def plain_capped_scan(y, modulus, cap, cell_cap, cell_floor):
+def plain_capped_scan(y, modulus, cap, cell_cap):
     # x in [1, min(cap, M + 1)] dividing M + 1 with x*y = -1 (mod M), its
-    # cell (x*y + 1) / M within [cell_floor, cell_cap]
+    # cell (x*y + 1) / M at most cell_cap
     return [
         x
         for x in range(1, min(cap, modulus + 1) + 1)
         if (modulus + 1) % x == 0
         and (x * y + 1) % modulus == 0
-        and cell_floor <= (x * y + 1) // modulus <= cell_cap
+        and (x * y + 1) // modulus <= cell_cap
     ]
 
 
@@ -1063,20 +1071,18 @@ def plain_capped_scan(y, modulus, cap, cell_cap, cell_floor):
     modulus=st.one_of(st.just(1), st.integers(2, 400)),
     cap=st.integers(1, 500),
     cell_cap=st.integers(1, 600),
-    cell_floor=st.integers(1, 20),
 )
-@example(y=7, modulus=1, cap=9, cell_cap=20, cell_floor=1)  # M = 1: x = 1 and 2
-@example(y=12, modulus=6, cap=50, cell_cap=600, cell_floor=1)  # w0 = 0: none
-@example(y=5, modulus=6, cap=7, cell_cap=64, cell_floor=1)  # w0 = 1: x = 1 and x = M + 1
-@example(y=5, modulus=6, cap=6, cell_cap=64, cell_floor=1)  # w0 = 1, x = M + 1 above the cap
-@example(y=5, modulus=6, cap=7, cell_cap=64, cell_floor=2)  # w0 = 1, x = 1 below the floor
-@example(y=3, modulus=5, cap=9, cell_cap=2, cell_floor=2)  # w0 = 2: x = 3, cell on its cap
-@example(y=4, modulus=6, cap=9, cell_cap=64, cell_floor=1)  # w0 = 2 does not divide 7
-def test_capped_candidates_match_the_plain_scan(y, modulus, cap, cell_cap, cell_floor):
+@example(y=7, modulus=1, cap=9, cell_cap=20)  # M = 1: x = 1 and 2
+@example(y=12, modulus=6, cap=50, cell_cap=600)  # w0 = 0: none
+@example(y=5, modulus=6, cap=7, cell_cap=64)  # w0 = 1: x = 1 and x = M + 1
+@example(y=5, modulus=6, cap=6, cell_cap=64)  # w0 = 1, x = M + 1 above the cap
+@example(y=3, modulus=5, cap=9, cell_cap=2)  # w0 = 2: x = 3, cell on its cap
+@example(y=4, modulus=6, cap=9, cell_cap=64)  # w0 = 2 does not divide 7
+def test_capped_candidates_match_the_plain_scan(y, modulus, cap, cell_cap):
     # a capped depth reads each candidate off its backward cell w = -y
     # (mod M); equality with the ascending scan also checks the order
-    got = _capped_candidates(y, modulus, cap, cell_cap, cell_floor)
-    assert got == plain_capped_scan(y, modulus, cap, cell_cap, cell_floor)
+    got = _capped_candidates(y, modulus, cap, cell_cap)
+    assert got == plain_capped_scan(y, modulus, cap, cell_cap)
 
 
 @settings(max_examples=400, deadline=None)

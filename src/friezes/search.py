@@ -79,7 +79,13 @@ Soundness of the pruning:
     before (``u > v``).  So ``w*P = -1 (mod M)``, and ``x = w**-1 = -P
     (mod M)``: the depth that chooses ``M`` keeps it only if a divisor of
     ``1 + M`` within ``x``'s cap lies in that class
-    (``_backward_mesh_holds``);
+    (``_backward_mesh_holds``).  Lemma: where ``M > P``, that class's least
+    member is ``u = M - P``, since ``0 < P < M``, and ``u`` divides ``M + 1
+    = u + (P + 1)`` exactly when it divides ``P + 1``.  So a kept ``M > P``
+    is ``P + e`` with ``e`` dividing ``P + 1`` and ``e <= max(1, cap_x)``
+    (``u = 1`` needs no cap), and ``M <= P + cap_x``: a depth with a
+    generator clips its coordinate cap there, and E's free depth generates
+    its moduli (below);
   - a free depth just before ``l``'s, whose coordinate ``x`` enters the
     generator cell ``(1 + x1 * x * r) / M`` of ``l``'s coordinate ``x1``
     and nothing else checks it first; ``r`` and ``M`` are fixed already.
@@ -99,8 +105,15 @@ Soundness of the pruning:
     divisor ``x1 < 1 + M`` is the least solution for exactly the ``x =
     -r**-1 * (1 + M)/x1 (mod M)``, kept up to ``B // x1``
     (``_solvable_coordinates``).  Each ``x`` has one least ``x1``, so these
-    classes are disjoint, and the lookahead takes ``O(sqrt(1 + M) +
-    kept)`` steps;
+    classes are disjoint.  In type E that depth also chooses the modulus of
+    the second kind, with ``P = M`` (``_column_plan`` asserts it).  A
+    class's least member ``f`` is at most ``M``, and a member ``f + k*M``,
+    ``k >= 1``, is ``M + e`` with ``e = f + (k - 1)*M``, which divides ``M +
+    1`` only where ``k = 1``, or ``k = 2`` and ``f = 1``.  So by the lemma only
+    three members can be kept: ``f`` if it passes the test, ``f + M`` where
+    ``f = 1`` or ``f <= cap_x`` divides ``M + 1``, and ``2*M + 1`` where
+    ``f = 1`` and ``M + 1 <= cap_x``.  The lookahead generates those, from
+    pairs ``(x1, (1 + M)/x1)`` formed once per run and modulus;
 * column search, row-minimum floor: partition ``start`` keeps only the
   orbits whose row-``n`` minimum is ``start`` (the partition of a lower
   minimum finds the others), so every forward row-``n`` cell of a seed
@@ -298,13 +311,16 @@ class _Tally:
     tuples) and its notes.  Emits a progress line every ``PROGRESS_STRIDE``
     nodes.  Each search counts inline: ``nodes += 1``, then ``stride()``
     once ``nodes`` reaches ``next_stride``.  ``budget`` holds the
-    divisor-branch nodes a row-seeded partition has left."""
+    divisor-branch nodes a row-seeded partition has left, and
+    ``divisor_pairs`` the column lookahead's pairs of ``1 + M`` per modulus
+    ``M``, for every partition the tally serves."""
 
     def __init__(self, progress=None):
         self.nodes = 0
         self.orbits: set = set()
         self.notes: list[str] = []
         self.budget = _FACTORIZATION_BUDGET
+        self.divisor_pairs: dict = {}
         self._progress = progress
         self.next_stride = PROGRESS_STRIDE
 
@@ -350,12 +366,16 @@ def _column_plan(t: DynkinType, caps):
       and ``v``'s mesh factors are ``(l, 1, 0)`` and forward cells only.  It
       is ``(rest, cap)``: ``v``'s other factors, read from the seed column,
       and ``l``'s cap.  That depth keeps a candidate ``M`` only if
-      ``_backward_mesh_holds(P, M, cap)``, ``P`` the product of ``rest``;
+      ``_backward_mesh_holds(P, M, cap)``, ``P`` the product of ``rest``,
+      and generates none above ``P + cap``;
     * ``pair`` at the depth before ``l``'s, where that depth is free (no
       generator and no due cell) and its coordinate enters ``l``'s
       generator as a factor ``(i, 1, 0)`` beside forward cells only.  It
       keeps only the coordinates for which ``l`` has a candidate
       (``_solvable_coordinates``, on the next depth's generator and caps).
+
+    A ``back`` depth has a generator and no ``pair``, or is such a free
+    depth (type E) whose ``P`` is the modulus it looks ahead with.
     """
     factors = _mesh_factors(t)
     n = t.rank
@@ -402,6 +422,13 @@ def _column_plan(t: DynkinType, caps):
             # x is the generator's only column-k cofactor: r is a unit mod vals[v]
             assert all(o or u == x for u, _, o in gen[2]), f"{t}"
             pair[d - 1] = (l, v, m)
+    for d, (rest, _) in back.items():
+        # a back depth's moduli are clipped, or generated by the lookahead
+        ahead = pair.get(d)
+        if plan[d][2] is None:
+            assert ahead and ahead[0] != plan[d][0] and rest == ((ahead[1], 1, 0),), f"{t}"
+        else:
+            assert ahead is None, f"{t}"
     return (None, *(plan[d] + (pair.get(d), back.get(d)) for d in range(1, n + 1)))
 
 
@@ -529,8 +556,9 @@ def _next_top_cap(start, prev, room):
     return (b + math.isqrt(b * b + 4 * start * room * prev)) // (2 * start)
 
 
-def _solvable_coordinates(r, modulus, next_cap, cell_cap, cap):
-    """A free depth's candidates: ascending x in [1, cap] for which the next
+def _solvable_coordinates(r, modulus, next_cap, cell_cap, cap, back_cap, divisor_pairs):
+    """E's free depth's candidates: ascending x in [1, cap] that pass
+    ``_backward_mesh_holds(modulus, x, back_cap)`` and for which the next
     coordinate's congruence ``x1 * x * r = -1 (mod modulus)`` has a least
     solution ``x1 <= next_cap`` that divides ``modulus + 1`` (the next
     coordinate is a leaf on the modulus's vertex) and gives a cell ``(x1 *
@@ -541,16 +569,31 @@ def _solvable_coordinates(r, modulus, next_cap, cell_cap, cap):
     Each divisor ``x1 < modulus + 1`` of ``modulus + 1``, inverted mod
     the modulus by its cofactor, is the least solution for one residue
     class of x, kept up to ``b // x1``; an x has one least ``x1``, so the
-    classes are disjoint (module docstring)."""
+    classes are disjoint.  Of a class, at most its least member ``f``, ``f
+    + modulus`` and ``2*modulus + 1`` pass the test, and only ``f`` needs it
+    (module docstring).  ``divisor_pairs`` maps each modulus to its pairs
+    ``(x1, (modulus + 1) / x1)``, and is filled here."""
     b = (cell_cap * modulus - 1) // r  # the cell (x1 * x * r + 1) / modulus <= cell_cap
     s = -pow(r, -1, modulus)  # x * x1 = s mod modulus
     above = modulus + 1  # x1 divides it
+    pairs = divisor_pairs.get(modulus)
+    if pairs is None:
+        pairs = divisor_pairs[modulus] = [(x1, above // x1) for x1 in _divisors(above)[:-1]]
     kept = []
-    for x1 in _divisors(above)[:-1]:
+    for x1, w in pairs:
         if x1 > next_cap:
             break
-        first = (s * (above // x1) - 1) % modulus + 1  # 1 where modulus is 1
-        kept += range(first, min(cap, b // x1) + 1, modulus)
+        top = min(cap, b // x1)
+        f = (s * w - 1) % modulus + 1  # 1 where modulus is 1
+        if f > top:
+            continue
+        if _backward_mesh_holds(modulus, f, back_cap):
+            kept.append(f)
+        if f <= back_cap and not above % f:  # modulus + f passes, f = 1 too
+            if f + modulus <= top:
+                kept.append(f + modulus)
+            if f == 1 and above <= back_cap and above + modulus <= top:
+                kept.append(above + modulus)
     kept.sort()
     return kept
 
@@ -590,11 +633,17 @@ def _column_partition(t, caps, p, start, tally):
             g, m, others, cell_cap, floored = gen
             y = _product(cols, others)
             modulus = vals[g]
-            if pair is None:
-                floor = start if floored else 1
-                candidates = _congruence_candidates(m, y, modulus, cap, cell_cap, floor)
-            else:  # a leaf on g: x divides 1 + modulus
+            floor = start if floored else 1
+            if pair is not None:  # a leaf on g: x divides 1 + modulus
                 candidates = _capped_candidates(y, modulus, cap, cell_cap)
+            elif back is None:
+                candidates = _congruence_candidates(m, y, modulus, cap, cell_cap, floor)
+            else:  # a kept x is at most P + cap_x (module docstring, the lemma)
+                rest, xcap = back
+                cofactor = _product(cols, rest)  # P: its vertices were chosen already
+                cap = min(cap, cofactor + xcap)
+                clipped = _congruence_candidates(m, y, modulus, cap, cell_cap, floor)
+                candidates = [x for x in clipped if _backward_mesh_holds(cofactor, x, xcap)]
         elif pair is None:
             candidates = (start,) if d == 1 else range(1, cap + 1)
         elif pair[0] == i:  # x divides 1 + vals[v]**e; the forward cells filter it
@@ -604,16 +653,12 @@ def _column_partition(t, caps, p, start, tally):
             _, next_cap, (_, _, others, cell_cap, _), *_ = plan[d + 1]
             vals[i] = 1  # that generator's cofactor is x * r: r is its value at x = 1
             r = _product(cols, others)
-            candidates = _solvable_coordinates(r, vals[pair[1]], next_cap, cell_cap, cap)
-        if back is not None:
-            rest, xcap = back
-            cofactor = _product(cols, rest)  # P: its vertices were chosen already
+            modulus, memo = vals[pair[1]], tally.divisor_pairs  # the back test's P is modulus
+            candidates = _solvable_coordinates(r, modulus, next_cap, cell_cap, cap, back[1], memo)
         for x in candidates:
             tally.nodes += 1
             if tally.nodes >= tally.next_stride:
                 tally.stride()
-            if back is not None and not _backward_mesh_holds(cofactor, x, xcap):
-                continue  # no leaf coordinate completes g's backward mesh
             vals[i] = x
             if gen is not None:  # exact, and within its cap and floor, by construction
                 cells1[g] = ((x if m == 1 else x**m) * y + 1) // modulus

@@ -130,7 +130,7 @@ def cmd_bounds(args) -> int:
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
     # Past 40-bit entry caps no run is known to end (A5, at 37 bits, takes
-    # about 19 s; C4, at 41, runs past 300 s): require --cap so no
+    # about 3 s; C4, at 41, runs past 300 s): require --cap so no
     # uncertified count is implied.
     p = search_period(t)
     bits = max(bounds_mod.entry_caps(t, p)).bit_length()

@@ -156,6 +156,21 @@ Soundness of the pruning:
   too.  Inexact divisions, a zero numerator and the vertex-1 mesh are not
   monotone and only skip the candidate.  Product caps bind only on the
   seed and top rows (``L`` and ``X``), and only those are tested;
+* row seeding, twin product cut: by the twist (half period, above), a
+  wave row ``r`` with ``sigma(r)`` the seed row has ``cols[c][r] =
+  cols[c + c_r][seed]``, and one with ``sigma(r)`` the top forced row,
+  where that row takes no root, has ``cols[c][r] + 1 = cols[a][seed] *
+  cols[a + 1][seed]``, ``a = c + c_r``, by the seed row's mesh.  Position
+  ``j``'s new wave cells whose twin columns all lie in ``[j, p)`` (seed
+  cells not chosen yet, no wrap-around), pairwise disjoint, thus fix
+  products of future seed cells (``_twin_covers``); every other future
+  cell is at least ``start``.  So the seed row's product is at least
+  ``t_1 ... t_j * product(cell + add) * start**k``, ``k`` the future
+  columns left uncovered, and a candidate that puts this above the seed
+  row's product cap holds no frieze.  Each covered cell is a new cell of
+  this step, so the bound is non-decreasing in the candidate (monotone
+  cut-off, above) and the first that fails ends the loop.  A pinned
+  position has one candidate and skips the test;
 * row seeding, stuck-mesh exactness: the stuck vertex ``x`` was forced by
   its known neighbour ``s``, and ``s`` by ``z`` (factor 1 when ``s`` is
   the seed).  Modulo ``F[s,k+1]``, the meshes of ``s`` give
@@ -213,7 +228,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import entry_caps, integer_root
-from .catalog import DynkinType, _mesh_factors, search_period
+from .catalog import DynkinType, _mesh_factors, search_period, twist
 from .mesh import (
     DeadEndError,
     FriezePattern,
@@ -824,6 +839,38 @@ def _reconstruct(cols, solve_plan, caps, tally, stuck=()):
             yield [tuple(col) for col in cols]
 
 
+def _twin_covers(t: DynkinType, p: int, start: int):
+    """Per seed position ``j`` (1-based; index 0 and 1 unused): the twin
+    product cut's ``(cells, floor)`` for partition ``start``.  ``cells``
+    holds ``(c, r, add)`` for the new wave cells ``cols[c][r]`` of step
+    ``j`` whose twin fixes future seed cells (module docstring, twin
+    product cut): ``cols[c][r] + add`` is the product of the seed cells at
+    the columns it covers, all in ``[j, p)`` and disjoint from the others'.
+    ``floor`` is ``start**k``, ``k`` the future columns left uncovered."""
+    wave = _solve_plan(t)[0]
+    sigma, shift = twist(t)
+    seed, (_, top_row, m_top, _) = t.rank - 1, wave[0]
+    covers = []
+    for j in range(p + 1):
+        cells, taken = [], set()
+        for level, (_, r, _, _) in enumerate(wave, 1):
+            c = j - level - 1
+            if c < 0:
+                break
+            c2 = c + shift[r]
+            if sigma[r] == seed:
+                span, add = {c2}, 0
+            elif sigma[r] == top_row and m_top == 1:
+                span, add = {c2, c2 + 1}, 1
+            else:
+                continue
+            if j <= c2 and max(span) < p and taken.isdisjoint(span):
+                taken |= span
+                cells.append((c, r, add))
+        covers.append((tuple(cells), start ** (p - j - len(taken))))
+    return covers
+
+
 def _row_partition(t, caps, prodcaps, p, start, tally):
     """Row-seeded search over cyclic tuples of length ``p`` with ``t_1 =
     start`` (the row minimum, so every entry is at least ``start``)."""
@@ -884,6 +931,11 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         _, _, x, ((ku, kmu, ko),), _ = divide
         stuck = [0] * (p - pair_from + 1)
         pin_test = 0
+    # the twin product cut's covers (module docstring); a pinned position
+    # has one candidate and skips the cut
+    twins = _twin_covers(t, p, start)
+    if pinned_tail:
+        twins[pair_from:] = [((), 1)] * (p + 1 - pair_from)
 
     def leaf() -> None:
         for found in _reconstruct(cols, solve_plan, caps, tally, stuck):
@@ -922,6 +974,7 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         # Candidates ascend, t_j and every lower forced cell of this step
         # are non-decreasing in them, so a cap failure ends the loop
         # (stop = 2); any other failure skips the candidate (stop = 1).
+        cells, rest = twins[j]
         if j == pin_test and closing is not None:
             candidates = _closing_candidates(prev, cols, closing, lo, hi, xcap)
         else:
@@ -954,6 +1007,12 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
                     break
                 col[r] = q
                 nxt = col
+            if cells and not stop:
+                bound = base * v * rest
+                for c, r, add in cells:
+                    bound *= cols[c][r] + add
+                if bound > seed_prodcap:
+                    stop = 2
             if not stop and j == pin_test and (1 + cols[1][u1] ** mu1) % cols[0][f]:
                 stop = 1
             if not stop and not pinned_tail and j >= pair_from:

@@ -42,6 +42,7 @@ from friezes.search import (
     _solve_plan,
     _start_values,
     _Tally,
+    _twin_covers,
     stderr_progress,
 )
 
@@ -152,6 +153,27 @@ def _triangulations(vertices):
     return out
 
 
+def _conway_coxeter_orbits(n):
+    """The A_n orbits from the triangulations of an (n+3)-gon (Conway-
+    Coxeter), independent of both search strategies: the number of
+    triangulations, each orbit's canonical rotation with its period, and
+    every column.  With quiddity a (triangles per polygon vertex), the
+    frieze has F[i,k] = K(a[1-k], ..., a[i-k]) for the continuant K,
+    indices mod n+3."""
+    size = n + 3
+    triangulations = _triangulations(list(range(size)))
+    expected = {}
+    columns = set()
+    for tri in triangulations:
+        a = [sum(v in t for t in tri) for v in range(size)]
+        cols = conway_coxeter_columns(a)
+        columns.add(cols[0])
+        q = next(d for d in range(1, size + 1) if cols[d:] + cols[:d] == cols)
+        rotations = [tuple(cols[(r + x) % q] for x in range(q)) for r in range(q)]
+        expected[min(rotations)] = q
+    return len(triangulations), expected, columns
+
+
 @pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
 @pytest.mark.parametrize(
     "n,cap,count",
@@ -169,30 +191,28 @@ def _triangulations(vertices):
     ids=["A1", "A2", "A3", "A4@16", "A5@16", "A6@32", "A7@64", "A8@64", "A9@128"],
 )
 def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
-    # Conway-Coxeter: the A_n friezes are the triangulations of an
-    # (n+3)-gon.  With quiddity a (triangles per polygon vertex), the
-    # frieze has F[i,k] = K(a[1-k], ..., a[i-k]) for the continuant K,
-    # indices mod n+3; independent of both search strategies.  Every
-    # A4-A9 frieze fits under the entry cap given, so those runs are
-    # uncertified but must still find every orbit.
-    size = n + 3
-    triangulations = _triangulations(list(range(size)))
-    assert len(triangulations) == count
-    expected = {}
-    columns = set()
-    for tri in triangulations:
-        a = [sum(v in t for t in tri) for v in range(size)]
-        cols = conway_coxeter_columns(a)
-        columns.add(cols[0])
-        q = next(d for d in range(1, size + 1) if cols[d:] + cols[:d] == cols)
-        rotations = [tuple(cols[(r + x) % q] for x in range(q)) for r in range(q)]
-        expected[min(rotations)] = q
-    assert len(columns) == count
-
+    # the A_n friezes are the triangulations of an (n+3)-gon.  Every A4-A9
+    # frieze fits under the entry cap given, so those runs are uncertified
+    # but must still find every orbit.
+    triangulations, expected, columns = _conway_coxeter_orbits(n)
+    assert triangulations == len(columns) == count
     out = outcome(f"A{n}", strategy, entry_cap_override=cap)
     assert out.complete is (cap is None) and out.frieze_count == count
     assert dict(zip(orbit_keys(out), (o.period for o in out.orbits))) == expected
     assert {c.values for o in out.orbits for c in o.columns} == columns
+
+
+@pytest.mark.slow
+def test_certified_a5_row_seeded_matches_conway_coxeter():
+    # certified A5: the 132 triangulations of the octagon in 19 orbits,
+    # through row_seeded only (column_dfs ran past 300 s)
+    triangulations, expected, columns = _conway_coxeter_orbits(5)
+    assert triangulations == len(columns) == 132 and len(expected) == 19
+    out = outcome("A5", "row_seeded")
+    assert out.complete and out.notes == () and out.frieze_count == 132
+    assert dict(zip(orbit_keys(out), (o.period for o in out.orbits))) == expected
+    assert {c.values for o in out.orbits for c in o.columns} == columns
+    assert out.nodes_explored == 1_832_860
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -870,8 +890,8 @@ def test_certified_runs_hold_the_constant_friezes(name, columns, strategy):
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
     ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 11), (6, 11)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (15, 102), (15, 102)),
-    ("B2", None, 6, "4dbd41d47196a995", True, (6, 89), (6, 15)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (15, 50), (15, 50)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (6, 37), (6, 15)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
     ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
     ("B3", 32, 21, "a7b31165b01b9e09", False, (27, 291), (27, 267)),
@@ -931,7 +951,7 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
     "name,strategy,cap,stride",
     [
         ("A3", "column_dfs", None, 1),
-        ("A3", "row_seeded", None, 10),
+        ("A3", "row_seeded", None, 5),
         # E6 has a free depth: its nodes come from the lookahead's candidates
         ("E6", "column_dfs", 12, 30),
     ],
@@ -992,6 +1012,46 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
         for k in range(q):
             for i in range(t.rank):
                 assert cols[k][i] == cols[(k + c[i]) % q][sigma[i]]
+
+
+@pytest.mark.parametrize(
+    "name,cap,full",
+    [("A2", None, False), ("A3", None, False), ("A4", None, False), ("B2", None, True),
+     ("C2", None, True), ("A5", 16, False), ("A6", 32, False), ("B3", 32, True)],
+)
+def test_twin_covers_bound_every_row_minimum_rotation(name, cap, full):
+    # on every rotation a partition reaches (its seed row starts at the row
+    # minimum), each covered cell equals its twin, and the twin product
+    # cut's bound at each position is at most the seed row's product.  A_n
+    # seed rows all hold a 1; B3 at the full period has rows with minimum 2
+    # whose bound is the product exactly, so a floor too high fails there.
+    t = DynkinType.from_name(name)
+    p = type_profile(t).period_cap if full else search_period(t)
+    out = outcome(name, "row_seeded", p, entry_cap_override=cap)
+    sigma, shift = twist(t)
+    seed, top = t.rank - 1, _solve_plan(t)[0][0][1]
+    checked = 0
+    for orbit in out.orbits:
+        q = orbit.period
+        for first in range(q):
+            cols = [orbit.columns[(first + c) % q].values for c in range(p)]
+            row = [col[seed] for col in cols]
+            if row[0] != min(row):
+                continue
+            for j, (cells, floor) in enumerate(_twin_covers(t, p, row[0])):
+                bound = math.prod(row[:j]) * floor
+                for c, r, add in cells:
+                    a = c + shift[r]
+                    if sigma[r] == seed:
+                        assert add == 0 and cols[c][r] == row[a]
+                    else:
+                        assert sigma[r] == top and add == 1
+                        assert cols[c][r] == row[a] * row[a + 1] - 1
+                    bound *= cols[c][r] + add
+                if cells:
+                    assert bound <= math.prod(row), (first, j)
+                    checked += 1
+    assert checked or name == "C2"  # C2's top step takes a root: no cover
 
 
 @pytest.mark.parametrize(
@@ -1256,14 +1316,14 @@ def test_certified_column_dfs_matches_row_seeded(name, count, nodes):
 
 @pytest.mark.parametrize(
     "name,count,nodes",
-    [("A4", 42, 14_744), ("B3", 21, 13_284), ("D4", 51, 93_685)],
+    [("A4", 42, 4_145), ("B3", 21, 13_284), ("D4", 51, 93_685)],
     ids=["A4", "B3", "D4"],
 )
 def test_certified_row_seeded_nodes(name, count, nodes):
     # only top cells that leave the row's next top cell room within its
     # product cap count as nodes (on D4 mostly at the last position, whose
-    # next cell wraps around), and at A4's pin-test position only the
-    # solved candidates
+    # next cell wraps around), at A4's pin-test position only the solved
+    # candidates, and on A4 the twin product cut ends each loop early
     out = outcome(name, "row_seeded")
     assert out.frieze_count == count and out.complete
     assert out.nodes_explored == nodes
@@ -1398,7 +1458,7 @@ def test_config_without_strategy_runs_the_default():
     cfg = SearchConfig(DynkinType("A", 4))
     assert cfg.strategy == "row_seeded"  # column_dfs walks 65,573 nodes here
     out = enumerate_friezes(cfg)
-    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 14_744
+    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 4_145
 
 
 @pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15), ("D4", 10)])

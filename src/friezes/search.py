@@ -120,7 +120,13 @@ Soundness of the pruning:
   it tries is at least ``start``.  Where that cell is the generator cell,
   the floor holds exactly when ``x**m * y >= start*den - 1``, a closed-form
   lower limit below which no candidate is generated; at ranks 1 and 2
-  it is checked with the cell's other constraints;
+  it is checked with the cell's other constraints.  A serial run's
+  partitions share one set of walked columns and run in ascending
+  ``start``.  An orbit walked in partition ``s'`` has a row-``n`` minimum
+  of at most ``s'``, so a seed that partition ``start`` finds in the set
+  belongs to an orbit already recorded or to a lower partition, and is
+  not walked again.  A pool job starts with an empty set, and there the
+  row-``n`` minimum test alone decides;
 * row seeding, generated top cell: ``t_j`` enters only the top forced
   row's new cell ``x = (t_{j-1} * t_j - 1)**(1/m)`` (the seed row's mesh
   has no other factor), so ``x`` is the candidate.  It comes ascending
@@ -326,9 +332,10 @@ class _Tally:
     tuples) and its notes.  Emits a progress line every ``PROGRESS_STRIDE``
     nodes.  Each search counts inline: ``nodes += 1``, then ``stride()``
     once ``nodes`` reaches ``next_stride``.  ``budget`` holds the
-    divisor-branch nodes a row-seeded partition has left, and
-    ``divisor_pairs`` the column lookahead's pairs of ``1 + M`` per modulus
-    ``M``, for every partition the tally serves."""
+    divisor-branch nodes a row-seeded partition has left, ``divisor_pairs``
+    the column lookahead's pairs of ``1 + M`` per modulus ``M``, and
+    ``visited`` the columns of every orbit the column search walked within
+    its caps, for every partition the tally serves."""
 
     def __init__(self, progress=None):
         self.nodes = 0
@@ -336,6 +343,7 @@ class _Tally:
         self.notes: list[str] = []
         self.budget = _FACTORIZATION_BUDGET
         self.divisor_pairs: dict = {}
+        self.visited: set = set()
         self._progress = progress
         self.next_stride = PROGRESS_STRIDE
 
@@ -598,8 +606,10 @@ def _solvable_coordinates(r, modulus, next_cap, cell_cap, cap, back_cap, divisor
     for x1, w in pairs:
         if x1 > next_cap:
             break
-        top = min(cap, b // x1)
         f = (s * w - 1) % modulus + 1  # 1 where modulus is 1
+        top = b // x1
+        if top > cap:
+            top = cap
         if f > top:
             continue
         if _backward_mesh_holds(modulus, f, back_cap):
@@ -622,7 +632,7 @@ def _column_partition(t, caps, p, start, tally):
     vals = [0] * n
     cells1 = [0] * n
     cols = (vals, cells1)  # the seed column and its forward cells
-    visited: set = set()
+    visited = tally.visited
 
     def leaf() -> None:
         seed = tuple(vals)
@@ -1064,7 +1074,9 @@ def _partition_job(args, tally=None):
 def _partition_results(jobs, workers, progress):
     """The partition jobs' tallies: one per job, in ``jobs`` order, from a
     pool; else every job in one tally, so that progress lines count across
-    partitions."""
+    partitions.  Partitions that share one tally must run in ascending
+    ``start``, as ``jobs`` lists them: the column search skips a seed in
+    the tally's ``visited`` only because a lower partition walked it."""
     if workers > 1 and len(jobs) > 1:
         import multiprocessing  # imported here: only a pool needs it
 

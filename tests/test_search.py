@@ -25,7 +25,7 @@ from friezes import (
 )
 from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns, types_up_to
 from friezes.catalog import _mesh_factors, search_period, twist
-from friezes.mesh import _product
+from friezes.mesh import _orbit, _product
 from friezes.search import (
     _backward_mesh_holds,
     _canonical_columns,
@@ -294,6 +294,9 @@ def test_orbit_is_canonical_rotation():
         # partitions 1 and 2 each note a seed that does not recur: the
         # merge keeps every job's notes, in job order
         pytest.param("A2", "column_dfs", {"period": 3}, id="A2-column_dfs-period3"),
+        # orbits cross partitions: serially one tally's visited set skips
+        # their seeds, in the pool each job walks them on its own
+        pytest.param("E6", "column_dfs", {"entry_cap_override": 32}, id="E6-column_dfs-32"),
         # certified: the pool merges the 8 partitions of the D divide step
         pytest.param("D4", "row_seeded", {}, id="D4-row_seeded", marks=pytest.mark.slow),
     ],
@@ -945,6 +948,23 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
     assert out.frieze_count == count
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert out.complete is (cap is None) and out.notes == ()
+
+
+def test_column_search_walks_each_orbit_once(monkeypatch):
+    # a serial run's partitions share one tally, so a seed of an orbit that
+    # a lower partition walked is skipped, not walked again
+    walked = []
+
+    def walk(*args):
+        traced = _orbit(*args)
+        if traced is not None:
+            walked.append(_canonical_columns(traced))
+        return traced
+
+    monkeypatch.setattr("friezes.search._orbit", walk)
+    out = outcome("E6", "column_dfs", entry_cap_override=32)
+    assert len(out.orbits) == 22
+    assert len(walked) == len(set(walked))
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ row-seeded reconstruction.  Agreement of their counts and canonical orbit
 sets is the correctness oracle.  Counts treat each of the q columns of a
 period-q orbit as a distinct frieze, which reproduces the Catalan numbers
 2, 5, 14, 42 for types A1..A4, each certified through both strategies
-(A4 in 65,573 column_dfs nodes and 4,145 row_seeded nodes).  B3, C3 and
+(A4 in 16,407 column_dfs nodes and 2,203 row_seeded nodes).  B3, C3 and
 D4 (51 friezes, the Fontaine-Plamondon count) are certified at the half
 period.
 """

@@ -263,12 +263,15 @@ def propagate_backward(s: FriezeSlice) -> FriezeSlice:
 
 
 def _orbit(t: DynkinType, first: tuple[int, ...], cap: int, caps=None):
-    """Columns ``0 .. q-1`` of the orbit of ``first``, on raw tuples, where
-    ``q <= cap`` is minimal with ``column_q = first``.
+    """``(columns, closed)``: with ``closed`` true, columns ``0 .. q-1`` of
+    the orbit of ``first``, on raw tuples, where ``q <= cap`` is minimal
+    with ``column_q = first``.
 
-    Returns ``None`` as soon as a propagated column has an entry above
-    ``caps`` (when given).  Raises :class:`DeadEndError` if propagation
-    dies and :class:`NoRecurrenceError` if ``cap`` is exhausted.
+    Stops as soon as a propagated column has an entry above ``caps`` (when
+    given), with ``closed`` false and the columns traced before it: the
+    walk from any of them leaves the caps too.  Raises
+    :class:`DeadEndError` if propagation dies and
+    :class:`NoRecurrenceError` if ``cap`` is exhausted.
     """
     cols = [first]
     cur = first
@@ -278,9 +281,9 @@ def _orbit(t: DynkinType, first: tuple[int, ...], cap: int, caps=None):
         except IndivisibleError as exc:
             raise DeadEndError(step, exc.vertex) from exc
         if caps is not None and any(v > c for v, c in zip(cur, caps)):
-            return None
+            return cols, False
         if cur == first:
-            return cols
+            return cols, True
         cols.append(cur)
     raise NoRecurrenceError(cap)
 
@@ -299,7 +302,7 @@ def detect_period(seed: FriezeSlice, cap: int) -> tuple[int, list[FriezeSlice]]:
     if type(cap) is not int or cap < 1:
         raise ValueError("cap must be positive")
     t = seed.dynkin
-    cols = _orbit(t, seed.values, cap)
+    cols, _ = _orbit(t, seed.values, cap)
     return len(cols), [FriezeSlice._unchecked(t, v) for v in cols]
 
 

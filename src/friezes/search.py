@@ -50,6 +50,21 @@ Soundness of the pruning:
 * every orbit contains a column whose row-``n`` entry is that row's
   minimum, which is at most the geometric mean of the row and hence at
   most ``2**b_n``; only that far does the first coordinate need to range;
+* partition proof: averaging the logs of the mesh relations over a
+  period gives ``C*a <= u`` for the mean logs ``a`` of the rows, ``u_j =
+  log2(1 + 1/min P_j)``, ``P_j`` the mesh product at ``j``, and ``C**-1
+  >= 0`` gives ``a <= C**-1 * u``.  In partition ``start`` row ``n``'s
+  minimum is ``start``, and so is row ``sigma(n)``'s by the twist; a
+  single-factor mesh ``F[i,k]*F[i,k+1] = 1 + F[j,k+o]**m`` lifts a floor
+  ``L_i`` of row ``i`` to ``F[j]**m >= L_i**2 - 1``, and ``L_sigma(j) =
+  L_j``, until nothing changes (``_row_floors``).  Each ``P_j`` is then at
+  least the floors' product over ``j``'s mesh factors, and a row minimum
+  is at most the row's geometric mean, so ``log2 L_i > (C**-1 * u)_i``,
+  or a floor above its cap, proves the partition empty.  With ``adj =
+  det * C**-1`` (``catalog._adjugate``) the test is in integers
+  (``_partition_empty``); never at ``start = 1``, and monotone in
+  ``start``, so the partitions end before the first it proves empty.  With
+  ``u = 1`` it is the clip at ``2**b_n`` above;
 * a frieze column extends in both directions, so true columns satisfy
   every forward and backward divisibility constraint used as a generator;
 * column search, closed-form generator limit: the generator cell of the
@@ -125,7 +140,9 @@ Soundness of the pruning:
   ``start``.  An orbit walked in partition ``s'`` has a row-``n`` minimum
   of at most ``s'``, so a seed that partition ``start`` finds in the set
   belongs to an orbit already recorded or to a lower partition, and is
-  not walked again.  A pool job starts with an empty set, and there the
+  not walked again.  A walk that leaves the caps adds the columns it
+  traced: the walk from any of them reaches the same column beyond the
+  caps, sooner.  A pool job starts with an empty set, and there the
   row-``n`` minimum test alone decides;
 * row seeding, generated top cell: ``t_j`` enters only the top forced
   row's new cell ``x = (t_{j-1} * t_j - 1)**(1/m)`` (the seed row's mesh
@@ -177,6 +194,18 @@ Soundness of the pruning:
   this step, so the bound is non-decreasing in the candidate (monotone
   cut-off, above) and the first that fails ends the loop.  A pinned
   position has one candidate and skips the test;
+* row seeding, twin cut lookahead: each candidate at position ``j`` that
+  passes bounds position ``j + 1``'s twin cut at that position's least
+  candidate.  There ``t_{j+1} >= start``, the top cell is ``t_j * t_{j+1}
+  - 1 >= t_j * start - 1`` (every plan with covers has ``m = 1`` at its
+  top step), and each lower new cell ``(a*b - 1)/den`` has ``a`` and
+  ``den`` fixed by position ``j`` and is non-decreasing in ``b`` (monotone
+  cut-off, above).  So an integer cell is at least the ceiling of that
+  quotient at the lower bound of ``b``, and at least 1.  Where even these
+  lower bounds put the cut's bound above the seed row's product cap,
+  every candidate at ``j + 1`` fails the cut, and the candidate at ``j``
+  has no descendant.  ``den`` depends on the candidate at ``j``, so the
+  bound is not monotone in it: a failure skips the candidate only;
 * row seeding, stuck-mesh exactness: the stuck vertex ``x`` was forced by
   its known neighbour ``s``, and ``s`` by ``z`` (factor 1 when ``s`` is
   the seed).  Modulo ``F[s,k+1]``, the meshes of ``s`` give
@@ -230,11 +259,12 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .bounds import entry_caps, integer_root
-from .catalog import DynkinType, _mesh_factors, search_period, twist
+from .catalog import DynkinType, _adjugate, _mesh_factors, search_period, twist
 from .mesh import (
     DeadEndError,
     FriezePattern,
@@ -334,8 +364,8 @@ class _Tally:
     once ``nodes`` reaches ``next_stride``.  ``budget`` holds the
     divisor-branch nodes a row-seeded partition has left, ``divisor_pairs``
     the column lookahead's pairs of ``1 + M`` per modulus ``M``, and
-    ``visited`` the columns of every orbit the column search walked within
-    its caps, for every partition the tally serves."""
+    ``visited`` the columns of every column-search walk that closed or
+    left the caps, for every partition the tally serves."""
 
     def __init__(self, progress=None):
         self.nodes = 0
@@ -639,15 +669,15 @@ def _column_partition(t, caps, p, start, tally):
         if seed in visited:
             return
         try:
-            traced = _orbit(t, seed, p, caps)
+            traced, closed = _orbit(t, seed, p, caps)
         except DeadEndError:
             return
         except NoRecurrenceError:
             tally.notes.append(f"cap exceeded: seed {seed} did not recur within {p} steps")
             return
-        if traced is None:
-            return
         visited.update(traced)
+        if not closed:
+            return
         if min(col[n - 1] for col in traced) < start:
             return  # found in the partition of its row-n minimum
         tally.orbits.add(_canonical_columns(traced))
@@ -946,6 +976,9 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
     twins = _twin_covers(t, p, start)
     if pinned_tail:
         twins[pair_from:] = [((), 1)] * (p + 1 - pair_from)
+    twins.append(((), 1))  # position p + 1: no lookahead from the last position
+    assert m_top == 1 or not any(cells for cells, _ in twins), f"{t}"
+    low = [0] * n  # the lookahead's lower bounds on the next step's wave cells
 
     def leaf() -> None:
         for found in _reconstruct(cols, solve_plan, caps, tally, stuck):
@@ -985,6 +1018,8 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         # are non-decreasing in them, so a cap failure ends the loop
         # (stop = 2); any other failure skips the candidate (stop = 1).
         cells, rest = twins[j]
+        ahead, ahead_rest = twins[j + 1]
+        ahead_rest *= base * start  # t_{j+1} >= start
         if j == pin_test and closing is not None:
             candidates = _closing_candidates(prev, cols, closing, lo, hi, xcap)
         else:
@@ -1037,6 +1072,21 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
                 break
             if stop:
                 continue
+            if ahead:  # position j + 1's twin product cut at its least candidate
+                b = v * start - 1 or 1  # t_{j+1} >= start
+                low[top_row] = b
+                for s, r, level, _, u, mu, _ in lower:  # inline: no frame on the hot path
+                    c = j - level
+                    if c < 0:
+                        break
+                    den = cols[c + 1][u]
+                    b = -((1 - cols[c][s] * b) // (den if mu == 1 else den**mu)) or 1
+                    low[r] = b
+                bound = ahead_rest * v
+                for _, r, add in ahead:
+                    bound *= low[r] + add
+                if bound > seed_prodcap:
+                    continue
             if j == p:
                 leaf()
             else:
@@ -1054,13 +1104,57 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
 # ---------------------------------------------------------------------------
 
 
+def _row_floors(t: DynkinType, caps, start):
+    """Per-row lower bounds on the entries of every frieze within ``caps``
+    whose row-``n`` minimum is ``start``, or None when one passes its cap
+    (module docstring, partition proof)."""
+    factors, sigma = _mesh_factors(t), twist(t)[0]
+    floors = [1] * t.rank
+    floors[-1] = floors[sigma[-1]] = start
+    changed = True
+    while changed:  # F[i,k]*F[i,k+1] = 1 + F[j,k+o]**m: F[j]**m >= L_i**2 - 1
+        changed = False
+        for i, row in enumerate(factors):
+            if len(row) == 1 and floors[i] > 1:
+                ((j, m, _),) = row
+                low = integer_root(floors[i] ** 2 - 2, m) + 1
+                if low > floors[j]:
+                    if low > caps[j]:
+                        return None
+                    floors[j] = floors[sigma[j]] = low
+                    changed = True
+    return floors
+
+
+def _partition_empty(t: DynkinType, caps, start) -> bool:
+    """Whether the paper's inequality proves that no frieze within ``caps``
+    has row-``n`` minimum ``start``: ``log2 L_i > (C**-1 u)_i`` for some
+    row ``i``, ``L`` the ``_row_floors``, in integers (module docstring)."""
+    floors = _row_floors(t, caps, start)
+    if floors is None:
+        return True
+    det, adj = _adjugate(t)
+    prods = [math.prod(floors[j] ** m for j, m, _ in row) for row in _mesh_factors(t)]
+    return any(
+        low**det * math.prod(q**e for q, e in zip(prods, row))
+        > math.prod((q + 1) ** e for q, e in zip(prods, row))
+        for low, row in zip(floors, adj)
+        if low > 1  # never where L_i = 1: then the left side is the smaller
+    )
+
+
 def _start_values(t: DynkinType, caps) -> range:
-    """First-coordinate partition values: 1 .. min(floor(2**b_n), cap_n)."""
-    return range(1, min(entry_caps(t, 1)[-1], caps[-1]) + 1)
+    """First-coordinate partition values: 1 up to the first that
+    ``_partition_empty`` proves empty, at most min(floor(2**b_n), cap_n).
+    The proof is monotone in ``start``: bisect for the first."""
+    top = min(entry_caps(t, 1)[-1], caps[-1])
+    starts = range(2, top + 1)
+    return range(1, 2 + bisect_left(starts, True, key=lambda s: _partition_empty(t, caps, s)))
 
 
 def _partition_job(args, tally=None):
-    """Run one partition into ``tally`` (a fresh one by default); return it."""
+    """Run one partition into ``tally`` (a fresh one by default); return
+    what the merge reads of it: ``(nodes, notes, orbits)``."""
     t, strategy, p, caps, prodcaps, start = args
     if tally is None:
         tally = _Tally()
@@ -1068,15 +1162,16 @@ def _partition_job(args, tally=None):
         _column_partition(t, caps, p, start, tally)
     else:
         _row_partition(t, caps, prodcaps, p, start, tally)
-    return tally
+    return tally.nodes, tally.notes, tally.orbits
 
 
 def _partition_results(jobs, workers, progress):
-    """The partition jobs' tallies: one per job, in ``jobs`` order, from a
-    pool; else every job in one tally, so that progress lines count across
-    partitions.  Partitions that share one tally must run in ascending
-    ``start``, as ``jobs`` lists them: the column search skips a seed in
-    the tally's ``visited`` only because a lower partition walked it."""
+    """The partition jobs' ``(nodes, notes, orbits)``: one per job, in
+    ``jobs`` order, from a pool; else every job in one tally, so that
+    progress lines count across partitions.  Partitions that share one
+    tally must run in ascending ``start``, as ``jobs`` lists them: the
+    column search skips a seed in the tally's ``visited`` only because a
+    lower partition walked it."""
     if workers > 1 and len(jobs) > 1:
         import multiprocessing  # imported here: only a pool needs it
 
@@ -1086,7 +1181,7 @@ def _partition_results(jobs, workers, progress):
         tally = _Tally(progress)
         for job in jobs:
             _partition_job(job, tally)
-        yield tally
+        yield tally.nodes, tally.notes, tally.orbits
 
 
 def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
@@ -1100,10 +1195,10 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
     notes: list[str] = []
     orbits: set = set()
     total_nodes = 0
-    for tally in _partition_results(jobs, cfg.jobs, progress):
-        total_nodes += tally.nodes
-        notes.extend(tally.notes)
-        orbits |= tally.orbits
+    for nodes, job_notes, job_orbits in _partition_results(jobs, cfg.jobs, progress):
+        total_nodes += nodes
+        notes.extend(job_notes)
+        orbits |= job_orbits
 
     patterns = tuple(pattern_from_columns(t, key) for key in sorted(orbits))
     for pattern in patterns:

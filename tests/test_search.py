@@ -24,7 +24,7 @@ from friezes import (
     verify_pattern,
 )
 from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns, types_up_to
-from friezes.catalog import _mesh_factors, search_period, twist
+from friezes.catalog import _mesh_factors, inverse_cartan, search_period, twist
 from friezes.mesh import _orbit, _product
 from friezes.search import (
     _backward_mesh_holds,
@@ -37,7 +37,10 @@ from friezes.search import (
     _divisors,
     _force,
     _next_top_cap,
+    _partition_empty,
     _reconstruct,
+    _row_floors,
+    _row_partition,
     _solvable_coordinates,
     _solve_plan,
     _start_values,
@@ -212,7 +215,7 @@ def test_certified_a5_row_seeded_matches_conway_coxeter():
     assert out.complete and out.notes == () and out.frieze_count == 132
     assert dict(zip(orbit_keys(out), (o.period for o in out.orbits))) == expected
     assert {c.values for o in out.orbits for c in o.columns} == columns
-    assert out.nodes_explored == 1_832_860
+    assert out.nodes_explored == 967_805
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -396,7 +399,7 @@ def test_d4_override_sixteen_finds_all_fifty_one():
 
 @pytest.mark.parametrize(
     "name,cap,count,nodes",
-    [("D5", 64, 187, 11_470), ("D6", 256, 695, 243_793)],
+    [("D5", 64, 187, 6_277), ("D6", 256, 695, 141_355)],
     ids=["D5-64-187", "D6-256-695"],
 )
 def test_type_d_counts_match_fontaine_plamondon(name, cap, count, nodes):
@@ -454,6 +457,69 @@ def test_start_values_fit_the_row_n_caps(t):
             top = _start_values(t, caps)[-1]  # the range's largest value
             assert top <= caps[-1]
             assert top**p <= entry_caps(t, p)[-1]
+
+
+@pytest.mark.parametrize(
+    "name,cap,strategy",
+    [(name, None, strategy) for name in ("A2", "A3", "A4", "B3", "C3", "G2")
+     for strategy in ("column_dfs", "row_seeded")]
+    + [
+        # over their dropped partitions, certified A5 column_dfs and D5@64
+        # row_seeded each run past 100 s and certified D4 column_dfs 11 s;
+        # A5@16 and D4@16 keep the same dropped starts
+        ("A5", None, "row_seeded"),
+        ("A5", 16, "column_dfs"),
+        ("D4", None, "row_seeded"),
+        ("D4", 16, "column_dfs"),
+        ("D5", 64, "column_dfs"),
+        ("E6", 64, "column_dfs"),
+        ("E6", 64, "row_seeded"),
+    ],
+)
+def test_partitions_the_inequality_drops_hold_no_orbit(name, cap, strategy):
+    # every start from the first the partition proof drops up to the old
+    # top min(floor(2**b_n), cap_n) is searched anyway, and finds nothing
+    t = DynkinType.from_name(name)
+    p = search_period(t)
+    prodcaps = entry_caps(t, p)
+    caps = clipped_caps(t, p, cap)
+    dropped = range(_start_values(t, caps)[-1] + 1, min(entry_caps(t, 1)[-1], caps[-1]) + 1)
+    assert dropped
+    for start in dropped:
+        tally = _Tally()
+        if strategy == "column_dfs":
+            _column_partition(t, caps, p, start, tally)
+        else:
+            _row_partition(t, caps, prodcaps, p, start, tally)
+        assert not tally.orbits, start
+
+
+@pytest.mark.parametrize("t", types_up_to(8), ids=str)
+def test_partition_proof_matches_the_float_inequality(t):
+    # the integer test never fires at start = 1, is monotone in start (the
+    # partitions end by bisection), and away from ties agrees with
+    # log2 L_i > (C**-1 u)_i, u_j = log2(1 + 1/P_j), in floats
+    inverse = inverse_cartan(t)
+    factors = _mesh_factors(t)
+    for p in (search_period(t), type_profile(t).period_cap):
+        for override in (None, 1, 8):
+            caps = clipped_caps(t, p, override)
+            verdicts = [_partition_empty(t, caps, s) for s in range(1, min(caps[-1], 64) + 1)]
+            assert not verdicts[0]
+            assert verdicts == sorted(verdicts)
+            for start, verdict in enumerate(verdicts, 1):
+                floors = _row_floors(t, caps, start)
+                if floors is None:
+                    assert verdict
+                    continue
+                prods = [math.prod(floors[j] ** m for j, m, _ in row) for row in factors]
+                u = [math.log2(1 + 1 / q) for q in prods]
+                gaps = [
+                    math.log2(low) - sum(float(c) * x for c, x in zip(row, u))
+                    for low, row in zip(floors, inverse)
+                ]
+                if all(abs(g) > 1e-9 for g in gaps):
+                    assert verdict == any(g > 0 for g in gaps), (p, override, start)
 
 
 # Verified friezes, rows in index order: E6 of period 7, D4 and B3 of
@@ -817,17 +883,17 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
 @pytest.mark.parametrize(
     "name,cap,count,orbits,digest,nodes",
     [
-        ("B4", 256, 75, 15, "06f7021921eea21c", 839),
-        ("C4", 256, 70, 14, "4907534766d2da06", 435),
-        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 2027),
+        ("B4", 256, 75, 15, "06f7021921eea21c", 429),
+        ("C4", 256, 70, 14, "4907534766d2da06", 94),
+        ("F4", 512, 112, 16, "d37c9d70526d8a9c", 1168),
         # the e6-col benchmark workload: free depth, both leaf caps, back test
-        ("E6", 256, 826, 66, "a831447ff03460ff", 4727),
-        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 9432, marks=pytest.mark.slow),
-        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 77147, marks=pytest.mark.slow),
+        ("E6", 256, 826, 66, "a831447ff03460ff", 3826),
+        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 7332, marks=pytest.mark.slow),
+        pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 76155, marks=pytest.mark.slow),
         # its free depth and both leaf caps prune here; E8@64 holds one orbit
-        pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 49632, marks=pytest.mark.slow),
+        pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 49392, marks=pytest.mark.slow),
         # moduli above a thousand reach the free-depth lookahead
-        pytest.param("E6", 2048, 868, 70, "f85a562f5c6b2353", 45639, marks=pytest.mark.slow),
+        pytest.param("E6", 2048, 868, 70, "f85a562f5c6b2353", 31895, marks=pytest.mark.slow),
     ],
     ids=["B4@256", "C4@256", "F4@512", "E6@256", "E6@512", "E7@1024", "E8@256", "E6@2048"],
 )
@@ -847,19 +913,20 @@ def test_factorization_budget_note(monkeypatch):
     out = outcome("D4", "row_seeded", entry_cap_override=8)
     assert not out.complete
     budget_notes = [note for note in out.notes if "budget" in note]
-    partitions = 8  # start values 1 .. min(floor(2**b_4), 8)
+    partitions = 2  # start values 1 and 2: the partition proof empties 3 .. 8
     assert 1 <= len(budget_notes) <= partitions
 
 
 def test_undersized_period_cap_reports_cap_exceeded():
     # with the recurrence guard below the true period, candidates that never
-    # close are reported and the outcome is uncertified; seed (1, 2) is not
-    # tried, as its forward row-2 cell (1 + 1) / 2 = 1 is below its own 2
+    # close are reported and the outcome is uncertified.  Partition 2, which
+    # held seed (3, 2), is not searched: the paper's inequality proves that
+    # no A2 frieze has row minimum 2, whatever the period
     out = outcome("A2", "column_dfs", period=3)
     assert not out.complete
     assert out.notes == tuple(
         f"cap exceeded: seed {seed} did not recur within 3 steps"
-        for seed in [(1, 1), (2, 1), (3, 2)]
+        for seed in [(1, 1), (2, 1)]
     )
     # the entry cap check runs before the recurrence guard: every orbit of
     # A2 leaves the cap box [1, 2]^2, so no seed reaches the guard
@@ -892,19 +959,19 @@ def test_certified_runs_hold_the_constant_friezes(name, columns, strategy):
 # row-seeded divide step.
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
-    ("A2", None, 5, "26e2c35bb4a16cab", True, (6, 11), (6, 11)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (15, 50), (15, 50)),
-    ("B2", None, 6, "4dbd41d47196a995", True, (6, 37), (6, 15)),
-    ("C2", None, 6, "bc33d99f1a779b11", True, (13, 82), (13, 15)),
-    ("G2", None, 9, "762f2b48aa268770", True, (154, 12546), (154, 244)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (27, 291), (27, 267)),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (39, 101), (39, 81)),
-    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (132, 18334), (132, 223)),
-    ("F4", 16, 7, "4df6259b33d2e253", False, (87, 247), (87, 233)),
-    ("E7", 6, 0, "4f53cda18c2baa0c", False, (174, 6863), (174, 372)),
-    ("E8", 4, 0, "4f53cda18c2baa0c", False, (50, 26), (50, 26)),
-    ("B4", 12, 15, "7105166c0046b3d0", False, (55, 137), (55, 107)),
-    ("C4", 12, 10, "db6af63233c3f324", False, (45, 48), (45, 38)),
+    ("A2", None, 5, "26e2c35bb4a16cab", True, (3, 9), (3, 9)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (9, 43), (9, 43)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (3, 31), (3, 11)),
+    ("C2", None, 6, "bc33d99f1a779b11", True, (3, 72), (3, 10)),
+    ("G2", None, 9, "762f2b48aa268770", True, (10, 12014), (10, 158)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (17, 225), (17, 201)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (15, 62), (15, 42)),
+    ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (76, 18319), (76, 212)),
+    ("F4", 16, 7, "4df6259b33d2e253", False, (75, 235), (75, 221)),
+    ("E7", 6, 0, "4f53cda18c2baa0c", False, (170, 6859), (170, 368)),
+    ("E8", 4, 0, "4f53cda18c2baa0c", False, (48, 24), (48, 24)),
+    ("B4", 12, 15, "7105166c0046b3d0", False, (40, 120), (40, 90)),
+    ("C4", 12, 10, "db6af63233c3f324", False, (38, 41), (38, 31)),
 ]
 
 
@@ -952,26 +1019,35 @@ def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
 
 def test_column_search_walks_each_orbit_once(monkeypatch):
     # a serial run's partitions share one tally, so a seed of an orbit that
-    # a lower partition walked is skipped, not walked again
-    walked = []
+    # a lower partition walked is skipped, not walked again, and so is a
+    # column that a walk leaving the caps traced
+    walked, traced_before, left = [], set(), 0
 
-    def walk(*args):
-        traced = _orbit(*args)
-        if traced is not None:
+    def walk(t, first, *args):
+        nonlocal left
+        assert first not in traced_before
+        traced, closed = _orbit(t, first, *args)
+        traced_before.update(traced)
+        if closed:
             walked.append(_canonical_columns(traced))
-        return traced
+        left += not closed
+        return traced, closed
 
     monkeypatch.setattr("friezes.search._orbit", walk)
-    out = outcome("E6", "column_dfs", entry_cap_override=32)
-    assert len(out.orbits) == 22
+    for name, orbits in (("E6", 22), ("E7", 6)):
+        traced_before.clear()
+        out = outcome(name, "column_dfs", entry_cap_override=32)
+        assert len(out.orbits) == orbits
+    assert left
     assert len(walked) == len(set(walked))
 
 
 @pytest.mark.parametrize(
     "name,strategy,cap,stride",
     [
-        ("A3", "column_dfs", None, 1),
-        ("A3", "row_seeded", None, 5),
+        # each crosses a partition boundary
+        ("C3", "column_dfs", None, 1),
+        ("B3", "row_seeded", None, 1000),
         # E6 has a free depth: its nodes come from the lookahead's candidates
         ("E6", "column_dfs", 12, 30),
     ],
@@ -1320,7 +1396,7 @@ def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
 
 @pytest.mark.parametrize(
     "name,count,nodes",
-    [("C3", 20, 39), pytest.param("A4", 42, 65_573, marks=pytest.mark.slow)],
+    [("C3", 20, 15), ("A4", 42, 16_407)],
     ids=["C3", "A4"],
 )
 def test_certified_column_dfs_matches_row_seeded(name, count, nodes):
@@ -1336,7 +1412,7 @@ def test_certified_column_dfs_matches_row_seeded(name, count, nodes):
 
 @pytest.mark.parametrize(
     "name,count,nodes",
-    [("A4", 42, 4_145), ("B3", 21, 13_284), ("D4", 51, 93_685)],
+    [("A4", 42, 2_203), ("B3", 21, 11_131), ("D4", 51, 88_044)],
     ids=["A4", "B3", "D4"],
 )
 def test_certified_row_seeded_nodes(name, count, nodes):
@@ -1476,9 +1552,9 @@ def test_config_strategy_defaults_to_the_type_default(t):
 
 def test_config_without_strategy_runs_the_default():
     cfg = SearchConfig(DynkinType("A", 4))
-    assert cfg.strategy == "row_seeded"  # column_dfs walks 65,573 nodes here
+    assert cfg.strategy == "row_seeded"  # column_dfs walks 16,407 nodes here
     out = enumerate_friezes(cfg)
-    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 4_145
+    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 2_203
 
 
 @pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15), ("D4", 10)])

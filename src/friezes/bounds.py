@@ -62,16 +62,26 @@ def floor_pow2(e: Fraction) -> int:
 
 
 @lru_cache(maxsize=64, typed=True)
-def entry_caps(t: DynkinType, p: int) -> tuple[int, ...]:
-    """Exact per-entry caps ``floor(2**(p*b_i))``.
+def entry_caps(t: DynkinType, p: int, clip: int | None = None) -> tuple[int, ...]:
+    """Exact per-entry caps ``floor(2**(p*b_i))``, each clipped at ``clip``
+    when given.  A clipped cap is never built: ``p*b_i >=
+    clip.bit_length()`` puts ``2**(p*b_i)`` above ``clip``, and below that
+    the cap has at most as many bits as ``clip``.
 
-    Cached per ``(t, p)``: the caps check of every stored frieze of one
-    type and period reads the same roots.  The cache is bounded because a
-    cap at a large period has thousands of digits, and typed so that a
+    Cached per ``(t, p, clip)``: the caps check of every stored frieze of
+    one type and period reads the same roots.  The cache is bounded because
+    a cap at a large period has thousands of digits, and typed so that a
     ``True`` or ``2.0`` is not served from the ints 1 and 2 but refused."""
     if type(p) is not int or p < 1:
         raise ValueError("period must be positive")
-    return tuple(floor_pow2(p * bi) for bi in type_profile(t).b)
+    if clip is None:
+        return tuple(floor_pow2(p * bi) for bi in type_profile(t).b)
+    if type(clip) is not int or clip < 1:
+        raise ValueError("clip must be a positive int")
+    bits = clip.bit_length()
+    return tuple(
+        clip if p * bi >= bits else min(floor_pow2(p * bi), clip) for bi in type_profile(t).b
+    )
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import bounds as bounds_mod
@@ -129,18 +130,20 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
-    # Past 40-bit entry caps no run is known to end (A5, at 37 bits, takes
-    # about 3 s; C4, at 41, runs past 300 s): require --cap so no
-    # uncertified count is implied.
+    # Past 40-bit entry caps only C4 (41 bits, about 5 s through
+    # column_dfs) and B4 (46 bits, about 40 s through row_seeded) are known
+    # to end: require --cap so no uncertified count is implied.
     p = search_period(t)
-    bits = max(bounds_mod.entry_caps(t, p)).bit_length()
-    if args.cap is None and bits > 40:
-        exps = " ".join(f"2^{p * bi}" for bi in type_profile(t).b)
-        raise ValueError(
-            f"full enumeration of {t} needs entry caps {exps} "
-            f"(about {bits} bit entries), far beyond desk scale; "
-            "pass --cap to search a truncated space (the result is marked incomplete)"
-        )
+    if args.cap is None:
+        b = type_profile(t).b
+        bits = math.floor(p * max(b)) + 1  # of the largest cap floor(2**(p*b_i)), not built
+        if bits > 40:
+            exps = " ".join(f"2^{p * bi}" for bi in b)
+            raise ValueError(
+                f"full enumeration of {t} needs entry caps {exps} "
+                f"(about {bits} bit entries), far beyond desk scale; "
+                "pass --cap to search a truncated space (the result is marked incomplete)"
+            )
     cfg = SearchConfig(t, args.strategy, entry_cap_override=args.cap, jobs=args.jobs)
     outcome = enumerate_friezes(cfg, progress=stderr_progress)
     for note in outcome.notes:

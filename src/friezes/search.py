@@ -23,13 +23,17 @@ Both read every mesh product from the factor table ``catalog._mesh_factors``
 through one loop, ``mesh._product`` on a pair of columns: the row-seeded
 search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
 only its wavefront reads its single-factor meshes inline.  Only the
-column search walks orbits (``mesh._orbit``); a frieze being fixed by one
-column, the row-seeded search cuts each frieze where its column 0 recurs.
-The strategies also share ``_congruence_candidates`` (uncapped column
-generator cells, the row-seeded top row), ``_canonical_columns``,
-``_start_values``, ``_divisors``, ``integer_root``, ``entry_caps``,
-``_Tally`` and the final ``verify_pattern`` gate.  A fault there hits
-both alike, so each has its own tests: ``test_congruence_candidates_*``,
+column search walks orbits (``mesh._orbit``, through ``_walk``); a frieze
+being fixed by one column, the row-seeded search cuts each frieze where
+its column 0 recurs.  Where no override clips a cap, both take partition
+1 of the types that reduce to A_{n-1} by one reduction, which walks its
+orbits through ``_walk`` too (below); ``test_partition_one_reduction_*``
+checks it against each search.  The strategies also share
+``_congruence_candidates`` (uncapped column generator cells, the
+row-seeded top row), ``_canonical_columns``, ``_start_values``,
+``_divisors``, ``integer_root``, ``entry_caps``, ``_Tally`` and the final
+``verify_pattern`` gate.  A fault there hits both alike, so each has its
+own tests: ``test_congruence_candidates_*``,
 ``test_divisors_match_brute_force``,
 ``test_canonical_rotation_is_rotation_invariant``, ``test_integer_root_*``,
 ``test_start_values_fit_the_row_n_caps``, the Catalan and D_n counts.
@@ -65,6 +69,24 @@ Soundness of the pruning:
   (``_partition_empty``); never at ``start = 1``, and monotone in
   ``start``, so the partitions end before the first it proves empty.  With
   ``u = 1`` it is the clip at ``2**b_n`` above;
+* partition 1 by reduction: where deleting vertex ``n`` from the mesh
+  table leaves A_{n-1}'s (types A, B, C, D and G2; ``_reduces_to_a`` reads
+  the table), every orbit of partition 1 holds a column ``(c, 1)``, ``c``
+  a column of an A_{n-1} frieze.  Lemma: the cluster variables compatible
+  with ``F[n,k] = 1`` form the cluster algebra of ``t`` without ``n``, with
+  ``F[n,k]`` frozen (Fomin and Zelevinsky), and each of its exchange
+  relations is one of ``t``'s with ``F[n,k]`` a factor of one term.  At
+  ``F[n,k] = 1`` the frieze's values there are a frieze of A_{n-1} whose
+  slice at column ``k``, in the orientation of the equal tables, holds
+  column ``k``'s first ``n - 1`` entries.  By Conway and Coxeter (1973),
+  the A_{n-1} friezes are the triangulations of the ``(n + 2)``-gon, with
+  column 0 the continuants of the quiddity (``_a_columns``), so the
+  completeness of certified A, B, C, D and G2 runs rests on that theorem.
+  ``_reduced_partition`` walks each candidate's orbit within the caps, as
+  the column search's leaf does: one that is no frieze column of ``t``
+  dies at an inexact division.  Where an override clips a cap, partition
+  1 is searched: at large rank the Catalan(n) candidates far outnumber a
+  small cap's nodes;
 * a frieze column extends in both directions, so true columns satisfy
   every forward and backward divisibility constraint used as a generator;
 * column search, closed-form generator limit: the generator cell of the
@@ -364,7 +386,7 @@ class _Tally:
     once ``nodes`` reaches ``next_stride``.  ``budget`` holds the
     divisor-branch nodes a row-seeded partition has left, ``divisor_pairs``
     the column lookahead's pairs of ``1 + M`` per modulus ``M``, and
-    ``visited`` the columns of every column-search walk that closed or
+    ``visited`` the columns of every orbit walk (``_walk``) that closed or
     left the caps, for every partition the tally serves."""
 
     def __init__(self, progress=None):
@@ -653,6 +675,24 @@ def _solvable_coordinates(r, modulus, next_cap, cell_cap, cap, back_cap, divisor
     return kept
 
 
+def _walk(t, seed, p, caps, start, tally) -> None:
+    """Walk ``seed``'s orbit into ``tally``: its columns into ``visited``
+    where the walk closed or left the caps, the orbit into ``orbits`` where
+    it closed with row-``n`` minimum ``start``, a note where it did not
+    recur within ``p`` steps."""
+    try:
+        traced, closed = _orbit(t, seed, p, caps)
+    except DeadEndError:
+        return
+    except NoRecurrenceError:
+        tally.notes.append(f"cap exceeded: seed {seed} did not recur within {p} steps")
+        return
+    tally.visited.update(traced)
+    # a lower row-n minimum: found in the partition of that minimum
+    if closed and min(col[-1] for col in traced) >= start:
+        tally.orbits.add(_canonical_columns(traced))
+
+
 def _column_partition(t, caps, p, start, tally):
     """Orbits whose row-n minimum is ``start``, traced from seed columns
     whose row-n entry is ``start`` and whose forward row-n cell is at least
@@ -666,21 +706,8 @@ def _column_partition(t, caps, p, start, tally):
 
     def leaf() -> None:
         seed = tuple(vals)
-        if seed in visited:
-            return
-        try:
-            traced, closed = _orbit(t, seed, p, caps)
-        except DeadEndError:
-            return
-        except NoRecurrenceError:
-            tally.notes.append(f"cap exceeded: seed {seed} did not recur within {p} steps")
-            return
-        visited.update(traced)
-        if not closed:
-            return
-        if min(col[n - 1] for col in traced) < start:
-            return  # found in the partition of its row-n minimum
-        tally.orbits.add(_canonical_columns(traced))
+        if seed not in visited:
+            _walk(t, seed, p, caps, start, tally)
 
     def descend(d) -> None:
         i, cap, gen, due, pair, back = plan[d]
@@ -1100,6 +1127,58 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
 
 
 # ---------------------------------------------------------------------------
+# partition 1 by reduction to A_{n-1}
+# ---------------------------------------------------------------------------
+
+
+def _a_columns(m: int):
+    """Column 0 of every A_m frieze, lazily: one per triangulation of the
+    ``(m + 3)``-gon on vertices ``0 .. m + 2`` (Conway and Coxeter, 1973),
+    ``F[i,0] = K(a_1, ..., a_i)`` for its quiddity ``a`` (triangles per
+    vertex) and the continuant ``K``."""
+    a = [0] * (m + 3)
+
+    def split(pending):
+        # pending: the polygons lo .. hi left to triangulate, each closed by
+        # its edge (lo, hi), which lies in one triangle (lo, k, hi)
+        if not pending:
+            column, prev, cur = [], 0, 1
+            for x in a[1 : m + 1]:
+                prev, cur = cur, x * cur - prev
+                column.append(cur)
+            yield tuple(column)
+            return
+        *rest, (lo, hi) = pending
+        for k in range(hi - 1, lo, -1):
+            for v in (lo, k, hi):
+                a[v] += 1
+            yield from split(rest + [(x, y) for x, y in ((lo, k), (k, hi)) if y - x > 1])
+            for v in (lo, k, hi):
+                a[v] -= 1
+
+    return split([(0, m + 2)])
+
+
+def _reduces_to_a(t: DynkinType) -> bool:
+    """Whether ``t``'s mesh table without vertex ``n`` is A_{n-1}'s."""
+    n = t.rank
+    rest = tuple(tuple(f for f in row if f[0] != n - 1) for row in _mesh_factors(t)[:-1])
+    return n == 1 or rest == _mesh_factors(DynkinType("A", n - 1))
+
+
+def _reduced_partition(t, caps, p, tally) -> None:
+    """Partition 1 by reduction (module docstring): walk the orbit of each
+    A_{n-1} frieze column with 1 appended as row ``n``, one node each."""
+    for column in _a_columns(t.rank - 1):
+        seed = (*column, 1)
+        if seed not in tally.visited:
+            tally.nodes += 1
+            if tally.nodes >= tally.next_stride:
+                tally.stride()
+            _walk(t, seed, p, caps, 1, tally)
+
+
+# ---------------------------------------------------------------------------
 # drivers
 # ---------------------------------------------------------------------------
 
@@ -1147,18 +1226,23 @@ def _start_values(t: DynkinType, caps) -> range:
     """First-coordinate partition values: 1 up to the first that
     ``_partition_empty`` proves empty, at most min(floor(2**b_n), cap_n).
     The proof is monotone in ``start``: bisect for the first."""
-    top = min(entry_caps(t, 1)[-1], caps[-1])
+    top = entry_caps(t, 1, caps[-1])[-1]
     starts = range(2, top + 1)
     return range(1, 2 + bisect_left(starts, True, key=lambda s: _partition_empty(t, caps, s)))
 
 
 def _partition_job(args, tally=None):
     """Run one partition into ``tally`` (a fresh one by default); return
-    what the merge reads of it: ``(nodes, notes, orbits)``."""
-    t, strategy, p, caps, prodcaps, start = args
+    what the merge reads of it: ``(nodes, notes, orbits)``.  Partition 1
+    of a run whose caps no override clipped is taken by reduction where
+    ``t`` allows it: under a small cap, the A_{n-1} columns far outnumber
+    the search's nodes."""
+    t, strategy, p, caps, prodcaps, start, clipped = args
     if tally is None:
         tally = _Tally()
-    if strategy == "column_dfs":
+    if start == 1 and not clipped and _reduces_to_a(t):
+        _reduced_partition(t, caps, p, tally)
+    elif strategy == "column_dfs":
         _column_partition(t, caps, p, start, tally)
     else:
         _row_partition(t, caps, prodcaps, p, start, tally)
@@ -1188,10 +1272,18 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
     """Run the configured strategy at the type's search period."""
     t = cfg.dynkin
     p = search_period(t)  # the job carries it: pool workers never derive it
-    prodcaps = entry_caps(t, p)  # row products ignore the override
     cap = cfg.entry_cap_override
-    caps = prodcaps if cap is None else tuple(min(c, cap) for c in prodcaps)
-    jobs = [(t, cfg.strategy, p, caps, prodcaps, start) for start in _start_values(t, caps)]
+    if cap is None:
+        caps = prodcaps = entry_caps(t, p)
+        clipped = False
+    else:  # a row's product is at most cap**p: its p entries are at most cap
+        room = entry_caps(t, p, cap + 1)
+        clipped = max(room) > cap  # the override truncates some cap
+        caps = tuple(min(c, cap) for c in room)
+        prodcaps = entry_caps(t, p, cap**p)
+    jobs = [
+        (t, cfg.strategy, p, caps, prodcaps, start, clipped) for start in _start_values(t, caps)
+    ]
     notes: list[str] = []
     orbits: set = set()
     total_nodes = 0
@@ -1205,8 +1297,7 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
         violations = verify_pattern(pattern)
         if violations:
             raise AssertionError(f"search produced a non-frieze pattern: {violations[0]}")
-    # an override truncates nothing exactly when it leaves every cap unchanged
-    complete = caps == prodcaps and not notes
+    complete = not clipped and not notes
     if progress is not None:
         progress(total_nodes, len(patterns))
     return SearchOutcome(

@@ -39,6 +39,8 @@ from friezes.search import (
     _next_top_cap,
     _partition_empty,
     _reconstruct,
+    _reduced_partition,
+    _reduces_to_a,
     _row_floors,
     _row_partition,
     _solvable_coordinates,
@@ -80,6 +82,29 @@ def clipped_caps(t, p, cap):
     """The search's entry caps: the theorem's caps, clipped by an override."""
     caps = entry_caps(t, p)
     return caps if cap is None else tuple(min(c, cap) for c in caps)
+
+
+def searched(name, strategy, cap=None):
+    """A tally of ``strategy``'s own partitions, partition 1 included, run
+    directly in ascending ``start``: the search that a run whose caps no
+    override clips replaces at partition 1 by the reduction."""
+    t = DynkinType.from_name(name)
+    p = search_period(t)
+    caps = clipped_caps(t, p, cap)
+    prodcaps = entry_caps(t, p) if cap is None else entry_caps(t, p, cap**p)
+    tally = _Tally()
+    for start in _start_values(t, caps):
+        if strategy == "column_dfs":
+            _column_partition(t, caps, p, start, tally)
+        else:
+            _row_partition(t, caps, prodcaps, p, start, tally)
+    return tally
+
+
+def tally_digest(tally):
+    """The orbit digest of ``test_golden_outcomes`` on a tally's orbits."""
+    text = repr([(len(key), key) for key in sorted(tally.orbits)])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_a1_brute_force_oracle():
@@ -130,7 +155,7 @@ def test_a2_brute_force_oracle():
 @pytest.mark.parametrize(
     "name,period",
     # G2 at period 12: the tripled edge's top-row generator over a long seed row
-    [*((name, None) for name in DESK_TYPES), pytest.param("G2", 12, marks=pytest.mark.slow)],
+    [*((name, None) for name in DESK_TYPES), ("G2", 12)],
     ids=[*DESK_TYPES, "G2@12"],
 )
 def test_known_counts_both_strategies(name, period):
@@ -215,7 +240,62 @@ def test_certified_a5_row_seeded_matches_conway_coxeter():
     assert out.complete and out.notes == () and out.frieze_count == 132
     assert dict(zip(orbit_keys(out), (o.period for o in out.orbits))) == expected
     assert {c.values for o in out.orbits for c in o.columns} == columns
-    assert out.nodes_explored == 967_805
+    assert out.nodes_explored == 139_205
+
+
+@pytest.mark.parametrize(
+    "name,strategy",
+    # rank 1 has no row-seeded search: SearchConfig runs the column walk
+    [("A1", "column_dfs")]
+    + [(name, strategy) for name in ("A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2")
+       for strategy in ("column_dfs", "row_seeded")]
+    + [
+        ("D4", "row_seeded"),
+        pytest.param("A5", "row_seeded", marks=pytest.mark.slow),
+        pytest.param("D4", "column_dfs", marks=pytest.mark.slow),
+    ],
+)
+def test_partition_one_reduction_matches_both_searches(name, strategy):
+    # the oracle of the reduction: on a certified run, the orbits it walks
+    # from the A_{n-1} columns are those each search finds at start = 1
+    t = DynkinType.from_name(name)
+    p = search_period(t)
+    caps = entry_caps(t, p)
+    reduced, found = _Tally(), _Tally()
+    _reduced_partition(t, caps, p, reduced)
+    if strategy == "column_dfs":
+        _column_partition(t, caps, p, 1, found)
+    else:
+        _row_partition(t, caps, caps, p, 1, found)
+    assert reduced.orbits == found.orbits
+    assert reduced.notes == found.notes == []
+
+
+def test_reduction_applies_where_deleting_vertex_n_leaves_a():
+    # decided from the mesh table: t without vertex n is A_{n-1} in types
+    # A, B, C, D and G2, and D5, E6, E7 or B3 in E and F
+    for t in types_up_to(8):
+        assert _reduces_to_a(t) == (t.family in "ABCDG"), t
+
+
+@pytest.mark.parametrize("m", [*range(8), pytest.param(8, marks=pytest.mark.slow)])
+def test_reduction_walks_every_a_m_frieze_column(m, monkeypatch):
+    # the reduction's candidates for A_{m+1}, with their row-n 1 dropped,
+    # are the A_m frieze columns: one per triangulation of the (m+3)-gon,
+    # Catalan(m+1) of them, one node each
+    walked = []
+    monkeypatch.setattr("friezes.search._walk", lambda t, seed, *args: walked.append(seed))
+    tally = _Tally()
+    _reduced_partition(DynkinType("A", m + 1), None, None, tally)
+    size = m + 3
+    expected = {
+        conway_coxeter_columns([sum(v in tri for tri in tris) for v in range(size)])[0]
+        for tris in _triangulations(list(range(size)))
+    }
+    assert len(expected) == math.comb(2 * m + 2, m + 1) // (m + 2)
+    assert len(walked) == tally.nodes == len(expected)
+    assert {seed[:-1] for seed in walked} == expected
+    assert {seed[-1] for seed in walked} == {1}
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -294,14 +374,15 @@ def test_orbit_is_canonical_rotation():
         pytest.param("B3", "row_seeded", {"entry_cap_override": 32}, id="B3-row_seeded-32"),
         # divide step: stuck-mesh pruning and leaf branching
         pytest.param("D4", "row_seeded", {"entry_cap_override": 8}, id="D4-row_seeded-8"),
-        # partitions 1 and 2 each note a seed that does not recur: the
-        # merge keeps every job's notes, in job order
+        # partition 1 notes two seeds that do not recur: the merge keeps
+        # every job's notes, in job order
         pytest.param("A2", "column_dfs", {"period": 3}, id="A2-column_dfs-period3"),
         # orbits cross partitions: serially one tally's visited set skips
         # their seeds, in the pool each job walks them on its own
         pytest.param("E6", "column_dfs", {"entry_cap_override": 32}, id="E6-column_dfs-32"),
-        # certified: the pool merges the 8 partitions of the D divide step
-        pytest.param("D4", "row_seeded", {}, id="D4-row_seeded", marks=pytest.mark.slow),
+        # certified: the pool merges partition 1, taken by reduction, with
+        # partition 2 of the D divide step
+        pytest.param("D4", "row_seeded", {}, id="D4-row_seeded"),
     ],
 )
 def test_outcome_deterministic_and_parallel_invariant(name, strategy, kw):
@@ -347,6 +428,27 @@ def test_override_marks_incomplete():
     assert not out.complete
     full = outcome("A2", "column_dfs", entry_cap_override=32)
     assert full.complete  # override at the exact caps truncates nothing
+    # under cap 1 the product caps, clipped at 1**p, equal the entry caps
+    assert not outcome("D4", "row_seeded", entry_cap_override=1).complete
+
+
+@pytest.mark.slow
+def test_large_rank_override_builds_no_unclipped_cap():
+    # the exact caps of A300 at its period 303 run to 3.4 million bits,
+    # about 88 MB in all; under cap 2 no run needs them
+    import tracemalloc
+
+    t = DynkinType("A", 300)
+    type_profile(t), twist(t)
+    tracemalloc.start()
+    try:
+        out = enumerate_friezes(SearchConfig(t, entry_cap_override=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert out == outcome("A300", "row_seeded", entry_cap_override=2)
+    assert (out.orbits, out.complete, out.nodes_explored, out.notes) == ((), False, 3, ())
 
 
 @pytest.mark.parametrize(
@@ -888,12 +990,12 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
         ("F4", 512, 112, 16, "d37c9d70526d8a9c", 1168),
         # the e6-col benchmark workload: free depth, both leaf caps, back test
         ("E6", 256, 826, 66, "a831447ff03460ff", 3826),
-        pytest.param("E6", 512, 868, 70, "f85a562f5c6b2353", 7332, marks=pytest.mark.slow),
+        ("E6", 512, 868, 70, "f85a562f5c6b2353", 7332),
         pytest.param("E7", 1024, 3460, 346, "90f798b133a50275", 76155, marks=pytest.mark.slow),
         # its free depth and both leaf caps prune here; E8@64 holds one orbit
-        pytest.param("E8", 256, 1736, 118, "a05904aaa4316bff", 49392, marks=pytest.mark.slow),
+        ("E8", 256, 1736, 118, "a05904aaa4316bff", 49392),
         # moduli above a thousand reach the free-depth lookahead
-        pytest.param("E6", 2048, 868, 70, "f85a562f5c6b2353", 31895, marks=pytest.mark.slow),
+        ("E6", 2048, 868, 70, "f85a562f5c6b2353", 31895),
     ],
     ids=["B4@256", "C4@256", "F4@512", "E6@256", "E6@512", "E7@1024", "E8@256", "E6@2048"],
 )
@@ -959,11 +1061,11 @@ def test_certified_runs_hold_the_constant_friezes(name, columns, strategy):
 # row-seeded divide step.
 GOLDEN = [
     ("A1", None, 2, "026216da718300d2", True, (1, 1), (1, 1)),
-    ("A2", None, 5, "26e2c35bb4a16cab", True, (3, 9), (3, 9)),
-    ("A3", None, 14, "6754f3332bf29d25", True, (9, 43), (9, 43)),
-    ("B2", None, 6, "4dbd41d47196a995", True, (3, 31), (3, 11)),
-    ("C2", None, 6, "bc33d99f1a779b11", True, (3, 72), (3, 10)),
-    ("G2", None, 9, "762f2b48aa268770", True, (10, 12014), (10, 158)),
+    ("A2", None, 5, "26e2c35bb4a16cab", True, (1, 1), (1, 1)),
+    ("A3", None, 14, "6754f3332bf29d25", True, (4, 4), (4, 4)),
+    ("B2", None, 6, "4dbd41d47196a995", True, (2, 2), (2, 2)),
+    ("C2", None, 6, "bc33d99f1a779b11", True, (2, 2), (2, 2)),
+    ("G2", None, 9, "762f2b48aa268770", True, (9, 1682), (9, 54)),
     ("B3", 32, 21, "a7b31165b01b9e09", False, (17, 225), (17, 201)),
     ("C3", 32, 20, "9f41c9d0dc4a6237", False, (15, 62), (15, 42)),
     ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (76, 18319), (76, 212)),
@@ -1005,16 +1107,17 @@ def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_node
 )
 def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
     # the row-seeded search cuts each orbit from its reconstructed columns,
-    # so a fault in the orbit walk of the column search cannot reach it
+    # so a fault in the orbit walk of the column search cannot reach it.
+    # Its partitions run directly: a certified run's partition 1 walks
+    # orbits by reduction
     def walk(*args, **kwargs):
         raise AssertionError("row_seeded walked an orbit")
 
     monkeypatch.setattr("friezes.search._orbit", walk)
-    out = outcome(name, "row_seeded", entry_cap_override=cap)
-    text = repr([(o.period, tuple(c.values for c in o.columns)) for o in out.orbits])
-    assert out.frieze_count == count
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
-    assert out.complete is (cap is None) and out.notes == ()
+    tally = searched(name, "row_seeded", cap)
+    assert sum(len(key) for key in tally.orbits) == count
+    assert tally_digest(tally) == digest
+    assert tally.notes == []
 
 
 def test_column_search_walks_each_orbit_once(monkeypatch):
@@ -1047,7 +1150,7 @@ def test_column_search_walks_each_orbit_once(monkeypatch):
     [
         # each crosses a partition boundary
         ("C3", "column_dfs", None, 1),
-        ("B3", "row_seeded", None, 1000),
+        ("B3", "row_seeded", 4096, 1000),
         # E6 has a free depth: its nodes come from the lookahead's candidates
         ("E6", "column_dfs", 12, 30),
     ],
@@ -1155,8 +1258,8 @@ def test_twin_covers_bound_every_row_minimum_rotation(name, cap, full):
     [(name, cap, strategy) for strategy in ("column_dfs", "row_seeded")
      for name, cap in [("A1", None), ("B2", None), ("C2", None), ("G2", None),
                        ("B3", 32), ("D4", 16), ("D6", 6), ("F4", 16)]]
-    # certified C3 at h+2 = 8: 39 nodes; row_seeded there runs past ten minutes
-    + [pytest.param("C3", None, "column_dfs", marks=pytest.mark.slow)],
+    # certified C3 at h+2 = 8: 11 nodes; row_seeded there takes about 40 s
+    + [("C3", None, "column_dfs")],
 )
 def test_half_and_full_periods_agree(name, cap, strategy):
     # where the twist is the identity the search period is (h+2)/2; the
@@ -1390,7 +1493,7 @@ def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
         return _closing_candidates(*args)
 
     monkeypatch.setattr("friezes.search._closing_candidates", record)
-    outcome(name, "row_seeded", entry_cap_override=cap)
+    searched(name, "row_seeded", cap)  # partition 1 too: A2 has no other
     assert bool(calls) == name.startswith("A")
 
 
@@ -1401,28 +1504,33 @@ def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
 )
 def test_certified_column_dfs_matches_row_seeded(name, count, nodes):
     # the certified cross-check of the two strategies, with the column
-    # search's node total
-    col = outcome(name, "column_dfs")
-    row = outcome(name, "row_seeded")
-    assert col.complete and row.complete and col.notes == row.notes == ()
-    assert col.frieze_count == row.frieze_count == count
-    assert orbit_keys(col) == orbit_keys(row)
-    assert col.nodes_explored == nodes
+    # search's node total.  Both searches run every partition themselves:
+    # a certified run takes partition 1, all of A4, by reduction
+    col = searched(name, "column_dfs")
+    row = searched(name, "row_seeded")
+    assert col.notes == row.notes == []
+    assert sum(len(key) for key in col.orbits) == count
+    assert col.orbits == row.orbits
+    assert col.nodes == nodes
+    assert set(orbit_keys(outcome(name, "column_dfs"))) == col.orbits
 
 
 @pytest.mark.parametrize(
-    "name,count,nodes",
-    [("A4", 42, 2_203), ("B3", 21, 11_131), ("D4", 51, 88_044)],
+    "name,count,nodes,search_nodes",
+    [("A4", 42, 6, 2_203), ("B3", 21, 2_959, 11_131), ("D4", 51, 18_304, 88_044)],
     ids=["A4", "B3", "D4"],
 )
-def test_certified_row_seeded_nodes(name, count, nodes):
-    # only top cells that leave the row's next top cell room within its
-    # product cap count as nodes (on D4 mostly at the last position, whose
-    # next cell wraps around), at A4's pin-test position only the solved
-    # candidates, and on A4 the twin product cut ends each loop early
+def test_certified_row_seeded_nodes(name, count, nodes, search_nodes):
+    # the run takes partition 1 by reduction, one node per orbit walk.  In
+    # the search itself, partition 1 included, only top cells that leave
+    # the row's next top cell room within its product cap count as nodes
+    # (on D4 mostly at the last position, whose next cell wraps around), at
+    # A4's pin-test position only the solved candidates, and on A4 the twin
+    # product cut ends each loop early
     out = outcome(name, "row_seeded")
     assert out.frieze_count == count and out.complete
     assert out.nodes_explored == nodes
+    assert searched(name, "row_seeded").nodes == search_nodes
 
 
 @pytest.mark.parametrize(
@@ -1443,9 +1551,9 @@ def test_row_seeded_reaches_each_row_minimum_rotation_once(name, cap, monkeypatc
         return key
 
     monkeypatch.setattr("friezes.search._canonical_columns", count)
-    out = outcome(name, "row_seeded", entry_cap_override=cap)
+    tally = searched(name, "row_seeded", cap)  # partition 1 too
     expected = {}
-    for key in orbit_keys(out):
+    for key in tally.orbits:
         low = min(col[-1] for col in key)
         expected[key] = sum(col[-1] == low for col in key)
     assert hits == expected
@@ -1552,9 +1660,9 @@ def test_config_strategy_defaults_to_the_type_default(t):
 
 def test_config_without_strategy_runs_the_default():
     cfg = SearchConfig(DynkinType("A", 4))
-    assert cfg.strategy == "row_seeded"  # column_dfs walks 16,407 nodes here
+    assert cfg.strategy == "row_seeded"
     out = enumerate_friezes(cfg)
-    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 2_203
+    assert out.frieze_count == 42 and out.complete and out.nodes_explored == 6
 
 
 @pytest.mark.parametrize("name,top", [("A3", 6), ("B3", 15), ("D4", 10)])

@@ -5,12 +5,13 @@ Two independent search strategies run side by side: seed-column DFS and
 row-seeded reconstruction.  Agreement of their counts and canonical orbit
 sets is the correctness oracle.  Counts treat each of the q columns of a
 period-q orbit as a distinct frieze, which reproduces the Catalan numbers
-2, 5, 14, 42 for types A1..A4.  On these certified runs both strategies
-take partition 1 (row n's minimum 1) from the Conway-Coxeter friezes of
-A_{n-1} instead of searching it: that is all of A1..A4 (A4 in 6 nodes),
-so there the two agree by construction, and the tests compare that
-reduction with each search.  B3, C3 and D4 (51 friezes, the
-Fontaine-Plamondon count) are certified at the half period.
+2, 5, 14, 42 for types A1..A4.  Wherever Catalan(n) fits row n's cap, as
+on every certified run here, both strategies take partition 1 (row n's
+minimum 1) from the Conway-Coxeter friezes of A_{n-1} instead of
+searching it.  Every A_n frieze has a 1 in row n, so that is all of
+A1..A4 (A4 in 6 nodes): there the two agree by construction, and the
+tests compare that reduction with each search.  B3, C3 and D4 (51
+friezes, the Fontaine-Plamondon count) are certified at the half period.
 """
 
 import time

@@ -25,9 +25,9 @@ search stores its frieze column-major (``cols[c][i] = F[i+1, c+1]``), and
 only its wavefront reads its single-factor meshes inline.  Only the
 column search walks orbits (``mesh._orbit``, through ``_walk``); a frieze
 being fixed by one column, the row-seeded search cuts each frieze where
-its column 0 recurs.  Where no override clips a cap, both take partition
-1 of the types that reduce to A_{n-1} by one reduction, which walks its
-orbits through ``_walk`` too (below); ``test_partition_one_reduction_*``
+its column 0 recurs.  Where Catalan(n) fits row ``n``'s cap, both take
+partition 1 of the types that reduce to A_{n-1} by one reduction, which
+walks its orbits through ``_walk`` too (below); ``test_partition_one_*``
 checks it against each search.  The strategies also share
 ``_congruence_candidates`` (uncapped column generator cells, the
 row-seeded top row), ``_canonical_columns``, ``_start_values``,
@@ -69,6 +69,12 @@ Soundness of the pruning:
   (``_partition_empty``); never at ``start = 1``, and monotone in
   ``start``, so the partitions end before the first it proves empty.  With
   ``u = 1`` it is the clip at ``2**b_n`` above;
+* A_n has partition 1 alone: by Conway and Coxeter (1973) an A_n frieze
+  is that of a triangulated ``(n + 3)``-gon, whose row 1 is the quiddity
+  (triangles per vertex), and so is row ``n``, translated, by the
+  frieze's glide symmetry.  A triangulation has an ear, a vertex in one
+  triangle, so row ``n`` holds a 1.  ``_start_values`` reads A_n off the
+  mesh table;
 * partition 1 by reduction: where deleting vertex ``n`` from the mesh
   table leaves A_{n-1}'s (types A, B, C, D and G2; ``_reduces_to_a`` reads
   the table), every orbit of partition 1 holds a column ``(c, 1)``, ``c``
@@ -84,9 +90,11 @@ Soundness of the pruning:
   completeness of certified A, B, C, D and G2 runs rests on that theorem.
   ``_reduced_partition`` walks each candidate's orbit within the caps, as
   the column search's leaf does: one that is no frieze column of ``t``
-  dies at an inexact division.  Where an override clips a cap, partition
-  1 is searched: at large rank the Catalan(n) candidates far outnumber a
-  small cap's nodes;
+  dies at an inexact division, one that leaves the caps is dropped.  The
+  lemma reads no cap, so this is sound under any caps.  It costs
+  Catalan(n) walks, and a search under a small cap few nodes, so it is
+  taken where Catalan(n) is at most row ``n``'s cap
+  (``_catalan_at_most``), as on every certified run;
 * a frieze column extends in both directions, so true columns satisfy
   every forward and backward divisibility constraint used as a generator;
 * column search, closed-form generator limit: the generator cell of the
@@ -1166,6 +1174,17 @@ def _reduces_to_a(t: DynkinType) -> bool:
     return n == 1 or rest == _mesh_factors(DynkinType("A", n - 1))
 
 
+def _catalan_at_most(n: int, bound: int) -> bool:
+    """Whether Catalan(n), the count of A_{n-1} friezes, is at most
+    ``bound``: ``C_k = C_{k-1} * 2(2k - 1) / (k + 1)``, exact and
+    non-decreasing, stopping at the first ``C_k`` above ``bound``."""
+    c = k = 1
+    while k <= n and c <= bound:
+        c = c * 2 * (2 * k - 1) // (k + 1)
+        k += 1
+    return c <= bound
+
+
 def _reduced_partition(t, caps, p, tally) -> None:
     """Partition 1 by reduction (module docstring): walk the orbit of each
     A_{n-1} frieze column with 1 appended as row ``n``, one node each."""
@@ -1225,7 +1244,11 @@ def _partition_empty(t: DynkinType, caps, start) -> bool:
 def _start_values(t: DynkinType, caps) -> range:
     """First-coordinate partition values: 1 up to the first that
     ``_partition_empty`` proves empty, at most min(floor(2**b_n), cap_n).
-    The proof is monotone in ``start``: bisect for the first."""
+    The proof is monotone in ``start``: bisect for the first.  A_n keeps
+    partition 1 alone: every A_n frieze has a 1 in row ``n`` (module
+    docstring)."""
+    if _mesh_factors(t) == _mesh_factors(DynkinType("A", t.rank)):
+        return range(1, 2)
     top = entry_caps(t, 1, caps[-1])[-1]
     starts = range(2, top + 1)
     return range(1, 2 + bisect_left(starts, True, key=lambda s: _partition_empty(t, caps, s)))
@@ -1234,13 +1257,12 @@ def _start_values(t: DynkinType, caps) -> range:
 def _partition_job(args, tally=None):
     """Run one partition into ``tally`` (a fresh one by default); return
     what the merge reads of it: ``(nodes, notes, orbits)``.  Partition 1
-    of a run whose caps no override clipped is taken by reduction where
-    ``t`` allows it: under a small cap, the A_{n-1} columns far outnumber
-    the search's nodes."""
-    t, strategy, p, caps, prodcaps, start, clipped = args
+    is taken by reduction where ``t`` allows it and Catalan(n) fits row
+    ``n``'s cap (module docstring)."""
+    t, strategy, p, caps, prodcaps, start = args
     if tally is None:
         tally = _Tally()
-    if start == 1 and not clipped and _reduces_to_a(t):
+    if start == 1 and _catalan_at_most(t.rank, caps[-1]) and _reduces_to_a(t):
         _reduced_partition(t, caps, p, tally)
     elif strategy == "column_dfs":
         _column_partition(t, caps, p, start, tally)
@@ -1281,9 +1303,7 @@ def enumerate_friezes(cfg: SearchConfig, progress=None) -> SearchOutcome:
         clipped = max(room) > cap  # the override truncates some cap
         caps = tuple(min(c, cap) for c in room)
         prodcaps = entry_caps(t, p, cap**p)
-    jobs = [
-        (t, cfg.strategy, p, caps, prodcaps, start, clipped) for start in _start_values(t, caps)
-    ]
+    jobs = [(t, cfg.strategy, p, caps, prodcaps, start) for start in _start_values(t, caps)]
     notes: list[str] = []
     orbits: set = set()
     total_nodes = 0

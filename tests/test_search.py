@@ -30,6 +30,7 @@ from friezes.search import (
     _backward_mesh_holds,
     _canonical_columns,
     _capped_candidates,
+    _catalan_at_most,
     _closing_candidates,
     _column_partition,
     _column_plan,
@@ -86,8 +87,8 @@ def clipped_caps(t, p, cap):
 
 def searched(name, strategy, cap=None):
     """A tally of ``strategy``'s own partitions, partition 1 included, run
-    directly in ascending ``start``: the search that a run whose caps no
-    override clips replaces at partition 1 by the reduction."""
+    directly in ascending ``start``: the search that a run whose row-n cap
+    fits Catalan(n) replaces at partition 1 by the reduction."""
     t = DynkinType.from_name(name)
     p = search_period(t)
     caps = clipped_caps(t, p, cap)
@@ -230,45 +231,101 @@ def test_a_n_matches_conway_coxeter_triangulations(n, cap, count, strategy):
     assert {c.values for o in out.orbits for c in o.columns} == columns
 
 
-@pytest.mark.slow
-def test_certified_a5_row_seeded_matches_conway_coxeter():
-    # certified A5: the 132 triangulations of the octagon in 19 orbits,
-    # through row_seeded only (column_dfs ran past 300 s)
+@pytest.mark.parametrize("strategy", ["column_dfs", "row_seeded"])
+def test_certified_a5_matches_conway_coxeter(strategy):
+    # certified A5: the 132 triangulations of the octagon in 19 orbits.
+    # Its one partition, by reduction, walks one orbit per node: the
+    # visited set skips the other 23 of A4's 42 columns
     triangulations, expected, columns = _conway_coxeter_orbits(5)
     assert triangulations == len(columns) == 132 and len(expected) == 19
-    out = outcome("A5", "row_seeded")
+    out = outcome("A5", strategy)
     assert out.complete and out.notes == () and out.frieze_count == 132
     assert dict(zip(orbit_keys(out), (o.period for o in out.orbits))) == expected
     assert {c.values for o in out.orbits for c in o.columns} == columns
-    assert out.nodes_explored == 139_205
+    assert out.nodes_explored == 19
+
+
+def reduction_row(name, strategy, cap=None, slow=False):
+    """A row of the reduction oracle, ``name-strategy`` or, under a cap,
+    ``name@cap-strategy``."""
+    rid = f"{name}-{strategy}" if cap is None else f"{name}@{cap}-{strategy}"
+    return pytest.param(name, strategy, cap, id=rid, marks=[pytest.mark.slow] if slow else [])
 
 
 @pytest.mark.parametrize(
-    "name,strategy",
+    "name,strategy,cap",
     # rank 1 has no row-seeded search: SearchConfig runs the column walk
-    [("A1", "column_dfs")]
-    + [(name, strategy) for name in ("A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2")
+    [reduction_row("A1", "column_dfs")]
+    + [reduction_row(name, strategy) for name in ("A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2")
        for strategy in ("column_dfs", "row_seeded")]
     + [
-        ("D4", "row_seeded"),
-        pytest.param("A5", "row_seeded", marks=pytest.mark.slow),
-        pytest.param("D4", "column_dfs", marks=pytest.mark.slow),
+        reduction_row("D4", "row_seeded"),
+        reduction_row("A5", "row_seeded", slow=True),
+        reduction_row("D4", "column_dfs", slow=True),
+        # capped runs where Catalan(n) fits row n's cap
+        *(
+            reduction_row(name, strategy, cap)
+            for name, cap in (("D4", 16), ("B4", 64), ("C4", 64), ("A5", 64), ("G2", 8))
+            for strategy in ("column_dfs", "row_seeded")
+        ),
+        reduction_row("D5", "column_dfs", 64),
+        reduction_row("D6", "column_dfs", 256),
+        reduction_row("D7", "column_dfs", 1024, slow=True),
     ],
 )
-def test_partition_one_reduction_matches_both_searches(name, strategy):
-    # the oracle of the reduction: on a certified run, the orbits it walks
-    # from the A_{n-1} columns are those each search finds at start = 1
+def test_partition_one_reduction_matches_both_searches(name, strategy, cap):
+    # the oracle of the reduction: on a certified run, and on a capped one
+    # that the cost rule reduces, the orbits it walks from the A_{n-1}
+    # columns are those each search finds at start = 1
     t = DynkinType.from_name(name)
     p = search_period(t)
-    caps = entry_caps(t, p)
+    caps = clipped_caps(t, p, cap)
+    prodcaps = entry_caps(t, p) if cap is None else entry_caps(t, p, cap**p)
+    assert _catalan_at_most(t.rank, caps[-1])
     reduced, found = _Tally(), _Tally()
     _reduced_partition(t, caps, p, reduced)
     if strategy == "column_dfs":
         _column_partition(t, caps, p, 1, found)
     else:
-        _row_partition(t, caps, caps, p, 1, found)
+        _row_partition(t, caps, prodcaps, p, 1, found)
     assert reduced.orbits == found.orbits
     assert reduced.notes == found.notes == []
+
+
+def test_catalan_rule_matches_the_binomial():
+    # Catalan(n) <= bound exactly at and above Catalan(n), for bounds one
+    # either side of it
+    for n in range(41):
+        catalan = math.comb(2 * n, n) // (n + 1)
+        for bound in (catalan - 1, catalan, catalan + 1):
+            assert _catalan_at_most(n, bound) == (catalan <= bound), (n, bound)
+
+
+def test_catalan_rule_holds_on_every_certified_reducible_type():
+    # every certified run passes the cost rule: its partition 1 is reduced
+    for t in types_up_to(12):
+        if _reduces_to_a(t):
+            assert _catalan_at_most(t.rank, entry_caps(t, search_period(t))[-1]), t
+
+
+@pytest.mark.parametrize(
+    "name,cap,strategy,nodes",
+    # A300@2's partition 1 is 3 nodes, Catalan(300) walks are not; A8@4
+    # searches 13 or 20 nodes where reducing would walk Catalan(8) = 1430
+    [
+        pytest.param("A300", 2, "row_seeded", 3, marks=pytest.mark.slow),
+        ("A8", 4, "column_dfs", 13),
+        ("A8", 4, "row_seeded", 20),
+    ],
+    ids=["A300@2", "A8@4-column_dfs", "A8@4-row_seeded"],
+)
+def test_capped_runs_below_catalan_search_partition_one(name, cap, strategy, nodes, monkeypatch):
+    def reduce(*args):
+        raise AssertionError("partition 1 taken by reduction")
+
+    monkeypatch.setattr("friezes.search._reduced_partition", reduce)
+    out = outcome(name, strategy, entry_cap_override=cap)
+    assert out.nodes_explored == nodes and not out.complete
 
 
 def test_reduction_applies_where_deleting_vertex_n_leaves_a():
@@ -296,6 +353,20 @@ def test_reduction_walks_every_a_m_frieze_column(m, monkeypatch):
     assert len(walked) == tally.nodes == len(expected)
     assert {seed[:-1] for seed in walked} == expected
     assert {seed[-1] for seed in walked} == {1}
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), pytest.param(7, marks=pytest.mark.slow)])
+def test_a_n_keeps_partition_one_alone(n):
+    # row n of an A_n frieze is its quiddity, translated, and a
+    # triangulation has an ear: every orbit holds a 1 in row n, so the
+    # partitions end after start = 1 at any caps
+    size = n + 3
+    for tri in _triangulations(list(range(size))):
+        cols = conway_coxeter_columns([sum(v in t for t in tri) for v in range(size)])
+        assert min(col[-1] for col in cols) == 1, tri
+    t = DynkinType("A", n)
+    for cap in (None, 1, 256):
+        assert _start_values(t, clipped_caps(t, search_period(t), cap)) == range(1, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -501,14 +572,14 @@ def test_d4_override_sixteen_finds_all_fifty_one():
 
 @pytest.mark.parametrize(
     "name,cap,count,nodes",
-    [("D5", 64, 187, 6_277), ("D6", 256, 695, 141_355)],
+    [("D5", 64, 187, 2_136), ("D6", 256, 695, 73_873)],
     ids=["D5-64-187", "D6-256-695"],
 )
 def test_type_d_counts_match_fontaine_plamondon(name, cap, count, nodes):
     # every frieze of D5 and D6 happens to fit under these caps; the caps
     # are below the certified ones, so neither run is complete.  The node
     # counts pin D's free leaf, whose depth scans its full cap, and the
-    # backward-mesh test at depth n - 1
+    # backward-mesh test at depth n - 1, after partition 1 by reduction
     assert fontaine_plamondon_count(int(name[1:])) == count
     out = outcome(name, "column_dfs", entry_cap_override=cap)
     assert out.frieze_count == count and out.nodes_explored == nodes
@@ -571,6 +642,7 @@ def test_start_values_fit_the_row_n_caps(t):
         # A5@16 and D4@16 keep the same dropped starts
         ("A5", None, "row_seeded"),
         ("A5", 16, "column_dfs"),
+        ("A5", 256, "row_seeded"),
         ("D4", None, "row_seeded"),
         ("D4", 16, "column_dfs"),
         ("D5", 64, "column_dfs"),
@@ -579,8 +651,10 @@ def test_start_values_fit_the_row_n_caps(t):
     ],
 )
 def test_partitions_the_inequality_drops_hold_no_orbit(name, cap, strategy):
-    # every start from the first the partition proof drops up to the old
-    # top min(floor(2**b_n), cap_n) is searched anyway, and finds nothing
+    # every start from the first the partition proof (or, on A_n, the ear
+    # of a triangulation) drops up to the old top min(floor(2**b_n),
+    # cap_n) is searched anyway, and finds nothing.  A5's partition 2 held
+    # 139,186 row-seeded nodes before A_n kept partition 1 alone
     t = DynkinType.from_name(name)
     p = search_period(t)
     prodcaps = entry_caps(t, p)
@@ -985,8 +1059,8 @@ def test_e_types_at_cap_sixty_four(name, count, orbits, digest):
 @pytest.mark.parametrize(
     "name,cap,count,orbits,digest,nodes",
     [
-        ("B4", 256, 75, 15, "06f7021921eea21c", 429),
-        ("C4", 256, 70, 14, "4907534766d2da06", 94),
+        ("B4", 256, 75, 15, "06f7021921eea21c", 164),
+        ("C4", 256, 70, 14, "4907534766d2da06", 69),
         ("F4", 512, 112, 16, "d37c9d70526d8a9c", 1168),
         # the e6-col benchmark workload: free depth, both leaf caps, back test
         ("E6", 256, 826, 66, "a831447ff03460ff", 3826),
@@ -1022,8 +1096,8 @@ def test_factorization_budget_note(monkeypatch):
 def test_undersized_period_cap_reports_cap_exceeded():
     # with the recurrence guard below the true period, candidates that never
     # close are reported and the outcome is uncertified.  Partition 2, which
-    # held seed (3, 2), is not searched: the paper's inequality proves that
-    # no A2 frieze has row minimum 2, whatever the period
+    # held seed (3, 2), is not searched: every A_n frieze has a 1 in row n
+    # (and the paper's inequality proves it for A2), whatever the period
     out = outcome("A2", "column_dfs", period=3)
     assert not out.complete
     assert out.notes == tuple(
@@ -1066,8 +1140,8 @@ GOLDEN = [
     ("B2", None, 6, "4dbd41d47196a995", True, (2, 2), (2, 2)),
     ("C2", None, 6, "bc33d99f1a779b11", True, (2, 2), (2, 2)),
     ("G2", None, 9, "762f2b48aa268770", True, (9, 1682), (9, 54)),
-    ("B3", 32, 21, "a7b31165b01b9e09", False, (17, 225), (17, 201)),
-    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (15, 62), (15, 42)),
+    ("B3", 32, 21, "a7b31165b01b9e09", False, (13, 84), (13, 80)),
+    ("C3", 32, 20, "9f41c9d0dc4a6237", False, (11, 18), (11, 18)),
     ("D4", 8, 19, "0e75cc0d7a51ba5f", False, (76, 18319), (76, 212)),
     ("F4", 16, 7, "4df6259b33d2e253", False, (75, 235), (75, 221)),
     ("E7", 6, 0, "4f53cda18c2baa0c", False, (170, 6859), (170, 368)),
@@ -1108,8 +1182,8 @@ def test_golden_outcomes(name, cap, count, digest, complete, nodes, default_node
 def test_row_seeded_never_walks_an_orbit(name, cap, count, digest, monkeypatch):
     # the row-seeded search cuts each orbit from its reconstructed columns,
     # so a fault in the orbit walk of the column search cannot reach it.
-    # Its partitions run directly: a certified run's partition 1 walks
-    # orbits by reduction
+    # Its partitions run directly: these runs take partition 1 by
+    # reduction, which walks orbits
     def walk(*args, **kwargs):
         raise AssertionError("row_seeded walked an orbit")
 
@@ -1148,9 +1222,10 @@ def test_column_search_walks_each_orbit_once(monkeypatch):
 @pytest.mark.parametrize(
     "name,strategy,cap,stride",
     [
-        # each crosses a partition boundary
+        # each crosses a partition boundary; D4's partition 1 is taken by
+        # reduction, and its partition 2 searches over ten strides
         ("C3", "column_dfs", None, 1),
-        ("B3", "row_seeded", 4096, 1000),
+        ("D4", "row_seeded", None, 1000),
         # E6 has a free depth: its nodes come from the lookahead's candidates
         ("E6", "column_dfs", 12, 30),
     ],

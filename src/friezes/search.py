@@ -177,13 +177,12 @@ Soundness of the pruning:
 * row seeding, generated top cell: ``t_j`` enters only the top forced
   row's new cell ``x = (t_{j-1} * t_j - 1)**(1/m)`` (the seed row's mesh
   has no other factor), so ``x`` is the candidate.  It comes ascending
-  from ``_congruence_candidates`` (or the closing solve below):
-  ``x <= X``, ``x**m = -1 (mod t_{j-1})`` and ``t_j = (x**m + 1) /
-  t_{j-1}`` in ``[start, L]``, or in ``[q, q]`` where the tail pins
-  ``t_j = q``.  ``X`` is the least of the top row's
-  entry cap and its product cap over the running product, ``L`` the same
-  for the seed row with every later entry at ``start``, so no candidate
-  tests either cell.  ``start**p`` (``_start_values``) and, by
+  from ``_congruence_candidates``: ``x <= X``, ``x**m = -1 (mod
+  t_{j-1})`` and ``t_j = (x**m + 1) / t_{j-1}`` in ``[start, L]``, or in
+  ``[q, q]`` where the tail pins ``t_j = q``.  ``X`` is the least of the
+  top row's entry cap and its product cap over the running product, ``L``
+  the same for the seed row with every later entry at ``start``, so no
+  candidate tests either cell.  ``start**p`` (``_start_values``) and, by
   ``t_{j-1}``, ``t_1 ... t_{j-1} * start**(p-j+1)`` are within the seed
   row's product cap, so that cap alone never puts ``L`` below ``start``;
 * row seeding, next-position product cap: where ``m = 1``, a top cell
@@ -209,33 +208,6 @@ Soundness of the pruning:
   too.  Inexact divisions, a zero numerator and the vertex-1 mesh are not
   monotone and only skip the candidate.  Product caps bind only on the
   seed and top rows (``L`` and ``X``), and only those are tested;
-* row seeding, twin product cut: by the twist (half period, above), a
-  wave row ``r`` with ``sigma(r)`` the seed row has ``cols[c][r] =
-  cols[c + c_r][seed]``, and one with ``sigma(r)`` the top forced row,
-  where that row takes no root, has ``cols[c][r] + 1 = cols[a][seed] *
-  cols[a + 1][seed]``, ``a = c + c_r``, by the seed row's mesh.  Position
-  ``j``'s new wave cells whose twin columns all lie in ``[j, p)`` (seed
-  cells not chosen yet, no wrap-around), pairwise disjoint, thus fix
-  products of future seed cells (``_twin_covers``); every other future
-  cell is at least ``start``.  So the seed row's product is at least
-  ``t_1 ... t_j * product(cell + add) * start**k``, ``k`` the future
-  columns left uncovered, and a candidate that puts this above the seed
-  row's product cap holds no frieze.  Each covered cell is a new cell of
-  this step, so the bound is non-decreasing in the candidate (monotone
-  cut-off, above) and the first that fails ends the loop.  A pinned
-  position has one candidate and skips the test;
-* row seeding, twin cut lookahead: each candidate at position ``j`` that
-  passes bounds position ``j + 1``'s twin cut at that position's least
-  candidate.  There ``t_{j+1} >= start``, the top cell is ``t_j * t_{j+1}
-  - 1 >= t_j * start - 1`` (every plan with covers has ``m = 1`` at its
-  top step), and each lower new cell ``(a*b - 1)/den`` has ``a`` and
-  ``den`` fixed by position ``j`` and is non-decreasing in ``b`` (monotone
-  cut-off, above).  So an integer cell is at least the ceiling of that
-  quotient at the lower bound of ``b``, and at least 1.  Where even these
-  lower bounds put the cut's bound above the seed row's product cap,
-  every candidate at ``j + 1`` fails the cut, and the candidate at ``j``
-  has no descendant.  ``den`` depends on the candidate at ``j``, so the
-  bound is not monotone in it: a failure skips the candidate only;
 * row seeding, stuck-mesh exactness: the stuck vertex ``x`` was forced by
   its known neighbour ``s``, and ``s`` by ``z`` (factor 1 when ``s`` is
   the seed).  Modulo ``F[s,k+1]``, the meshes of ``s`` give
@@ -262,23 +234,7 @@ Soundness of the pruning:
   ``r`` and upper ``u`` (either may be absent), modulo ``F[s,c]`` the mesh
   at ``s`` one column earlier gives ``F[r,c-1]**m * F[u,c]**mu = -1`` and
   those at ``r`` and ``u`` give ``F[r,c-1]*F[r,c] = F[u,c]*F[u,c+1] = 1``,
-  so the numerator ``F[r,c]**m * F[u,c+1]**mu + 1`` is 0;
-* row seeding, closing solve: on a linear plan (pinned tail, every wave
-  step with ``m = 1`` and denominator exponent at most 1, check exponent
-  1) the pin test's position ``j`` draws its candidates from
-  ``_closing_candidates`` instead of the scan.  There the seed cell is
-  ``t = t_j``, the top cell ``prev*t - 1`` and each lower new cell
-  ``(a*above - 1) / den``, ``a`` and ``den`` fixed earlier, so each new
-  cell is ``(A*t + B) / D`` with ``A, D > 0``.  The test asks that the
-  bottom cell ``P`` divide ``1 + R``, ``R`` the cell above it.  Where
-  ``P > 0`` (a smaller ``P`` fails at a cell below 1 anyway), the
-  quotient ``q = (1 + R) / P`` is a Moebius function of
-  ``t``, hence monotone, so a passing ``t`` solves ``1 + R = q*P`` for an
-  integer ``q >= 1`` between its values at the window's ends; solving for
-  each such ``q`` finds every passing ``t``.  With more ``q`` than ``t`` in
-  the window, or a zero slope, the scan runs instead.  The solved ``t``
-  ascend into the unchanged per-candidate body, which still checks every
-  division, cap and the pin test: the solve only filters.
+  so the numerator ``F[r,c]**m * F[u,c+1]**mu + 1`` is 0.
 
 Counts treat each of the ``q`` distinct columns of a minimal-period-``q``
 orbit as a distinct frieze (a frieze and its translates are different
@@ -344,7 +300,10 @@ class SearchConfig:
 class SearchOutcome:
     """The orbits found, each as its canonical minimal-period pattern.  An
     orbit's size (its number of distinct columns, i.e. of distinct frieze
-    functions) is its ``period``; ``frieze_count`` sums them."""
+    functions) is its ``period``; ``frieze_count`` sums them.
+    ``nodes_explored`` counts one node per search candidate (and per
+    row-seeded partition, its root) and one per orbit walk of the
+    partition-1 reduction, whatever that walk costs."""
 
     orbits: tuple[FriezePattern, ...]
     complete: bool
@@ -581,49 +540,6 @@ def _capped_candidates(y, modulus, cap, cell_cap):
     w = -y % modulus or modulus
     xs = (1, above) if w == 1 else () if above % w else (above // w,)
     return [x for x in xs if x <= cap and (x * y + 1) // modulus <= cell_cap]
-
-
-def _closing_candidates(prev, cols, closing, lo, hi, xcap):
-    """The row-seeded pin test's candidates on a linear plan: ascending
-    ``x = prev*t - 1`` with ``t`` in ``[lo, hi]`` and ``x <= xcap`` (the top
-    row's ``_congruence_candidates`` window) whose bottom row's new cell
-    ``P`` is positive and divides ``1 + R``, ``R`` the new cell of the row
-    above it.  ``closing`` holds ``(c, s, u)`` per row below the top forced
-    row: its new cell is ``(cols[c][s] * above - 1) / cols[c + 1][u]``.
-    Returns the plain scan when the quotient range outgrows the window or
-    the solve degenerates."""
-    # each new cell as (A*t + B) / D, from the seed and top rows down to R, P
-    ra, rb, rd, pa, pb, pd = 1, 0, 1, prev, -1, 1
-    for c, s, u in closing:
-        a = cols[c][s]
-        ra, rb, rd, pa, pb, pd = pa, pb, pd, a * pa, a * pb - pd, pd * cols[c + 1][u]
-    tlo = -pb // pa + 1  # P > 0
-    if tlo < lo:
-        tlo = lo
-    thi = (xcap + 1) // prev
-    if thi > hi:
-        thi = hi
-    if tlo > thi:
-        return ()
-    # on [tlo, thi], q = (1 + R) / P = pd*(ra*t + rb) / (rd*(pa*t + pb)) is monotone
-    rb += rd
-    n1, d1 = pd * (ra * tlo + rb), rd * (pa * tlo + pb)
-    n2, d2 = pd * (ra * thi + rb), rd * (pa * thi + pb)
-    qlo = max(1, min(-(-n1 // d1), -(-n2 // d2)))
-    qhi = max(n1 // d1, n2 // d2)
-    if qhi - qlo <= thi - tlo:
-        ts = []
-        for q in range(qlo, qhi + 1):  # solve (1 + R) = q*P for t
-            coef = pd * ra - q * rd * pa
-            if not coef:
-                break
-            t, rem = divmod(q * rd * pb - pd * rb, coef)
-            if not rem and tlo <= t <= thi:
-                ts.append(t)
-        else:
-            ts.sort()
-            return [prev * t - 1 for t in ts]
-    return _congruence_candidates(1, 1, prev, xcap, hi, lo)
 
 
 def _next_top_cap(start, prev, room):
@@ -914,38 +830,6 @@ def _reconstruct(cols, solve_plan, caps, tally, stuck=()):
             yield [tuple(col) for col in cols]
 
 
-def _twin_covers(t: DynkinType, p: int, start: int):
-    """Per seed position ``j`` (1-based; index 0 and 1 unused): the twin
-    product cut's ``(cells, floor)`` for partition ``start``.  ``cells``
-    holds ``(c, r, add)`` for the new wave cells ``cols[c][r]`` of step
-    ``j`` whose twin fixes future seed cells (module docstring, twin
-    product cut): ``cols[c][r] + add`` is the product of the seed cells at
-    the columns it covers, all in ``[j, p)`` and disjoint from the others'.
-    ``floor`` is ``start**k``, ``k`` the future columns left uncovered."""
-    wave = _solve_plan(t)[0]
-    sigma, shift = twist(t)
-    seed, (_, top_row, m_top, _) = t.rank - 1, wave[0]
-    covers = []
-    for j in range(p + 1):
-        cells, taken = [], set()
-        for level, (_, r, _, _) in enumerate(wave, 1):
-            c = j - level - 1
-            if c < 0:
-                break
-            c2 = c + shift[r]
-            if sigma[r] == seed:
-                span, add = {c2}, 0
-            elif sigma[r] == top_row and m_top == 1:
-                span, add = {c2, c2 + 1}, 1
-            else:
-                continue
-            if j <= c2 and max(span) < p and taken.isdisjoint(span):
-                taken |= span
-                cells.append((c, r, add))
-        covers.append((tuple(cells), start ** (p - j - len(taken))))
-    return covers
-
-
 def _row_partition(t, caps, prodcaps, p, start, tally):
     """Row-seeded search over cyclic tuples of length ``p`` with ``t_1 =
     start`` (the row minimum, so every entry is at least ``start``)."""
@@ -982,7 +866,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
     # column c + 1, c = j - pair_from, its cell at column c being known
     pair_from = len(wave) + 2
     pinned_tail = divide is None
-    closing = None
     if pinned_tail:
         # the wave solves every row; the check vertex f is the last wave row,
         # and its mesh pins it once it holds a cell: t_j is pinned from
@@ -992,11 +875,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         # j = pair_from - 1: run it there, per candidate, instead of in a call
         pin_test = pair_from - 1
         stuck = ()
-        # a linear plan (no root, no power) solves that test for t_j instead
-        # (module docstring); each lower row's new cell reads these cells
-        linear = m_top == 1 and all(st[5] == 1 for st in lower)
-        if linear and mu1 == 1:
-            closing = [(pin_test - lv - 1, s, u) for s, _, lv, _, u, _, _ in lower]
     else:
         # the divide step's stuck mesh pins the product of its two unsolved
         # neighbour rows; its quotients at the non-wrap columns (the
@@ -1006,14 +884,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         _, _, x, ((ku, kmu, ko),), _ = divide
         stuck = [0] * (p - pair_from + 1)
         pin_test = 0
-    # the twin product cut's covers (module docstring); a pinned position
-    # has one candidate and skips the cut
-    twins = _twin_covers(t, p, start)
-    if pinned_tail:
-        twins[pair_from:] = [((), 1)] * (p + 1 - pair_from)
-    twins.append(((), 1))  # position p + 1: no lookahead from the last position
-    assert m_top == 1 or not any(cells for cells, _ in twins), f"{t}"
-    low = [0] * n  # the lookahead's lower bounds on the next step's wave cells
 
     def leaf() -> None:
         for found in _reconstruct(cols, solve_plan, caps, tally, stuck):
@@ -1052,14 +922,7 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
         # Candidates ascend, t_j and every lower forced cell of this step
         # are non-decreasing in them, so a cap failure ends the loop
         # (stop = 2); any other failure skips the candidate (stop = 1).
-        cells, rest = twins[j]
-        ahead, ahead_rest = twins[j + 1]
-        ahead_rest *= base * start  # t_{j+1} >= start
-        if j == pin_test and closing is not None:
-            candidates = _closing_candidates(prev, cols, closing, lo, hi, xcap)
-        else:
-            candidates = _congruence_candidates(m_top, 1, prev, xcap, hi, lo)
-        for top in candidates:
+        for top in _congruence_candidates(m_top, 1, prev, xcap, hi, lo):
             tally.nodes += 1
             if tally.nodes >= tally.next_stride:
                 tally.stride()
@@ -1087,12 +950,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
                     break
                 col[r] = q
                 nxt = col
-            if cells and not stop:
-                bound = base * v * rest
-                for c, r, add in cells:
-                    bound *= cols[c][r] + add
-                if bound > seed_prodcap:
-                    stop = 2
             if not stop and j == pin_test and (1 + cols[1][u1] ** mu1) % cols[0][f]:
                 stop = 1
             if not stop and not pinned_tail and j >= pair_from:
@@ -1107,21 +964,6 @@ def _row_partition(t, caps, prodcaps, p, start, tally):
                 break
             if stop:
                 continue
-            if ahead:  # position j + 1's twin product cut at its least candidate
-                b = v * start - 1 or 1  # t_{j+1} >= start
-                low[top_row] = b
-                for s, r, level, _, u, mu, _ in lower:  # inline: no frame on the hot path
-                    c = j - level
-                    if c < 0:
-                        break
-                    den = cols[c + 1][u]
-                    b = -((1 - cols[c][s] * b) // (den if mu == 1 else den**mu)) or 1
-                    low[r] = b
-                bound = ahead_rest * v
-                for _, r, add in ahead:
-                    bound *= low[r] + add
-                if bound > seed_prodcap:
-                    continue
             if j == p:
                 leaf()
             else:

@@ -23,7 +23,7 @@ from friezes import (
     type_profile,
     verify_pattern,
 )
-from conftest import CATALOG_SAMPLE, continuant, conway_coxeter_columns, types_up_to
+from conftest import CATALOG_SAMPLE, conway_coxeter_columns, types_up_to
 from friezes.catalog import _mesh_factors, inverse_cartan, search_period, twist
 from friezes.mesh import _orbit, _product
 from friezes.search import (
@@ -31,7 +31,6 @@ from friezes.search import (
     _canonical_columns,
     _capped_candidates,
     _catalan_at_most,
-    _closing_candidates,
     _column_partition,
     _column_plan,
     _congruence_candidates,
@@ -48,7 +47,6 @@ from friezes.search import (
     _solve_plan,
     _start_values,
     _Tally,
-    _twin_covers,
     stderr_progress,
 )
 
@@ -640,7 +638,7 @@ def test_start_values_fit_the_row_n_caps(t):
         # over their dropped partitions, certified A5 column_dfs and D5@64
         # row_seeded each run past 100 s and certified D4 column_dfs 11 s;
         # A5@16 and D4@16 keep the same dropped starts
-        ("A5", None, "row_seeded"),
+        pytest.param("A5", None, "row_seeded", marks=pytest.mark.slow),
         ("A5", 16, "column_dfs"),
         ("A5", 256, "row_seeded"),
         ("D4", None, "row_seeded"),
@@ -653,8 +651,9 @@ def test_start_values_fit_the_row_n_caps(t):
 def test_partitions_the_inequality_drops_hold_no_orbit(name, cap, strategy):
     # every start from the first the partition proof (or, on A_n, the ear
     # of a triangulation) drops up to the old top min(floor(2**b_n),
-    # cap_n) is searched anyway, and finds nothing.  A5's partition 2 held
-    # 139,186 row-seeded nodes before A_n kept partition 1 alone
+    # cap_n) is searched anyway, and finds nothing.  A5's partition 2 holds
+    # 4,381,437 row-seeded nodes (about 7 s, so slow); A5@256 searches the
+    # same dropped starts in tier-1
     t = DynkinType.from_name(name)
     p = search_period(t)
     prodcaps = entry_caps(t, p)
@@ -1289,46 +1288,6 @@ def test_orbits_obey_the_twisted_periodicity(name, cap):
 
 
 @pytest.mark.parametrize(
-    "name,cap,full",
-    [("A2", None, False), ("A3", None, False), ("A4", None, False), ("B2", None, True),
-     ("C2", None, True), ("A5", 16, False), ("A6", 32, False), ("B3", 32, True)],
-)
-def test_twin_covers_bound_every_row_minimum_rotation(name, cap, full):
-    # on every rotation a partition reaches (its seed row starts at the row
-    # minimum), each covered cell equals its twin, and the twin product
-    # cut's bound at each position is at most the seed row's product.  A_n
-    # seed rows all hold a 1; B3 at the full period has rows with minimum 2
-    # whose bound is the product exactly, so a floor too high fails there.
-    t = DynkinType.from_name(name)
-    p = type_profile(t).period_cap if full else search_period(t)
-    out = outcome(name, "row_seeded", p, entry_cap_override=cap)
-    sigma, shift = twist(t)
-    seed, top = t.rank - 1, _solve_plan(t)[0][0][1]
-    checked = 0
-    for orbit in out.orbits:
-        q = orbit.period
-        for first in range(q):
-            cols = [orbit.columns[(first + c) % q].values for c in range(p)]
-            row = [col[seed] for col in cols]
-            if row[0] != min(row):
-                continue
-            for j, (cells, floor) in enumerate(_twin_covers(t, p, row[0])):
-                bound = math.prod(row[:j]) * floor
-                for c, r, add in cells:
-                    a = c + shift[r]
-                    if sigma[r] == seed:
-                        assert add == 0 and cols[c][r] == row[a]
-                    else:
-                        assert sigma[r] == top and add == 1
-                        assert cols[c][r] == row[a] * row[a + 1] - 1
-                    bound *= cols[c][r] + add
-                if cells:
-                    assert bound <= math.prod(row), (first, j)
-                    checked += 1
-    assert checked or name == "C2"  # C2's top step takes a root: no cover
-
-
-@pytest.mark.parametrize(
     "name,cap,strategy",
     [(name, cap, strategy) for strategy in ("column_dfs", "row_seeded")
      for name, cap in [("A1", None), ("B2", None), ("C2", None), ("G2", None),
@@ -1499,79 +1458,6 @@ def test_backward_mesh_keeps_above_p_only_p_plus_a_divisor_of_p_plus_one(p, e, c
     assert held is ((p + 1) % e == 0 and e <= max(1, cap))
 
 
-def _a_wavefront(prefix):
-    """The row-seeded A_n wavefront once the seed row holds ``prefix``
-    (``n = len(prefix) + 1``), column-major as the search keeps it:
-    ``F[n-k, c+1] = K(t_{c+1}, ..., t_{c+k+1})`` (Conway-Coxeter).  Also
-    the ``(c, s, u)`` that the closing solve at position ``n`` reads per
-    row below the top forced row: row ``n-k`` at level ``k``."""
-    n = len(prefix) + 1
-    cols = [[0] * n for _ in range(n)]
-    for c in range(n - 1):
-        for k in range(n - 1 - c):
-            cols[c][n - 1 - k] = continuant(prefix[c : c + k + 1])
-    return cols, [(n - k - 1, n - k, n - k + 1) for k in range(2, n)]
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_closing_solve_matches_the_continuant_oracle(n):
-    # t passes the pin test of A_n exactly when K(t_1..t_n) > 0 divides
-    # 1 + K(t_2..t_n); the solve must yield exactly those t, as ascending
-    # x = t_{n-1} * t - 1, in the window the top row's scan covers
-    rng = random.Random(n)
-    nonpositive_low_end = several = 0
-    for _ in range(400):
-        prefix = [rng.randint(1, 6) for _ in range(n - 1)]
-        if any(continuant(prefix[a:b]) < 1 for a in range(n - 1) for b in range(a + 1, n)):
-            continue  # no wavefront holds a cell below 1
-        cols, closing = _a_wavefront(prefix)
-        prev = prefix[-1]
-        lo = rng.randint(1, 4)
-        hi = lo + rng.choice([0, 2, 40])
-        xcap = prev * hi - 1 - rng.randint(0, 2 * prev)
-        passing = [
-            prev * t - 1
-            for t in range(lo, hi + 1)
-            if 1 <= prev * t - 1 <= xcap
-            and (p := continuant(prefix + [t])) > 0
-            and (1 + continuant(prefix[1:] + [t])) % p == 0
-        ]
-        assert list(_closing_candidates(prev, cols, closing, lo, hi, xcap)) == passing
-        nonpositive_low_end += continuant(prefix + [lo]) < 1
-        several += len(passing) > 1
-    assert nonpositive_low_end and several
-
-
-def test_closing_solve_falls_back_to_the_scan():
-    # On a frieze wavefront the quotient q = (1 + R) / P moves by about one
-    # per step of t, so only cells that no frieze holds make its range
-    # outgrow the window.  Here P = (t - 2) / 7 and 1 + R = t: q runs from
-    # 21 down to 9 over t = 3 .. 9, so all seven candidates are scanned,
-    # although q is an integer only at t = 3, 4 and 9.
-    cols = [[0, 1, 1], [0, 0, 7], [0, 0, 0]]
-    got = list(_closing_candidates(1, cols, [(0, 1, 2)], 3, 9, 8))
-    assert got == list(_congruence_candidates(1, 1, 1, 8, 9, 3)) == list(range(2, 9))
-
-
-@pytest.mark.parametrize(
-    "name,cap",
-    [("A2", None), ("A3", None), ("A5", 8), ("B2", None), ("C2", None),
-     ("G2", None), ("B3", 32), ("C3", 32), ("F4", 16), ("D4", 8)],
-)
-def test_closing_solve_runs_on_linear_plans_only(name, cap, monkeypatch):
-    # the solve is keyed on the plan (pinned tail, no root, no power), not
-    # on the family letter: today only A_n qualifies
-    calls = []
-
-    def record(*args):
-        calls.append(args)
-        return _closing_candidates(*args)
-
-    monkeypatch.setattr("friezes.search._closing_candidates", record)
-    searched(name, "row_seeded", cap)  # partition 1 too: A2 has no other
-    assert bool(calls) == name.startswith("A")
-
-
 @pytest.mark.parametrize(
     "name,count,nodes",
     [("C3", 20, 15), ("A4", 42, 16_407)],
@@ -1592,16 +1478,15 @@ def test_certified_column_dfs_matches_row_seeded(name, count, nodes):
 
 @pytest.mark.parametrize(
     "name,count,nodes,search_nodes",
-    [("A4", 42, 6, 2_203), ("B3", 21, 2_959, 11_131), ("D4", 51, 18_304, 88_044)],
+    [("A4", 42, 6, 57_174), ("B3", 21, 2_959, 11_131), ("D4", 51, 18_304, 88_044)],
     ids=["A4", "B3", "D4"],
 )
 def test_certified_row_seeded_nodes(name, count, nodes, search_nodes):
     # the run takes partition 1 by reduction, one node per orbit walk.  In
     # the search itself, partition 1 included, only top cells that leave
     # the row's next top cell room within its product cap count as nodes
-    # (on D4 mostly at the last position, whose next cell wraps around), at
-    # A4's pin-test position only the solved candidates, and on A4 the twin
-    # product cut ends each loop early
+    # (on D4 mostly at the last position, whose next cell wraps around);
+    # A4's pin-test position scans every such top cell
     out = outcome(name, "row_seeded")
     assert out.frieze_count == count and out.complete
     assert out.nodes_explored == nodes

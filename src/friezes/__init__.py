@@ -39,11 +39,7 @@ from .mesh import (
     propagate_forward,
     verify_pattern,
 )
-from .search import (
-    SearchConfig,
-    default_strategy,
-    enumerate_friezes,
-)
+from .search import SearchConfig, enumerate_friezes
 
 __version__ = "0.1.0"
 
@@ -61,7 +57,6 @@ __all__ = [
     "bounds_report",
     "cartan_matrix",
     "check_pattern_against_bounds",
-    "default_strategy",
     "detect_period",
     "e8_example_pattern",
     "emit_frieze",

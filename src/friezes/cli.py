@@ -130,9 +130,9 @@ def cmd_bounds(args) -> int:
 
 def cmd_enumerate(args) -> int:
     t = DynkinType.from_name(args.type)
-    # Past 40-bit entry caps only C4 (41 bits, about 5 s through
-    # column_dfs) and B4 (46 bits, about 40 s through row_seeded) are known
-    # to end: require --cap so no uncertified count is implied.
+    # Past 40-bit entry caps only C4 (41 bits, about 5 s by column_dfs) and
+    # B4 (46 bits, about 40 s by row_seeded, 70-100 s by column_dfs) are
+    # known to end: require --cap so no uncertified count is implied.
     p = search_period(t)
     if args.cap is None:
         b = type_profile(t).b
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate friezes of a type")
     p.add_argument("type")
-    p.add_argument("--strategy", choices=["column_dfs", "row_seeded"], default=None)
+    p.add_argument("--strategy", choices=["column_dfs", "row_seeded"], default=SearchConfig.strategy)
     p.add_argument("--cap", type=int, default=None, help="entry cap override (uncertified)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")

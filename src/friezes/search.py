@@ -264,7 +264,6 @@ __all__ = [
     "SearchConfig",
     "SearchOutcome",
     "enumerate_friezes",
-    "default_strategy",
     "stderr_progress",
 ]
 
@@ -276,19 +275,17 @@ _FACTORIZATION_BUDGET = 100_000_000  # divisor-branch guard per partition
 class SearchConfig:
     """One run.  Its period is no setting: every run is at the type's
     ``catalog.search_period``, a period of every frieze of the type.
-    ``strategy`` names the search that runs: rank 1 degenerates to the
-    column walk, whatever was asked."""
+    ``strategy`` names the search for the partitions that are searched,
+    not taken by reduction; A_1 is taken by reduction under either."""
 
     dynkin: DynkinType
-    strategy: str | None = None  # default: default_strategy(dynkin)
+    strategy: str = "column_dfs"
     entry_cap_override: int | None = None
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.strategy not in (None, "column_dfs", "row_seeded"):
+        if self.strategy not in ("column_dfs", "row_seeded"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.strategy is None or self.dynkin.rank == 1:
-            object.__setattr__(self, "strategy", default_strategy(self.dynkin))
         cap = self.entry_cap_override
         if cap is not None and (type(cap) is not int or cap < 1):
             raise ValueError("entry_cap_override must be positive")
@@ -313,14 +310,6 @@ class SearchOutcome:
     @property
     def frieze_count(self) -> int:
         return sum(o.period for o in self.orbits)
-
-
-def default_strategy(t: DynkinType) -> str:
-    """Row seeding at rank >= 2 when the solve plan forces every row (no
-    divisor branching), column search otherwise."""
-    if t.rank >= 2 and _solve_plan(t)[1] is None:
-        return "row_seeded"
-    return "column_dfs"
 
 
 def _divisors(x: int) -> list[int]:

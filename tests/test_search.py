@@ -12,7 +12,6 @@ from friezes import (
     SearchConfig,
     a_vector,
     check_pattern_against_bounds,
-    default_strategy,
     detect_period,
     enumerate_friezes,
     interval_certificate,
@@ -252,7 +251,7 @@ def reduction_row(name, strategy, cap=None, slow=False):
 
 @pytest.mark.parametrize(
     "name,strategy,cap",
-    # rank 1 has no row-seeded search: SearchConfig runs the column walk
+    # rank 1 has no row-seeded search to compare: every A1 run is reduced
     [reduction_row("A1", "column_dfs")]
     + [reduction_row(name, strategy) for name in ("A2", "A3", "A4", "B2", "B3", "C2", "C3", "G2")
        for strategy in ("column_dfs", "row_seeded")]
@@ -395,7 +394,7 @@ def test_b2_c2_counts_agree():
 
 @pytest.mark.parametrize("name", DESK_TYPES)
 def test_enumerated_orbits_satisfy_all_invariants(name):
-    out = outcome(name, default_strategy(DynkinType.from_name(name)))
+    out = outcome(name, "column_dfs")
     cap = type_profile(DynkinType.from_name(name)).period_cap
     for orbit in out.orbits:
         # the stored period is minimal and the columns follow propagation
@@ -516,8 +515,10 @@ def test_large_rank_override_builds_no_unclipped_cap():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert out == outcome("A300", "row_seeded", entry_cap_override=2)
-    assert (out.orbits, out.complete, out.nodes_explored, out.notes) == ((), False, 3, ())
+    assert out == outcome("A300", "column_dfs", entry_cap_override=2)
+    assert (out.orbits, out.complete, out.nodes_explored, out.notes) == ((), False, 2, ())
+    row = outcome("A300", "row_seeded", entry_cap_override=2)
+    assert (row.orbits, row.complete, row.notes) == (out.orbits, out.complete, out.notes)
 
 
 @pytest.mark.parametrize(
@@ -1564,6 +1565,8 @@ def test_config_validation():
     t = DynkinType("A", 2)
     with pytest.raises(ValueError):
         SearchConfig(dynkin=t, strategy="bogus")
+    with pytest.raises(ValueError):  # no None: the default is column_dfs
+        SearchConfig(dynkin=t, strategy=None)
     with pytest.raises(TypeError):  # the period is the type's, no setting
         SearchConfig(dynkin=t, period_cap=8)
     with pytest.raises(ValueError):
@@ -1572,8 +1575,12 @@ def test_config_validation():
         SearchConfig(dynkin=t, jobs=0)
 
 
-def test_row_seeded_rank_one_degenerates_to_column_walk():
-    assert SearchConfig(DynkinType("A", 1), "row_seeded").strategy == "column_dfs"
+def test_rank_one_takes_the_reduction_under_either_strategy(monkeypatch):
+    def search(*args):
+        raise AssertionError("a rank-1 partition was searched")
+
+    monkeypatch.setattr("friezes.search._column_partition", search)
+    monkeypatch.setattr("friezes.search._row_partition", search)
     assert outcome("A1", "row_seeded") == outcome("A1", "column_dfs")
 
 
@@ -1605,22 +1612,15 @@ def test_solve_plan_shape(t):
     assert len(wave) + 2 <= search_period(t)
 
 
-def test_default_strategy_choice():
-    assert default_strategy(DynkinType("A", 4)) == "row_seeded"
-    assert default_strategy(DynkinType("G", 2)) == "row_seeded"
-    assert default_strategy(DynkinType("A", 1)) == "column_dfs"
-    assert default_strategy(DynkinType("D", 4)) == "column_dfs"
-    assert default_strategy(DynkinType("E", 6)) == "column_dfs"
-
-
 @pytest.mark.parametrize("t", [DynkinType("A", 1), *PLAN_TYPES], ids=str)
 def test_config_strategy_defaults_to_the_type_default(t):
-    assert SearchConfig(t).strategy == default_strategy(t)
+    # one default for every type, rank 1 included
+    assert SearchConfig(t).strategy == "column_dfs"
 
 
 def test_config_without_strategy_runs_the_default():
     cfg = SearchConfig(DynkinType("A", 4))
-    assert cfg.strategy == "row_seeded"
+    assert cfg.strategy == "column_dfs"
     out = enumerate_friezes(cfg)
     assert out.frieze_count == 42 and out.complete and out.nodes_explored == 6
 

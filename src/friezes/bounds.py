@@ -210,9 +210,15 @@ def _refined_terms(t: DynkinType) -> tuple[tuple[float, ...], Fraction, float, F
     return row_sums, base, base_log2, sum(profile.b, Fraction(0))
 
 
+@lru_cache(maxsize=64, typed=True)
 def bounds_report(t: DynkinType, p: int) -> BoundsReport:
     """Entry caps ``2**(p*b_i)``, the count bound exponent ``p**2 * sum b``,
-    and both readings of the refined (all entries >= 2) bound."""
+    and both readings of the refined (all entries >= 2) bound.
+
+    Cached per ``(t, p)`` like :func:`entry_caps`: the report is frozen and
+    built from tuples, ``Fraction``s and floats, and every stored frieze of
+    one type and period asks for the same one.  Typed, so that a ``True``
+    or ``2.0`` is refused rather than served from the ints 1 and 2."""
     if type(p) is not int or p < 1:
         raise ValueError("period must be positive")
     profile = type_profile(t)

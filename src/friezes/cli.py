@@ -31,7 +31,7 @@ from .mesh import (
     detect_period,
     verify_pattern,
 )
-from .search import SearchConfig, enumerate_friezes, stderr_progress
+from .search import STRATEGIES, SearchConfig, enumerate_friezes, stderr_progress
 
 
 def _read_pattern(path: str):
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="exhaustively enumerate friezes of a type")
     p.add_argument("type")
-    p.add_argument("--strategy", choices=["column_dfs", "row_seeded"], default=SearchConfig.strategy)
+    p.add_argument("--strategy", choices=STRATEGIES, default=SearchConfig.strategy)
     p.add_argument("--cap", type=int, default=None, help="entry cap override (uncertified)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true")

@@ -12,6 +12,15 @@ Document grammar (UTF-8, ``#`` starts a comment line)::
 callers verify separately.  ``emit_frieze`` writes the canonical form
 (single spaces, trailing newline), so parse-emit round trips are
 byte-exact on re-emission.
+
+Most entries of a stored frieze are small, so both directions first read
+them through a table of the canonical decimal text of 1..999 (about 140 KB
+for the pair, built at import).  A row whose every token is in
+``_SMALL_INTS`` is already a row of positive ints; any other row falls back
+to the token rule of ``_decimal_ints`` and its per-token error loop, so a
+token such as ``01``, ``+1`` or ``1000`` is read, or refused with its line
+and position, exactly as without the table.  ``emit_frieze`` writes values
+outside 1..999 with ``str``.  The tables change speed, never a result.
 """
 
 from __future__ import annotations
@@ -40,6 +49,10 @@ class FriezeFormatError(ValueError):
         self.column = column
         where = f"line {line}" if column is None else f"line {line}, token {column}"
         super().__init__(f"{where}: {message}")
+
+
+_SMALL_INTS = {str(v): v for v in range(1, 1000)}
+_SMALL_TEXTS = {v: text for text, v in _SMALL_INTS.items()}
 
 
 def _decimal_ints(tokens) -> tuple[int, ...] | None:
@@ -88,16 +101,19 @@ def parse_frieze(text: str) -> FriezePattern:
             raise FriezeFormatError(
                 lineno, f"row {len(rows) + 1} has {len(tokens) - 1} entries, expected {period}"
             )
-        # one pass over the row; the token loop runs only to name the first
-        # bad token, or to raise int()'s digit-limit error in token order
+        # a row of table tokens needs no further check; otherwise one pass
+        # over the row, and the token loop runs only to name the first bad
+        # token, or to raise int()'s digit-limit error in token order
         entries = tokens[1:]
-        values = _decimal_ints(entries)
-        if values is None or min(values) < 1:
-            for pos, tok in enumerate(entries, start=2):
-                if not tok.isdecimal() or int(tok) < 1:
-                    raise FriezeFormatError(
-                        lineno, f"entry {tok!r} is not a positive integer", column=pos
-                    )
+        values = tuple(map(_SMALL_INTS.get, entries))
+        if None in values:
+            values = _decimal_ints(entries)
+            if values is None or min(values) < 1:
+                for pos, tok in enumerate(entries, start=2):
+                    if not tok.isdecimal() or int(tok) < 1:
+                        raise FriezeFormatError(
+                            lineno, f"entry {tok!r} is not a positive integer", column=pos
+                        )
         rows.append(values)
 
     if len(rows) != dynkin.rank:
@@ -113,7 +129,10 @@ def emit_frieze(f: FriezePattern) -> str:
     """Canonical document text for a pattern."""
     lines = [f"dynkin {f.dynkin}", f"period {f.period}"]
     for row in f.rows():
-        lines.append("row " + " ".join(map(str, row)))
+        try:
+            lines.append("row " + " ".join(map(_SMALL_TEXTS.get, row)))
+        except TypeError:  # a value outside 1..999 maps to None
+            lines.append("row " + " ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -40,6 +40,20 @@ multiple of the period.  Caching is safe because a pattern cannot change:
 both dataclasses are frozen, and their ``values`` and ``columns`` are
 stored as tuples, whatever sequence the caller passed.  The caches live
 outside the dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them.
+
+A verified pattern is its own orbit.  When :func:`verify_pattern` finds no
+violation, every stored pair of consecutive columns satisfies the mesh
+relations, and each relation fixes ``F[i,k+1] = (1 + product) / F[i,k]``
+from entries that propagation has already filled, so ``forward_values``
+maps ``columns[k]`` to ``columns[k+1 mod period]``.  ``verify_pattern``
+therefore keeps ``columns[1:]`` on ``columns[0]``, again outside the
+dataclass fields, and :func:`detect_period` reads the minimal period off
+the seed and the columns after it without arithmetic.  (Keeping the whole
+tuple would make every verified pattern a reference cycle, which only the
+cyclic collector frees.)  The stash stays sound wherever the same slice object is shared:
+propagation is a function, so every verified tuple of columns that starts
+at a slice is that slice's orbit, perhaps stored over a multiple of its
+period, and a later one replaces it with the same orbit.
 """
 
 from __future__ import annotations
@@ -298,9 +312,23 @@ def detect_period(seed: FriezeSlice, cap: int) -> tuple[int, list[FriezeSlice]]:
     distinct.  Raises :class:`DeadEndError` if propagation dies (the seed
     is not a frieze column) and :class:`NoRecurrenceError` if ``cap`` is
     exhausted.
+
+    A seed that is the first column of a pattern :func:`verify_pattern`
+    has passed carries that pattern's columns, which are its orbit read
+    cyclically (module docstring): ``q`` is then the least rotation that
+    brings the seed back, and ``columns`` are the stored slices.  Every
+    other seed walks its orbit.
     """
     if type(cap) is not int or cap < 1:
         raise ValueError("cap must be positive")
+    tail = seed.__dict__.get("_verified_tail")
+    if tail is not None:
+        stored = (seed, *tail)
+        period = len(stored)
+        q = next(k for k in range(1, period + 1) if stored[k % period].values == seed.values)
+        if q > cap:
+            raise NoRecurrenceError(cap)
+        return q, list(stored[:q])
     t = seed.dynkin
     cols, _ = _orbit(t, seed.values, cap)
     return len(cols), [FriezeSlice._unchecked(t, v) for v in cols]
@@ -308,12 +336,15 @@ def detect_period(seed: FriezeSlice, cap: int) -> tuple[int, list[FriezeSlice]]:
 
 def verify_pattern(f: FriezePattern) -> list[MeshViolation]:
     """Check every mesh relation cyclically; an empty list means the
-    pattern is a frieze."""
+    pattern is a frieze, and then ``f.columns[0]`` keeps the columns after
+    it as the rest of its orbit for :func:`detect_period`."""
     pair = _kernels(f.dynkin).pair
     cols = [c.values for c in f.columns]
     violations: list[MeshViolation] = []
     for k, (a, b) in enumerate(zip(cols, cols[1:] + cols[:1])):
         pair(a, b, k, violations)
+    if not violations:
+        f.columns[0].__dict__["_verified_tail"] = f.columns[1:]
     return violations
 
 

@@ -268,6 +268,7 @@ __all__ = [
 ]
 
 PROGRESS_STRIDE = 1_000_000
+STRATEGIES = ("column_dfs", "row_seeded")  # SearchConfig and the CLI's --strategy read it
 _FACTORIZATION_BUDGET = 100_000_000  # divisor-branch guard per partition
 
 
@@ -284,7 +285,7 @@ class SearchConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
-        if self.strategy not in ("column_dfs", "row_seeded"):
+        if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         cap = self.entry_cap_override
         if cap is not None and (type(cap) is not int or cap < 1):

@@ -129,18 +129,25 @@ _PERIOD_ONE = pattern_from_columns(DynkinType("A", 1), [(1,)])
         (lambda x: integer_root(10, x), "integer_root needs ints"),
         # the equal int is cached first, and must not be served for x
         (lambda x: entry_caps(_A2, int(x)) and entry_caps(_A2, x), "period must be positive"),
+        (lambda x: bounds_report(_A2, int(x)) and bounds_report(_A2, x), "period must be positive"),
         (lambda x: floor_pow2(x), "exponent must be positive"),
         (lambda x: repetition_arrows(_A2, x, 3), "column bounds must be ints"),
         (lambda x: repetition_arrows(_A2, 0, x), "column bounds must be ints"),
     ],
     ids=["cap_override", "jobs", "detect_period", "bounds_report", "interval_certificate",
-         "mesh_product", "root_x", "root_k", "entry_caps", "floor_pow2", "arrows_lo", "arrows_hi"],
+         "mesh_product", "root_x", "root_k", "entry_caps", "bounds_report_cached", "floor_pow2",
+         "arrows_lo", "arrows_hi"],
 )
 def test_counts_and_periods_must_be_ints(call, message, bad):
     # like a rank, a count or period that is a bool or a float is refused
     # with the message an out-of-range int gets
     with pytest.raises(ValueError, match=message):
         call(bad)
+
+
+def test_bounds_report_is_cached_per_type_and_period():
+    assert bounds_report(_A2, 5) is bounds_report(_A2, 5)
+    assert bounds_report(_A2, 6) is not bounds_report(_A2, 5)
 
 
 def test_parse_and_str_round_trip():

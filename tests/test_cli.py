@@ -467,3 +467,16 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_strategy_choices_are_the_library_strategies(capsys):
+    # --strategy takes exactly the names SearchConfig accepts
+    parser = friezes.cli.build_parser()
+    for name in friezes.search.STRATEGIES:
+        args = parser.parse_args(["enumerate", "A2", "--strategy", name])
+        assert friezes.search.SearchConfig(DynkinType("A", 2), args.strategy).strategy == name
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "A2", "--strategy", "bogus"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and all(name in err for name in friezes.search.STRATEGIES)

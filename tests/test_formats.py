@@ -133,6 +133,51 @@ def test_parse_error_reports_token_position():
     assert exc.value.column == 3
 
 
+def _row_by_token_rule(entries, lineno):
+    """A document row read without the small-token table: ``int()`` on
+    decimal tokens, the first bad token named by line and position."""
+    for pos, tok in enumerate(entries, start=2):
+        if not tok.isdecimal() or int(tok) < 1:
+            raise FriezeFormatError(lineno, f"entry {tok!r} is not a positive integer", column=pos)
+    return tuple(map(int, entries))
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as exc:  # FriezeFormatError, or int()'s digit-limit error
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    ["0", "01", "+1", "1_0", "٣", "999", "1000", "9" * 5000, "-3", "x"],
+    ids=["zero", "leading-zero", "plus", "underscore", "arabic-indic", "999", "1000",
+         "past-digit-limit", "negative", "letter"],
+)
+@pytest.mark.parametrize("where", ["first", "mid", "last", "both"])
+def test_parse_row_matches_token_rule(tokens, where):
+    # table tokens around the one under test; "both" adds a second bad token
+    entries = {
+        "first": [tokens, "7", "1", "12"],
+        "mid": ["7", "1", tokens, "12"],
+        "last": ["7", "1", "12", tokens],
+        "both": ["7", tokens, "1", "0"],
+    }[where]
+    doc = f"dynkin A1\nperiod {len(entries)}\n\nrow {' '.join(entries)}\n"
+    got = _outcome(lambda: parse_frieze(doc).rows()[0])
+    assert got == _outcome(lambda: _row_by_token_rule(entries, 4))
+
+
+@pytest.mark.parametrize(
+    "row", [(1, 999), (999, 1000), (10**40, 1), (1000, 10**40), (5, 7)], ids=str
+)
+def test_emit_row_matches_str(row):
+    pattern = pattern_from_columns(DynkinType("A", 2), [row, row[::-1]])
+    rows = emit_frieze(pattern).splitlines()[2:]
+    assert rows == ["row " + " ".join(map(str, r)) for r in pattern.rows()]
+
+
 def test_quiver_dot_a1_has_isolated_nodes():
     dot = emit_quiver_dot(DynkinType("A", 1), 0, 1)
     assert dot.count("label") == 2

@@ -1,4 +1,7 @@
+import gc
 import math
+import pickle
+import weakref
 from functools import partial
 
 import pytest
@@ -23,6 +26,7 @@ from friezes import (
 )
 from conftest import CATALOG_SAMPLE
 from friezes.fixtures import E8_EXAMPLE_ROWS
+from friezes import mesh
 from friezes.mesh import MeshViolation, _kernels, forward_values
 
 A1 = DynkinType("A", 1)
@@ -140,7 +144,8 @@ def test_detect_period_a1():
 
 
 def test_detect_period_e8_fixture(e8_pattern):
-    q, columns = detect_period(e8_pattern.columns[0], 32)
+    # a fresh seed walks its orbit, whatever the session fixture has passed
+    q, columns = detect_period(FriezeSlice(E8, e8_pattern.columns[0].values), 32)
     assert q == 4
     assert 16 % q == 0  # divides the nominal period for this type
     assert tuple(c.values for c in columns) == tuple(c.values for c in e8_pattern.columns)
@@ -150,7 +155,7 @@ def test_detect_period_e8_fixture(e8_pattern):
 def test_detect_period_columns_read_like_validated_slices(name, a2_pattern, e8_pattern, a6_pattern):
     pattern = {"A2": a2_pattern, "E8": e8_pattern, "A6": a6_pattern}[name]
     t = pattern.dynkin
-    q, columns = detect_period(pattern.columns[0], 2 * pattern.period)
+    q, columns = detect_period(FriezeSlice(t, pattern.columns[0].values), 2 * pattern.period)
     assert q == len(columns)
     stepped = [step(c) for c in pattern.columns for step in (propagate_forward, propagate_backward)]
     for c in columns + stepped:
@@ -158,6 +163,79 @@ def test_detect_period_columns_read_like_validated_slices(name, a2_pattern, e8_p
         assert all(type(v) is int and v >= 1 for v in c.values)
         checked = FriezeSlice(t, list(c.values))
         assert c == checked and hash(c) == hash(checked) and repr(c) == repr(checked)
+
+
+_A2_COLUMNS = [(1, 1), (3, 2), (1, 2), (2, 1), (2, 3)]
+
+
+@pytest.fixture()
+def forward_calls(monkeypatch):
+    """Counts the propagation steps of orbit walks."""
+    calls = []
+
+    def counted(t, values):
+        calls.append(values)
+        return forward_values(t, values)
+
+    monkeypatch.setattr(mesh, "forward_values", counted)
+    return calls
+
+
+def test_verified_pattern_gives_its_minimal_period_without_propagation(forward_calls):
+    twice = pattern_from_columns(A2, _A2_COLUMNS * 2)
+    assert verify_pattern(twice) == []
+    q, columns = detect_period(twice.columns[0], 7)
+    assert q == 5 and forward_calls == []
+    assert all(c is s for c, s in zip(columns, twice.columns[:5]))
+    # a fresh seed walks to the same orbit
+    assert detect_period(FriezeSlice(A2, (1, 1)), 7) == (5, columns)
+    assert len(forward_calls) == 5
+
+
+@pytest.mark.parametrize("verified", [False, True], ids=["walk", "stored"])
+def test_detect_period_cap_below_period_on_both_paths(verified):
+    pattern = pattern_from_columns(A2, _A2_COLUMNS)
+    if verified:
+        assert verify_pattern(pattern) == []
+    with pytest.raises(NoRecurrenceError) as exc:
+        detect_period(pattern.columns[0], 4)
+    assert exc.value.cap == 4
+    assert detect_period(pattern.columns[0], 5)[0] == 5
+
+
+def test_pattern_with_a_violation_leaves_the_seed_walking(forward_calls):
+    short = pattern_from_columns(A2, _A2_COLUMNS[:4])  # the wrap-around relation fails
+    assert verify_pattern(short)
+    assert "_verified_tail" not in short.columns[0].__dict__
+    q, columns = detect_period(short.columns[0], 7)
+    assert q == 5 and len(forward_calls) == 5
+    assert [c.values for c in columns] == _A2_COLUMNS
+    assert all(c is not s for c, s in zip(columns[1:], short.columns[1:]))
+
+
+def test_verified_seed_keeps_equality_hash_repr_and_pickles():
+    pattern = pattern_from_columns(A2, _A2_COLUMNS)
+    plain = FriezeSlice(A2, (1, 1))
+    before = repr(pattern.columns[0])
+    assert verify_pattern(pattern) == []
+    seed = pattern.columns[0]
+    assert seed == plain and hash(seed) == hash(plain) and repr(seed) == before == repr(plain)
+    assert pattern == pattern_from_columns(A2, _A2_COLUMNS)
+    copy = pickle.loads(pickle.dumps(seed))
+    assert copy == seed and hash(copy) == hash(seed) and repr(copy) == repr(seed)
+    assert detect_period(copy, 7) == detect_period(seed, 7) == (5, list(pattern.columns))
+
+
+def test_verified_pattern_is_freed_without_the_cycle_collector():
+    pattern = pattern_from_columns(A2, _A2_COLUMNS)
+    assert verify_pattern(pattern) == []
+    seed = weakref.ref(pattern.columns[0])
+    gc.disable()
+    try:
+        del pattern
+        assert seed() is None
+    finally:
+        gc.enable()
 
 
 def test_detect_period_dead_end():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from friezes import (
     DynkinType,
+    FriezeSlice,
     SearchConfig,
     a_vector,
     check_pattern_against_bounds,
@@ -395,10 +396,13 @@ def test_b2_c2_counts_agree():
 @pytest.mark.parametrize("name", DESK_TYPES)
 def test_enumerated_orbits_satisfy_all_invariants(name):
     out = outcome(name, "column_dfs")
-    cap = type_profile(DynkinType.from_name(name)).period_cap
+    t = DynkinType.from_name(name)
+    cap = type_profile(t).period_cap
     for orbit in out.orbits:
-        # the stored period is minimal and the columns follow propagation
-        assert detect_period(orbit.columns[0], cap) == (orbit.period, list(orbit.columns))
+        # the stored period is minimal and the columns follow propagation;
+        # a fresh seed walks, where the verified orbit's own would read it back
+        seed = FriezeSlice(t, orbit.columns[0].values)
+        assert detect_period(seed, cap) == (orbit.period, list(orbit.columns))
         assert verify_pattern(orbit) == []
         assert interval_certificate(orbit).passed
         assert check_pattern_against_bounds(orbit).passed

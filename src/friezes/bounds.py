@@ -5,6 +5,17 @@ for friezes with all entries >= 2.
 Everything decidable is decided in exact integer or rational arithmetic;
 floats appear only as a reporting view, evaluated from exact quantities at
 the last step (target precision 1e-9).
+
+Decide at ``P``, report at ``p``.  Over a multiple ``p = e*P`` of the
+stored period ``P`` every row product is ``x**e`` for the stored-period
+product ``x``, and every neighbor product ``N**e`` for ``N`` the mesh
+product of the ``x``.  Since ``t -> t**e`` is strictly increasing on
+positive integers and ``2**p * N**e = (2**P * N)**e``, the interval
+verdict ``N**e < x**(2e) <= 2**p * N**e`` is ``N < x*x <= 2**P * N``:
+:func:`interval_certificate` decides on the stored-period numbers and
+raises only what it reports.  An entry is at most its row's product (every
+entry is at least 1), so :func:`check_pattern_against_bounds` reads a row's
+entries only when its product is over the cap.
 """
 
 from __future__ import annotations
@@ -159,10 +170,16 @@ def _resolve_period(f: FriezePattern, p: int | None) -> int:
 def row_products(f: FriezePattern, p: int | None = None) -> tuple[int, ...]:
     """``prod_k F[i,k]`` over ``p`` columns, computed exactly as the
     stored-period product (formed once per pattern) raised to
-    ``p // f.period``."""
+    ``e = p // f.period``.  The pattern keeps the last ``(e, powers)`` it
+    was asked for, outside its dataclass fields, so the certificates and
+    caps of one ``p`` raise each row once."""
     e = _resolve_period(f, p) // f.period
-    prods = f._row_products
-    return prods if e == 1 else tuple(x**e for x in prods)
+    if e == 1:
+        return f._row_products
+    slot = f.__dict__.get("_powered")
+    if slot is None or slot[0] != e:
+        slot = f.__dict__["_powered"] = (e, tuple(x**e for x in f._row_products))
+    return slot[1]
 
 
 def a_vector(f: FriezePattern, p: int | None = None) -> LogVector:
@@ -183,14 +200,18 @@ def a_vector(f: FriezePattern, p: int | None = None) -> LogVector:
 
 
 def interval_certificate(f: FriezePattern, p: int | None = None) -> IntervalCertificate:
-    """Exact big-integer form of the interval test; passes on every frieze."""
+    """Exact big-integer form of the interval test; passes on every frieze.
+    Each verdict is decided at the stored period (module docstring)."""
     p = _resolve_period(f, p)
-    prods = row_products(f, p)
-    squares = tuple(x * x for x in prods)
+    e = p // f.period
+    base = f._row_products
     # a mesh product over row products: both "columns" are the products
-    neighbor = tuple(_product((prods, prods), factors) for factors in _mesh_factors(f.dynkin))
-    shift = 1 << p
-    verdicts = tuple(neighbor[i] < sq <= shift * neighbor[i] for i, sq in enumerate(squares))
+    neighbor = tuple(_product((base, base), factors) for factors in _mesh_factors(f.dynkin))
+    shift = 1 << f.period
+    verdicts = tuple(n < x * x <= shift * n for x, n in zip(base, neighbor))
+    squares = tuple(x * x for x in row_products(f, p))
+    if e > 1:
+        neighbor = tuple(n**e for n in neighbor)
     return IntervalCertificate(f.dynkin, p, squares, neighbor, verdicts)
 
 
@@ -242,7 +263,9 @@ def check_pattern_against_bounds(f: FriezePattern, p: int | None = None) -> Boun
     p = _resolve_period(f, p)
     caps = entry_caps(f.dynkin, p)
     prods = row_products(f, p)
+    row_ok = tuple(x <= cap for x, cap in zip(prods, caps))
+    # every entry is at least 1, so none exceeds its row's product
     return BoundsCheck(
-        tuple(x <= cap for x, cap in zip(prods, caps)),
-        tuple(max(row) <= cap for row, cap in zip(f.rows(), caps)),
+        row_ok,
+        tuple(ok or max(row) <= cap for ok, row, cap in zip(row_ok, f.rows(), caps)),
     )

@@ -68,10 +68,9 @@ def parse_frieze(text: str) -> FriezePattern:
     """Parse a frieze document; see the module docstring for the grammar."""
     meaningful: list[tuple[int, list[str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        meaningful.append((lineno, stripped.split()))
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            meaningful.append((lineno, tokens))
 
     if not meaningful:
         raise FriezeFormatError(1, "empty document; expected a `dynkin` line")
@@ -120,9 +119,10 @@ def parse_frieze(text: str) -> FriezePattern:
         last = meaningful[-1][0]
         raise FriezeFormatError(last, f"missing rows: got {len(rows)}, {dynkin} needs {dynkin.rank}")
 
-    # every entry was checked above, so the columns skip re-validation
+    # every entry was checked above, so the pattern and its columns skip
+    # re-validation, and the rows just read are its transpose
     columns = tuple(FriezeSlice._unchecked(dynkin, col) for col in zip(*rows))
-    return FriezePattern(dynkin, columns)
+    return FriezePattern._unchecked(dynkin, columns, tuple(rows))
 
 
 def emit_frieze(f: FriezePattern) -> str:
@@ -194,18 +194,31 @@ def analyze_payload(f, p, logvec, certificate, bounds_check) -> dict:
 
 
 def bounds_payload(report, include_refined: bool) -> dict:
+    # the texts are formatted once per report object and kept on it, outside
+    # its dataclass fields; every call gets fresh lists
+    texts = report.__dict__.get("_payload_texts")
+    if texts is None:
+        texts = report.__dict__["_payload_texts"] = (
+            tuple(str(x) for x in report.b),
+            tuple(str(x) for x in report.entry_cap_exponents),
+            str(report.count_bound_exponent),
+            tuple(sig9(x) for x in report.refined_rowwise_log2),
+            sig9(report.refined_flat_log2),
+            str(report.refined_base),
+        )
+    b, caps, count, rowwise, flat, base = texts
     payload = {
         "dynkin": str(report.dynkin),
         "period": report.period,
-        "b": [str(x) for x in report.b],
+        "b": list(b),
         "d": list(report.d),
-        "entry_cap_exponents": [str(x) for x in report.entry_cap_exponents],
-        "count_bound_exponent": str(report.count_bound_exponent),
+        "entry_cap_exponents": list(caps),
+        "count_bound_exponent": count,
     }
     if include_refined:
-        payload["refined_formula_log2"] = [sig9(x) for x in report.refined_rowwise_log2]
-        payload["refined_flat_log2"] = [sig9(report.refined_flat_log2)] * report.dynkin.rank
-        payload["refined_base"] = str(report.refined_base)
+        payload["refined_formula_log2"] = list(rowwise)
+        payload["refined_flat_log2"] = [flat] * report.dynkin.rank
+        payload["refined_base"] = base
     return payload
 
 

@@ -35,11 +35,14 @@ without running the validation of ``FriezeSlice.__post_init__`` again.
 
 A :class:`FriezePattern` computes two views of itself on first use and
 keeps them: its row-major transpose (``rows()``) and the product of each
-row over the stored period, which ``bounds.row_products`` raises to any
-multiple of the period.  Caching is safe because a pattern cannot change:
-both dataclasses are frozen, and their ``values`` and ``columns`` are
-stored as tuples, whatever sequence the caller passed.  The caches live
-outside the dataclass fields, so ``==``, ``hash`` and ``repr`` ignore them.
+row over the stored period.  ``formats.parse_frieze`` reads a document row
+by row, so it seeds the transpose with the rows it parsed.
+``bounds.row_products`` raises the products to a multiple of the period
+and keeps one slot, the powers for the last multiple asked.  Caching is
+safe because a pattern cannot change: both dataclasses are frozen, and
+their ``values`` and ``columns`` are stored as tuples, whatever sequence
+the caller passed.  The caches live outside the dataclass fields, so
+``==``, ``hash`` and ``repr`` ignore them.
 
 A verified pattern is its own orbit.  When :func:`verify_pattern` finds no
 violation, every stored pair of consecutive columns satisfies the mesh
@@ -155,6 +158,15 @@ class FriezePattern:
         for c in columns:
             if c.dynkin != self.dynkin:
                 raise ValueError(f"column of type {c.dynkin} in a {self.dynkin} pattern")
+
+    @classmethod
+    def _unchecked(cls, dynkin: DynkinType, columns: tuple, rows: tuple) -> FriezePattern:
+        """A pattern whose ``columns`` are known to be a non-empty tuple of
+        slices of type ``dynkin``, with ``rows`` their transpose as
+        ``rows()`` returns it; skips ``__post_init__``."""
+        f = object.__new__(cls)
+        f.__dict__.update(dynkin=dynkin, columns=columns, _rows=rows)
+        return f
 
     @property
     def period(self) -> int:

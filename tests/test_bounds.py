@@ -291,3 +291,55 @@ def test_cached_pattern_reads_like_a_fresh_one(name, order, e8_pattern, a6_patte
         caps = tuple(floor_pow2(p * b) for b in type_profile(pattern.dynkin).b)
         assert entry_caps(pattern.dynkin, p) == caps
         assert entry_caps(pattern.dynkin, p) == caps  # read again from the cache
+
+
+# Patterns that are not friezes, with rows that fail each test at every
+# multiple below; A3 at stored period 2 caps its rows at 8**e, 16**e, 8**e
+# over 2e columns, and row i's neighbor product N is that of the rows
+# beside it.
+FAILING = {
+    # row 1: N = 4 = M; row 2 passes at the upper end, M = 16 = 2**2 * N
+    "lower-end": [(1, 2, 1), (2, 2, 2)],
+    "upper-end": [(3, 1, 1), (3, 1, 1)],  # row 1: M = 81 > 2**2 * N = 4
+    "product-over-cap": [(1, 16, 1), (1, 9, 1)],  # row 2: 144 > 16, entries at most 16
+    "entry-over-cap": [(3_000_000, 1, 1), (1, 1, 1)],  # over 8**7 too
+}
+
+
+def _fails(kind, cert, check):
+    rows = range(len(cert.verdicts))
+    shift = 1 << cert.period
+    return {
+        "lower-end": any(cert.neighbor_products[i] >= cert.row_squares[i] for i in rows),
+        "upper-end": any(cert.row_squares[i] > shift * cert.neighbor_products[i] for i in rows),
+        "product-over-cap": any(
+            not r and e for r, e in zip(check.row_product_ok, check.entry_ok)
+        ),
+        "entry-over-cap": not all(check.entry_ok),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind", FAILING)
+def test_multiples_agree_with_unrolling_on_non_friezes(kind):
+    t = DynkinType("A", 3)
+    pattern = pattern_from_columns(t, FAILING[kind])
+    assert verify_pattern(pattern) != []
+    # 2 again after 7: the powered slot is replaced, never read stale
+    for e in (1, 2, 7, 2):
+        p = e * pattern.period
+        unrolled = pattern_from_columns(t, FAILING[kind] * e)
+        assert row_products(pattern, p) == row_products(unrolled)
+        assert a_vector(pattern, p) == a_vector(unrolled)
+        cert = interval_certificate(pattern, p)
+        check = check_pattern_against_bounds(pattern, p)
+        assert cert == interval_certificate(unrolled)
+        assert check == check_pattern_against_bounds(unrolled)
+        assert _fails(kind, cert, check), (kind, e)
+        # the definitions, read on the unrolled numbers
+        shift = 1 << p
+        assert cert.verdicts == tuple(
+            n < m <= shift * n for m, n in zip(cert.row_squares, cert.neighbor_products)
+        )
+        caps = entry_caps(t, p)
+        assert check.row_product_ok == tuple(x <= c for x, c in zip(row_products(unrolled), caps))
+        assert check.entry_ok == tuple(max(r) <= c for r, c in zip(unrolled.rows(), caps))

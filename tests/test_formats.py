@@ -1,4 +1,8 @@
+import gc
 import json
+import pickle
+import weakref
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -19,7 +23,9 @@ from friezes import (
     interval_certificate,
     parse_frieze,
     pattern_from_columns,
+    row_products,
 )
+from friezes.bounds import BoundsReport
 from friezes.formats import (
     analyze_payload,
     bounds_payload,
@@ -57,6 +63,73 @@ def test_round_trip_is_identity_and_idempotent(e8_pattern):
 def test_comments_and_blank_lines_ignored():
     doc = "# fixture\n\ndynkin A1\n# two columns\nperiod 2\nrow 1 2\n"
     assert parse_frieze(doc) == parse_frieze(A1_DOC)
+
+
+def _parse_by_strip_then_split(text: str):
+    """The reference line rule: strip the line, skip it when empty or
+    starting with ``#``, split the rest.  The kept lines go to the parser as
+    single-space text on their own line numbers."""
+    lines = []
+    for raw in text.splitlines():
+        stripped = raw.strip()
+        keep = stripped and not stripped.startswith("#")
+        lines.append(" ".join(stripped.split()) if keep else "")
+    return parse_frieze("\n".join(lines))
+
+
+# str.split() and str.strip() whitespace; \x0b, \x0c, \x1c-\x1e and \x85
+# also end a line for str.splitlines()
+WHITESPACE = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003", "\u3000"]
+
+
+def _documents():
+    lines = A2_DOC.splitlines()
+    for ws in WHITESPACE:
+        yield ws.join(A2_DOC.split(" "))  # as the separator
+        yield "\n".join(ws + line + ws for line in lines)  # around every line
+        yield "\n".join(lines[:2] + [ws + "#note" + ws + "1", ws] + lines[2:])  # indented comment
+        yield A2_DOC.replace("\nrow 1 2", "\n" + ws + "#" + ws + "row 1 2")  # row commented out
+        yield A2_DOC.replace("2 2\n", "2 2" + ws + "#\n")  # a `#` token after the entries
+        yield A2_DOC.replace("1 2 2\n", "1 2 #" + ws + "\n")  # a `#` token as an entry
+    yield A2_DOC.replace("\n", "\r\n")
+    yield A2_DOC.replace("\n", "\r\n").replace("period", "  # x\r\nperiod")
+    yield "\t# only a comment\n \n"
+
+
+@pytest.mark.parametrize("text", list(_documents()), ids=repr)
+def test_parse_whitespace_and_comments_match_strip_then_split(text, a2_pattern):
+    got = _outcome(lambda: parse_frieze(text))
+    assert got == _outcome(lambda: _parse_by_strip_then_split(text))
+    if not isinstance(got, tuple):
+        assert got == a2_pattern
+
+
+@pytest.mark.parametrize("text", [A1_DOC, A2_DOC, "# c\ndynkin A3\nperiod 1\n\trow 1\nrow 1\nrow 1\n"])
+def test_parsed_pattern_is_a_plain_pattern(text):
+    parsed = parse_frieze(text)
+    built = pattern_from_columns(parsed.dynkin, [list(c.values) for c in parsed.columns])
+    assert parsed == built and hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert parsed.rows() == built.rows()
+    copy = pickle.loads(pickle.dumps(parsed))
+    assert copy == built and hash(copy) == hash(built) and repr(copy) == repr(built)
+    assert copy.rows() == built.rows()
+
+
+def test_powered_slot_keeps_identity_and_is_freed(e8_pattern):
+    parsed = parse_frieze(emit_frieze(e8_pattern))
+    assert row_products(parsed, 16) == tuple(x**4 for x in row_products(e8_pattern))
+    assert "_powered" in parsed.__dict__
+    assert parsed == e8_pattern and hash(parsed) == hash(e8_pattern)
+    assert repr(parsed) == repr(e8_pattern)
+    copy = pickle.loads(pickle.dumps(parsed))
+    assert copy == e8_pattern and hash(copy) == hash(e8_pattern) and repr(copy) == repr(e8_pattern)
+    ref = weakref.ref(parsed)
+    gc.disable()
+    try:
+        del parsed
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=80, deadline=None)
@@ -245,6 +318,52 @@ def test_bounds_payload_schema():
     bare = bounds_payload(report, include_refined=False)
     jsonschema.validate(bare, JSON_SCHEMAS["bounds"])
     assert "refined_base" not in bare
+
+
+def _bounds_payload_fresh(report, include_refined):
+    """The payload formatted from the report's fields, with nothing kept."""
+    payload = {
+        "dynkin": str(report.dynkin),
+        "period": report.period,
+        "b": [str(x) for x in report.b],
+        "d": list(report.d),
+        "entry_cap_exponents": [str(x) for x in report.entry_cap_exponents],
+        "count_bound_exponent": str(report.count_bound_exponent),
+    }
+    if include_refined:
+        payload["refined_formula_log2"] = [sig9(x) for x in report.refined_rowwise_log2]
+        payload["refined_flat_log2"] = [sig9(report.refined_flat_log2)] * report.dynkin.rank
+        payload["refined_base"] = str(report.refined_base)
+    return payload
+
+
+HAND_REPORT = BoundsReport(
+    dynkin=DynkinType("A", 2),
+    period=3,
+    b=(Fraction(1), Fraction(1, 3)),
+    entry_cap_exponents=(Fraction(3), Fraction(1)),
+    count_bound_exponent=Fraction(12, 7),
+    d=(0, 5),
+    refined_rowwise_log2=(0.1 + 0.2, 1 / 3),
+    refined_base=Fraction(33, 32),
+    refined_flat_log2=2 / 3,
+)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [bounds_report(DynkinType("E", 8), 16), bounds_report(DynkinType("A", 1), 2), HAND_REPORT],
+    ids=["E8@16", "A1@2", "by-hand"],
+)
+def test_bounds_payload_is_fresh_on_every_call(report):
+    for include_refined in (True, False, True):
+        want = _bounds_payload_fresh(report, include_refined)
+        first = bounds_payload(report, include_refined)
+        assert first == want and json.dumps(first) == json.dumps(want)
+        for value in first.values():
+            if isinstance(value, list):
+                value.append("mutated")
+        assert bounds_payload(report, include_refined) == want
 
 
 def test_enumerate_payload_schema():
